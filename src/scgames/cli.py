@@ -46,7 +46,7 @@ def _parse(args, text):
 
 def cmd_value(args) -> int:
     ctx = SolverContext()
-    if args.game.endswith(".scg") or Path(args.game).exists():
+    if args.game.endswith(".scg"):
         v = eval_board(ctx, load_board(args.game), max_cells=args.max_cells)
     else:
         v = simplify(ctx, _parse(args, args.game))
@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("value", parents=[poset_flag, uni_flag],
                        help="simplified value of a notation or a .scg board")
-    p.add_argument("game", help="game notation, or a board file")
+    p.add_argument("game", help="game notation, or a board file ending "
+                                "in .scg")
     p.add_argument("--max-cells", type=int, default=DEFAULT_EVAL_CAP)
     p.set_defaults(fn=cmd_value)
 

@@ -253,8 +253,18 @@ def antichain_poset(n: int, prefix: str = "a") -> AtomPoset:
     return make_poset(["bot", *atoms, "top"], le)
 
 
+_PRODUCT: dict[tuple[int, int], AtomPoset] = {}
+
+
 def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
-    """Componentwise product, with elements named "(x,y)"."""
+    """Componentwise product, with elements named "(x,y)".
+
+    Memoized on the factors' ids, which is sound because interned posets
+    are never freed.
+    """
+    p = _PRODUCT.get((id(a), id(b)))
+    if p is not None:
+        return p
     elements = []
     pair = {}
     for x in a.elements:
@@ -279,6 +289,7 @@ def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
         p._components = (a, b)
         p._pair = pair
         p._split = {v: k for k, v in pair.items()}
+    _PRODUCT[(id(a), id(b))] = p
     return p
 
 

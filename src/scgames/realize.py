@@ -35,6 +35,7 @@ from .games import (
 )
 from .setcolor import (
     SetColoringGame,
+    _ceil_log2,
     eval_board,
     sc_const,
     sc_coupling,
@@ -60,10 +61,6 @@ class VerifiedHow(enum.Enum):
 
 
 DEFAULT_VERIFY_CAP = 14
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n >= 1 else 0
 
 
 def size_bound(ctx: SolverContext, G: Game) -> int:

@@ -266,9 +266,40 @@ def payoff_eval(S: SetColoringGame, position: str) -> str:
     return S.payoff.value_at(black, S.size)
 
 
-def _payoff_table(S: SetColoringGame) -> list[str]:
+def _payoff_table(S: SetColoringGame, black: int,
+                  empty: int) -> tuple[bytes, list[str]]:
+    """The payoff over the colorings of the empty cells, coded as bytes.
+
+    Entry s is the payoff when the empty cells are colored by the bits of s
+    (bit j for the j-th empty cell in cell order) on top of the given black
+    cells.  Each entry is the index of its outcome in the returned list (in
+    order of first appearance), written big-endian in as many bytes as the
+    largest index needs.
+    """
     n = S.size
-    return [S.payoff.value_at(black, n) for black in range(1 << n)]
+    value_at = S.payoff.value_at
+    codes: dict[str, int] = {}
+    seq = []
+    sub = 0
+    while True:
+        v = value_at(black | sub, n)
+        code = codes.get(v)
+        if code is None:
+            code = codes[v] = len(codes)
+        seq.append(code)
+        if sub == empty:
+            break
+        sub = (sub - empty) & empty     # next submask, ascending
+    width = _code_width(len(codes))
+    return b"".join([c.to_bytes(width, "big") for c in seq]), list(codes)
+
+
+# blocks of 2, 4 and 8 bytes are taken every other one by a strided view
+_UNIT_FORMAT = {2: "H", 4: "I", 8: "Q"}
+
+
+def _code_width(outcomes: int) -> int:
+    return (max(outcomes - 1, 1).bit_length() + 7) // 8
 
 
 def eval_board(ctx: SolverContext, S: SetColoringGame,
@@ -276,97 +307,75 @@ def eval_board(ctx: SolverContext, S: SetColoringGame,
                max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """The combinatorial value of the empty board.
 
-    Sweeps positions level by level (by number of empty cells), keeping
-    only two levels of the 3^n position table alive.  With simplify=True
-    (the default) every position's value is simplified as it is built,
-    which keeps the games small; simplify=False returns the raw value
-    tree, which the structural sum/map identities hold for exactly.
+    With simplify=True (the default) every position's value is simplified
+    as it is built, which keeps the games small; simplify=False returns the
+    raw value tree, which the structural sum/map identities hold for
+    exactly.
     """
-    n = S.size
-    if n > max_cells:
-        raise CarrierTooLarge(f"{n} cells exceeds the cap of {max_cells}")
-    pay = _payoff_table(S)
-    poset = S.poset
-    if n == 0:
-        return atomic(pay[0], poset)
-    prev = {b: atomic(pay[b], poset) for b in range(1 << n)}
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
-        cur = {}
-        for empty in _masks_of_popcount(n, k):
-            free = full & ~empty
-            bits = [i for i in range(n) if empty >> i & 1]
-            b = free
-            while True:
-                lefts = []
-                rights = []
-                for i in bits:
-                    bit = 1 << i
-                    child = ((empty ^ bit) << n)
-                    lefts.append(prev[child | b | bit])
-                    rights.append(prev[child | b])
-                g = composite(lefts, rights, poset)
-                if simplify:
-                    g = simplify_game(ctx, g)
-                cur[(empty << n) | b] = g
-                if b == 0:
-                    break
-                b = (b - 1) & free
-        prev = cur
-    return prev[full << n]
-
-
-def _masks_of_popcount(n: int, k: int):
-    """All n-bit masks with exactly k bits set, ascending."""
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        # Gosper's hack
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
+    return eval_position(ctx, S, "." * S.size, simplify, max_cells)
 
 
 def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                   simplify: bool = True,
                   max_cells: int = DEFAULT_EVAL_CAP) -> Game:
-    """Value of an arbitrary partial coloring of the board."""
+    """Value of an arbitrary partial coloring of the board.
+
+    A position's value depends only on the payoff restricted to its empty
+    cells, so positions are memoized by that table, coded as in
+    _payoff_table.  Coloring the i-th remaining cell keeps every other
+    block of 2^i entries: the odd blocks when it goes black, the even ones
+    when it goes white.  ``ctx.stats["eval_residuals"]`` grows by the
+    number of distinct tables evaluated.
+    """
     n = S.size
     if n > max_cells:
         raise CarrierTooLarge(f"{n} cells exceeds the cap of {max_cells}")
     p = normalize_position(position)
     if len(p) != n:
         raise ValueError("position length differs from carrier size")
-    empty0 = sum(1 << i for i, c in enumerate(p) if c == ".")
-    black0 = sum(1 << i for i, c in enumerate(p) if c == "1")
-    memo: dict[int, Game] = {}
+    empty = sum(1 << i for i, c in enumerate(p) if c == ".")
+    black = sum(1 << i for i, c in enumerate(p) if c == "1")
+    table, outcomes = _payoff_table(S, black, empty)
+    poset = S.poset
+    leaves = [atomic(a, poset) for a in outcomes]
+    width = _code_width(len(outcomes))
+    memo: dict[bytes, Game] = {}
 
-    def rec(empty: int, black: int) -> Game:
-        key = (empty << n) | black
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if empty == 0:
-            g = atomic(S.payoff.value_at(black, n), S.poset)
+    def rec(t: bytes) -> Game:
+        g = memo.get(t)
+        if g is not None:
+            return g
+        size = len(t)
+        if size == width:
+            g = leaves[int.from_bytes(t, "big")]
         else:
             lefts, rights = [], []
-            e = empty
-            while e:
-                bit = e & -e
-                e ^= bit
-                lefts.append(rec(empty ^ bit, black | bit))
-                rights.append(rec(empty ^ bit, black))
-            g = composite(lefts, rights, S.poset)
+            block = width
+            while block < size:
+                if block == 1:
+                    white, black = t[0::2], t[1::2]
+                elif block in _UNIT_FORMAT:
+                    units = memoryview(t).cast(_UNIT_FORMAT[block])
+                    white = units[0::2].tobytes()
+                    black = units[1::2].tobytes()
+                else:
+                    span = 2 * block
+                    white = b"".join([t[j:j + block]
+                                      for j in range(0, size, span)])
+                    black = b"".join([t[j:j + block]
+                                      for j in range(block, size, span)])
+                lefts.append(rec(black))
+                rights.append(rec(white))
+                block *= 2
+            g = composite(lefts, rights, poset)
             if simplify:
                 g = simplify_game(ctx, g)
-        memo[key] = g
+        memo[t] = g
         return g
 
-    return rec(empty0, black0)
+    out = rec(table)
+    ctx.stats["eval_residuals"] += len(memo)
+    return out
 
 
 def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
@@ -378,7 +387,7 @@ def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
     n = S.size
     if n > cap:
         raise CarrierTooLarge(f"{n} cells exceeds the check cap of {cap}")
-    pay = _payoff_table(S)
+    pay = [S.payoff.value_at(black, n) for black in range(1 << n)]
     for black in range(1 << n):
         for i in range(n):
             if not black >> i & 1:
@@ -648,6 +657,11 @@ def payoff_from_json(obj, poset: AtomPoset,
     if key == "threshold":
         if not isinstance(body, dict):
             raise BoardFormatError("threshold body must be an object")
+        for a, ps in body.items():
+            if not (isinstance(ps, list)
+                    and all(isinstance(s, str) for s in ps)):
+                raise BoardFormatError(
+                    f"threshold patterns for {a!r} must be a list of strings")
         if n is None:
             lens = {len(s) for ps in body.values() for s in ps}
             if len(lens) > 1:

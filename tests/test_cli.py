@@ -36,6 +36,17 @@ def test_value_of_board_file(capsys):
     assert code == 0 and out.strip() == "{top|bot}"
 
 
+def test_value_of_long_notation(capsys):
+    # {G|G} is equivalent to G, so seven nestings of a stay a; the text is
+    # longer than any file name the OS accepts, and is never probed as one
+    text = "a"
+    for _ in range(7):
+        text = "{" + text + "|" + text + "}"
+    assert len(text) > 300
+    code, out, _ = run(capsys, "value", text)
+    assert code == 0 and out.strip() == "a"
+
+
 def test_eval_shipped_hex(capsys):
     code, out, _ = run(capsys, "eval", HEX)
     assert code == 0 and out.strip() == "{top|bot}"
@@ -117,6 +128,17 @@ def test_poset_json_file(capsys, tmp_path):
 def test_missing_board_file(capsys):
     code, _, err = run(capsys, "eval", "nosuch.scg")
     assert code == 2 and "nosuch" in err
+
+
+def test_eval_rejects_bare_string_patterns(capsys, tmp_path):
+    board = {"poset": {"builtin": "P4"}, "cells": ["c"],
+             "payoff": {"threshold": {"a": "1"}}}
+    p = tmp_path / "bare.scg"
+    p.write_text(json.dumps(board))
+    code, out, err = run(capsys, "eval", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "list of strings" in err
 
 
 def test_verify_appendix_default(capsys):

@@ -108,6 +108,21 @@ def test_product_cardinality_and_order():
     assert pr is product(builtin("P3"), builtin("P4"))
 
 
+def test_product_memo_keeps_factor_order_and_names():
+    a, b = antichain_poset(3, prefix="m"), builtin("P3")
+    pr = product(a, b)
+    pairs = {(x, y): pr.pair(x, y) for x in a.elements for y in b.elements}
+    splits = {name: pr.split(name) for name in pr.elements}
+    assert product(a, b) is pr
+    assert product(b, a) is not pr
+    assert product(b, a) is product(b, a)
+    assert pr.components == (a, b)
+    assert product(b, a).components == (b, a)
+    assert {(x, y): pr.pair(x, y)
+            for x in a.elements for y in b.elements} == pairs
+    assert {name: pr.split(name) for name in pr.elements} == splits
+
+
 def test_product_unit_law():
     one = make_poset(["e"], [])
     p = builtin("P4")

@@ -166,6 +166,62 @@ def test_raw_eval_matches_reference_on_random_boards(ctx):
         assert eval_board(ctx, S, simplify=False) is ref_eval(S)
 
 
+def _small_board(rng, max_cells):
+    return random_threshold_board(rng, P4, rng.randint(0, max_cells))
+
+
+def test_raw_eval_matches_reference_on_composed_boards(ctx):
+    rng = random.Random(3014)
+    boards = []
+    for _ in range(4):
+        # overlapping embeddings: both payoffs read the shared pool
+        boards.append(sc_shared_choice(_small_board(rng, 2),
+                                       _small_board(rng, 2)))
+        # Dual payoffs around shared choices
+        boards.append(sc_one_sided_choice_dual(
+            [_small_board(rng, 1), _small_board(rng, 1)]))
+        # disjoint children beside the five gadget cells
+        boards.append(sc_coupling(_small_board(rng, 1), sc_const("b", P4)))
+    for S in boards:
+        assert S.size <= 6
+        assert eval_board(ctx, S, simplify=False) is ref_eval(S)
+
+
+def test_raw_eval_position_matches_reference(ctx):
+    rng = random.Random(3015)
+    boards = [sc_base(GadgetKind.COUPLING),
+              sc_shared_choice(_small_board(rng, 2), _small_board(rng, 2)),
+              sc_one_sided_choice_dual([_small_board(rng, 2),
+                                        sc_const("a", P4)])]
+    for S in boards:
+        for _ in range(12):
+            p = "".join(rng.choice("01..") for _ in range(S.size))
+            assert eval_position(ctx, S, p, simplify=False) is ref_eval(S, p)
+
+
+def test_eval_counts_distinct_residual_tables(ctx):
+    # positions with the same payoff over their empty cells share a value,
+    # so the evaluator visits each distinct residual table once
+    S = sc_base(GadgetKind.COUPLING)
+    n = S.size
+    residuals = set()
+    for k in range(3 ** n):
+        p = ""
+        for _ in range(n):
+            p += "01."[k % 3]
+            k //= 3
+        empty = [i for i, c in enumerate(p) if c == "."]
+        table = []
+        for sub in range(1 << len(empty)):
+            q = list(p)
+            for j, i in enumerate(empty):
+                q[i] = "1" if sub >> j & 1 else "0"
+            table.append(payoff_eval(S, "".join(q)))
+        residuals.add(tuple(table))
+    eval_board(ctx, S)
+    assert ctx.stats["eval_residuals"] == len(residuals) < 3 ** n
+
+
 def test_simplified_eval_is_equivalent_to_raw(ctx):
     rng = random.Random(3002)
     for _ in range(25):
@@ -204,6 +260,20 @@ def test_simplified_value_can_leave_the_monotone_class(ctx):
     g = parse("{b,{top|a}|bot}")
     assert is_passable(ctx, g)
     assert not is_monotone(ctx, g)
+
+
+def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
+    # nine one-cell boards summed: every coloring scores its own element
+    cell = SetColoringGame(BOOL, ("c",), Threshold(BOOL, 1, {"top": ("1",)}))
+    S = cell
+    for _ in range(8):
+        S = sc_sum(S, cell)
+    assert S.size == 9 and len(S.poset) == 512
+    one = eval_board(ctx, cell, simplify=False)
+    want = one
+    for _ in range(8):
+        want = sum_games(ctx, want, one)
+    assert eval_board(ctx, S, simplify=False) is want
 
 
 def test_eval_cap(ctx):
@@ -466,6 +536,10 @@ def test_board_json_errors(tmp_path):
                          "payoff": {"mystery": 1}})
     with pytest.raises(BoardFormatError):
         board_from_json({"poset": {"builtin": "P4"}, "cells": []})
+    with pytest.raises(BoardFormatError):
+        # a bare string is not a pattern list, though iterating it works
+        board_from_json({"poset": {"builtin": "P4"}, "cells": ["c"],
+                         "payoff": {"threshold": {"a": "1"}}})
     bad = tmp_path / "bad.scg"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(BoardFormatError):
