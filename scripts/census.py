@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sharded census of fixed-size threshold boards over the diamond.
 
-The five-cell layer is 7581^2 boards, an overnight job on one core, so
-the run splits by board index across shards with private solver
-contexts, snapshots progress, and merges at the end:
+The five-cell layer is 7581^2 boards, about 11 minutes on one core.  The
+run splits it into contiguous index slices, one per shard with a
+private solver context.  Each shard builds the layers below (a third of
+a second) and values its slice through the catalog's restriction DP,
+snapshots progress, and the shards merge at the end:
 
     python scripts/census.py run --cells 5 --shard 0 --num-shards 8 -o s0.json
     ...one invocation per shard, any order, resumable...
@@ -25,35 +27,12 @@ import sys
 import time
 from pathlib import Path
 
-from scgames.catalog import (CatalogEntry, ValueCatalog, antichains,
+from scgames.catalog import (DEDEKIND, ValueCatalog, ValueIndex, board_at,
                              catalog_from_json, catalog_to_json,
+                             census_layers, layer_values,
                              merge_catalogs)
-from scgames.games import SolverContext, equiv, simplify
+from scgames.games import SolverContext
 from scgames.poset import builtin
-from scgames.setcolor import SetColoringGame, Threshold, eval_board
-
-
-def _pattern(mask: int, n: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
-
-
-def shard_boards(n: int, shard: int, num_shards: int):
-    """This shard's slice of the n-cell boards, in a stable order."""
-    poset = builtin("P4")
-    cells = tuple(f"c{i}" for i in range(n))
-    pats = [tuple(_pattern(m, n) for m in ac) for ac in antichains(n)]
-    total = len(pats) ** 2
-    count = sum(1 for idx in range(total) if idx % num_shards == shard)
-
-    def gen():
-        idx = 0
-        for pa in pats:
-            for pb in pats:
-                if idx % num_shards == shard:
-                    yield SetColoringGame(
-                        poset, cells, Threshold(poset, n, {"a": pa, "b": pb}))
-                idx += 1
-    return count, gen()
 
 
 def write_snapshot(path: Path, args_n, shard, num_shards, done, total,
@@ -68,16 +47,29 @@ def write_snapshot(path: Path, args_n, shard, num_shards, done, total,
 
 
 def cmd_run(args) -> int:
+    n = args.cells
+    if not 0 <= n < len(DEDEKIND):
+        print(f"--cells must be 0..{len(DEDEKIND) - 1}", file=sys.stderr)
+        return 2
+    if not 0 <= args.shard < args.num_shards:
+        print("--shard must be 0..--num-shards - 1", file=sys.stderr)
+        return 2
     ctx = SolverContext()
+    # the layers below come first, so their games are interned in the
+    # same order as in build_catalog, resumed or not
+    t0 = time.time()
+    below = census_layers(ctx, n - 1)[-1] if n else None
+    print(f"layers below {n} cells in {time.time() - t0:.1f}s",
+          file=sys.stderr)
     out = Path(args.out)
-    entries: list[CatalogEntry] = []
+    index = ValueIndex(ctx)
     done = 0
     if args.resume:
         if not out.exists():
             print(f"nothing to resume at {out}", file=sys.stderr)
             return 2
         snap = json.loads(out.read_text())
-        for key, want in (("cells", args.cells), ("shard", args.shard),
+        for key, want in (("cells", n), ("shard", args.shard),
                           ("num_shards", args.num_shards)):
             if snap[key] != want:
                 print(f"snapshot {key}={snap[key]} does not match "
@@ -86,46 +78,39 @@ def cmd_run(args) -> int:
         if snap.get("complete"):
             print("shard already complete", file=sys.stderr)
             return 0
-        entries = list(catalog_from_json(snap["catalog"], ctx).entries)
+        index = ValueIndex(ctx,
+                           catalog_from_json(snap["catalog"], ctx).entries)
         done = snap["done"]
 
-    seen = {e.value.uid: i for i, e in enumerate(entries)}
-    total, boards = shard_boards(args.cells, args.shard, args.num_shards)
+    # a contiguous slice, so merging the shards in order keeps the first
+    # witness of each value
+    size = DEDEKIND[n] ** 2
+    boards = range(size * args.shard // args.num_shards,
+                   size * (args.shard + 1) // args.num_shards)
+    total = len(boards)
+    todo = boards[done:]
+    if args.stop_after:
+        todo = todo[:args.stop_after]
     t0 = time.time()
-    processed = 0
-    for k, S in enumerate(boards):
-        if k < done:
-            continue
-        v = eval_board(ctx, S)
-        idx = seen.get(v.uid)
-        if idx is None:
-            for i, e in enumerate(entries):
-                if equiv(ctx, v, e.value):
-                    idx = i
-                    break
-        if idx is None:
-            seen[v.uid] = len(entries)
-            entries.append(CatalogEntry(v, S, args.cells))
-        else:
-            seen[v.uid] = idx
-        done = k + 1
-        processed += 1
+    for processed, (idx, v) in enumerate(
+            zip(todo, layer_values(ctx, n, below, todo)), 1):
+        index.add(v, n, lambda: board_at(n, idx))
+        done += 1
         if processed % args.snapshot_every == 0:
-            write_snapshot(out, args.cells, args.shard, args.num_shards,
-                           done, total, entries, complete=False)
+            write_snapshot(out, n, args.shard, args.num_shards,
+                           done, total, index.entries, complete=False)
             rate = processed / (time.time() - t0)
-            print(f"{done}/{total} boards, {len(entries)} values, "
+            print(f"{done}/{total} boards, {len(index.entries)} values, "
                   f"{rate:.0f}/s", file=sys.stderr)
-        if args.stop_after and processed >= args.stop_after:
-            write_snapshot(out, args.cells, args.shard, args.num_shards,
-                           done, total, entries, complete=False)
-            print(f"paused at {done}/{total} after --stop-after "
-                  f"{args.stop_after}", file=sys.stderr)
-            return 0
-    write_snapshot(out, args.cells, args.shard, args.num_shards,
-                   done, total, entries, complete=True)
+    complete = done == total
+    write_snapshot(out, n, args.shard, args.num_shards,
+                   done, total, index.entries, complete=complete)
+    if not complete:
+        print(f"paused at {done}/{total} after --stop-after "
+              f"{args.stop_after}", file=sys.stderr)
+        return 0
     print(f"shard {args.shard}/{args.num_shards}: {done} boards, "
-          f"{len(entries)} values in {time.time() - t0:.0f}s",
+          f"{len(index.entries)} values in {time.time() - t0:.0f}s",
           file=sys.stderr)
     return 0
 
@@ -135,13 +120,17 @@ def cmd_merge(args) -> int:
     cats = []
     for f in args.files:
         obj = json.loads(Path(f).read_text())
+        shard = -1                 # plain catalogs go first
         if "catalog" in obj:       # shard snapshot
             if not obj.get("complete"):
                 print(f"warning: {f} is an incomplete shard "
                       f"({obj['done']}/{obj['total']})", file=sys.stderr)
+            shard = obj["shard"]
             obj = obj["catalog"]
-        cats.append(catalog_from_json(obj, ctx))
-    merged = merge_catalogs(ctx, cats)
+        cats.append((shard, catalog_from_json(obj, ctx)))
+    # shards in index order, whatever order the shell listed the files in
+    cats.sort(key=lambda sc: sc[0])
+    merged = merge_catalogs(ctx, [c for _, c in cats])
     text = json.dumps(catalog_to_json(merged), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

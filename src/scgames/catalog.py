@@ -7,9 +7,15 @@ with antichains of required-black cell sets, so the n-cell boards are
 exactly the antichain pairs: M(n)^2 of them, where M runs
 2, 3, 6, 20, 168, 7581 (the Dedekind numbers).
 
-build_catalog walks every board by increasing cell count, evaluates it,
-and keeps one representative per value class together with the first
-witness board at the minimal count.  The shipped table
+Coloring one cell of a threshold board leaves a threshold board on the
+other cells, so the census is a dynamic program over cell counts:
+layer_values takes each n-cell board's value from the values of its 2n
+one-cell restrictions in the (n-1)-cell layer, found through per-antichain
+restriction tables, with no payoff table or position sweep.
+build_catalog fills the layers in order and keeps one representative per
+value class together with the first witness board at the minimal count;
+the sharded census script evaluates one index slice of a layer the same
+way.  The shipped table
 (data/appendix_p4.json) lists the values through five cells the way a
 printed table would: explicit entries per cell count, with the forced
 forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit.
@@ -21,13 +27,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import force_left, force_right
-from .games import (Game, SolverContext, UnknownAtom, dual, equiv, simplify,
-                    swap_ab, to_notation)
+from .games import (Game, SolverContext, UnknownAtom, atomic, composite,
+                    dual, equiv, simplify, swap_ab, to_notation)
 from .notation import GameSyntaxError, parse_game
 from .poset import (AtomPoset, UnknownPoset, builtin, poset_from_json,
                     poset_to_json)
@@ -48,25 +55,44 @@ DEDEKIND = (2, 3, 6, 20, 168, 7581)
 
 # -- enumeration ---------------------------------------------------------------
 
-def antichains(n: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def antichains(n: int) -> tuple[tuple[int, ...], ...]:
     """All antichains of subsets of an n-set, as sorted mask tuples.
 
     Canonical DFS order: each antichain extends its prefix with a
     numerically larger mask incomparable to everything chosen, so the
-    stream is stable across runs and shardable by plain index.
+    list is stable across runs and shardable by plain index.
     """
-    def rec(start: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(chosen)
+    out: list[tuple[int, ...]] = []
+
+    def rec(start: int, chosen: list[int]) -> None:
+        out.append(tuple(chosen))
         for m in range(start, 1 << n):
             if all((m & c) != m and (m & c) != c for c in chosen):
                 chosen.append(m)
-                yield from rec(m + 1, chosen)
+                rec(m + 1, chosen)
                 chosen.pop()
-    return rec(0, [])
+    rec(0, [])
+    return tuple(out)
 
 
 def _pattern(mask: int, n: int) -> str:
     return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _patterns(n: int) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple(_pattern(m, n) for m in ac) for ac in antichains(n))
+
+
+def board_at(n: int, index: int) -> SetColoringGame:
+    """The n-cell board at this position of enum_payoffs(n)."""
+    pats = _patterns(n)
+    pa, pb = divmod(index, len(pats))
+    poset = builtin("P4")
+    return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+                           Threshold(poset, n, {"a": pats[pa],
+                                                "b": pats[pb]}))
 
 
 def enum_payoffs(n: int, poset: Optional[AtomPoset] = None,
@@ -85,15 +111,82 @@ def enum_payoffs(n: int, poset: Optional[AtomPoset] = None,
         raise CarrierTooLarge(
             f"{n} cells means {DEDEKIND[n] if n < 6 else '...'}^2 boards; "
             f"cap is {max_cells} (shard the census instead)")
-    cells = tuple(f"c{i}" for i in range(n))
-    pats = [tuple(_pattern(m, n) for m in ac) for ac in antichains(n)]
+    return (board_at(n, idx) for idx in range(len(_patterns(n)) ** 2))
 
-    def gen():
-        for pa in pats:
-            for pb in pats:
-                yield SetColoringGame(
-                    poset, cells, Threshold(poset, n, {"a": pa, "b": pb}))
-    return gen()
+
+# -- the restriction DP --------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _restrictions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each n-cell antichain and each cell i, the indices in the
+    (n-1)-cell antichain list of the condition left with i black, and
+    with i white.
+
+    With i black a required set is met once its other cells are, so bit i
+    drops from every mask and only the minimal masks remain; with i white
+    the masks that need i can no longer be met.  Either way bit i is then
+    squeezed out, so cell j > i becomes cell j-1.
+    """
+    index = {ac: j for j, ac in enumerate(antichains(n - 1))}
+    rows = []
+    for ac in antichains(n):
+        row = []
+        for i in range(n):
+            low = (1 << i) - 1
+
+            def squeeze(m: int) -> int:
+                return m & low | m >> (i + 1) << i
+            met = {squeeze(m) for m in ac}
+            black = tuple(sorted(m for m in met
+                                 if not any(o != m and o & m == o
+                                            for o in met)))
+            white = tuple(squeeze(m) for m in ac if not m >> i & 1)
+            row.append((index[black], index[white]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
+                 indices: Optional[Iterable[int]] = None) -> Iterator[Game]:
+    """Values of the n-cell boards at these enum_payoffs(n) indices.
+
+    Coloring cell i of an n-cell threshold board leaves the (n-1)-cell
+    threshold board of the restricted conditions, so a board's value is
+    simplify({V(a|i=1, b|i=1)... | V(a|i=0, b|i=0)...}) with V looked up
+    in ``below``, the values of the whole (n-1)-cell layer in
+    enum_payoffs order.  This is the value eval_board gives, interned
+    object included.  The 0-cell boards are atoms and need no ``below``.
+    """
+    poset = builtin("P4")
+    count = len(antichains(n))
+    if indices is None:
+        indices = range(count * count)
+    if n == 0:    # antichain 0 is (), never met; 1 is (0,), always met
+        for idx in indices:
+            val = poset.bot
+            for atom, met in zip(("a", "b"), divmod(idx, count)):
+                if met:
+                    val = poset.join2(val, atom)
+            yield atomic(val, poset)
+        return
+    rows = _restrictions(n)
+    stride = len(antichains(n - 1))
+    for idx in indices:
+        pa, pb = divmod(idx, count)
+        pairs = tuple(zip(rows[pa], rows[pb]))
+        lefts = [below[a * stride + b] for (a, _), (b, _) in pairs]
+        rights = [below[a * stride + b] for (_, a), (_, b) in pairs]
+        yield simplify(ctx, composite(lefts, rights, poset))
+
+
+def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
+    """The values of every board of 0..n cells, one list per cell count,
+    each in enum_payoffs order."""
+    layers: list[list[Game]] = []
+    for k in range(n + 1):
+        layers.append(list(layer_values(ctx, k,
+                                        layers[-1] if layers else None)))
+    return layers
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -118,34 +211,46 @@ class ValueCatalog:
         return len(self.entries)
 
 
+class ValueIndex:
+    """Catalog entries being collected, one per equivalence class.
+
+    A value whose uid was seen before is filed already; any other is
+    scanned for equivalence against the entries.  The first value of a
+    class keeps its witness, so callers feed values in witness order.
+    """
+
+    def __init__(self, ctx: SolverContext, entries=()):
+        self.ctx = ctx
+        self.entries: list[CatalogEntry] = list(entries)
+        self._seen = {e.value.uid for e in self.entries}
+
+    def add(self, value: Game, cells: int,
+            witness: Callable[[], SetColoringGame]) -> None:
+        """File a simplified value; witness() is called only for a new
+        class, and before add returns."""
+        if value.uid in self._seen:
+            return
+        self._seen.add(value.uid)
+        if not any(equiv(self.ctx, value, e.value) for e in self.entries):
+            self.entries.append(CatalogEntry(value, witness(), cells))
+
+
 def build_catalog(ctx: SolverContext, n: int,
                   max_cells: int = DEFAULT_ENUM_CAP) -> ValueCatalog:
-    """Evaluate every board with at most n cells and dedup the values.
+    """Value every board with at most n cells and dedup the values.
 
-    Boards run in increasing cell count, so the recorded witness is at
-    the minimal count and ties go to the first board enumerated.
+    Boards are filed in increasing cell count, so the recorded witness is
+    at the minimal count and ties go to the first board enumerated.
     """
     poset = builtin("P4")
     if n > max_cells:
         raise CarrierTooLarge(f"census of {n} cells exceeds the cap of "
                               f"{max_cells}")
-    entries: list[CatalogEntry] = []
-    seen: dict[int, int] = {}    # value uid -> entry index, aliases included
-    for k in range(n + 1):
-        for S in enum_payoffs(k, poset, max_cells=max_cells):
-            v = eval_board(ctx, S)
-            idx = seen.get(v.uid)
-            if idx is None:
-                for i, e in enumerate(entries):
-                    if equiv(ctx, v, e.value):
-                        idx = i
-                        break
-            if idx is None:
-                seen[v.uid] = len(entries)
-                entries.append(CatalogEntry(v, S, k))
-            else:
-                seen[v.uid] = idx
-    return ValueCatalog(poset, tuple(entries))
+    index = ValueIndex(ctx)
+    for k, values in enumerate(census_layers(ctx, n)):
+        for i, v in enumerate(values):
+            index.add(v, k, lambda: board_at(k, i))
+    return ValueCatalog(poset, tuple(index.entries))
 
 
 def dedupe_values(ctx: SolverContext, games) -> list[Game]:
@@ -172,22 +277,10 @@ def merge_catalogs(ctx: SolverContext, catalogs) -> ValueCatalog:
         raise ValueError("catalogs over different posets")
     pool = sorted((e for c in catalogs for e in c.entries),
                   key=lambda e: e.cells)   # stable, so shard order breaks ties
-    entries: list[CatalogEntry] = []
-    seen: dict[int, int] = {}
+    index = ValueIndex(ctx)
     for e in pool:
-        v = simplify(ctx, e.value)
-        idx = seen.get(v.uid)
-        if idx is None:
-            for i, r in enumerate(entries):
-                if equiv(ctx, v, r.value):
-                    idx = i
-                    break
-        if idx is None:
-            seen[v.uid] = len(entries)
-            entries.append(CatalogEntry(v, e.board, e.cells))
-        else:
-            seen[v.uid] = idx
-    return ValueCatalog(poset, tuple(entries))
+        index.add(simplify(ctx, e.value), e.cells, lambda: e.board)
+    return ValueCatalog(poset, tuple(index.entries))
 
 
 def catalog_to_json(cat: ValueCatalog) -> dict:

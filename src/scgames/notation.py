@@ -27,6 +27,12 @@ class GameSyntaxError(ValueError):
 
 _PUNCT = frozenset("{}|,")
 
+# Brace nesting the parser accepts.  The parser and the recursive
+# operations on the game it returns (simplify, the order, printing) each
+# use a few stack frames per level, and deeper input would exhaust
+# Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     """Yield (kind, value, pos); kind is 'punct' or 'atom'."""
@@ -72,6 +78,7 @@ class _Parser:
         self.poset = poset
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -95,10 +102,15 @@ class _Parser:
             return self.atom(val, at)
         if kind == "punct" and val == "{":
             self.take()
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise GameSyntaxError(
+                    f"nesting too deep (more than {MAX_NESTING} levels)", at)
             lefts = self.option_list("|")
             self.expect("|")
             rights = self.option_list("}")
             self.expect("}")
+            self.nesting -= 1
             return composite(lefts, rights, self.poset)
         raise GameSyntaxError("expected a game", at)
 

@@ -7,7 +7,8 @@ import pytest
 from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
                              build_catalog, catalog_from_json, catalog_to_json,
-                             dedupe_values, enum_payoffs, expand_fixture,
+                             census_layers, dedupe_values, enum_payoffs,
+                             expand_fixture,
                              fixture_from_json, load_fixture, merge_catalogs,
                              verify_appendix)
 from scgames.games import SolverContext, equiv, to_notation
@@ -77,6 +78,22 @@ def test_enum_payoffs_needs_the_diamond():
 
 # -- catalogs ------------------------------------------------------------------
 
+def test_layer_values_match_eval_board():
+    # every board through 3 cells and a fixed stride of the 4-cell layer:
+    # the restriction DP must give eval_board's interned value itself
+    layers = census_layers(SolverContext(), 4)
+    fresh = SolverContext()
+    checked = 0
+    for n, values in enumerate(layers):
+        assert len(values) == DEDEKIND[n] ** 2
+        stride = 1 if n < 4 else 23
+        for idx, S in enumerate(enum_payoffs(n)):
+            if idx % stride == 0:
+                assert values[idx] is eval_board(fresh, S), (n, idx)
+                checked += 1
+    assert checked == 449 + (28224 + 22) // 23
+
+
 def test_catalog_zero_cells(mctx):
     cat = build_catalog(mctx, 0)
     assert {to_notation(e.value) for e in cat.entries} == \
@@ -137,7 +154,6 @@ def test_catalog_matches_expanded_table_through_three(mctx, fixture):
     assert len(cat) == len(ex) == 22
 
 
-@pytest.mark.extended
 def test_catalog_matches_expanded_table_at_four(mctx, fixture):
     cat = build_catalog(mctx, 4)
     ex = expand_fixture(fixture, 4, mctx)

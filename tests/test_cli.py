@@ -1,12 +1,18 @@
 """Exit codes and output of every CLI verb, run in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import scgames
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
+from scgames.notation import MAX_NESTING
 from scgames.poset import builtin
 from scgames.setcolor import eval_board, load_board
 
@@ -106,6 +112,23 @@ def test_realize_rejects_non_passable(capsys):
 def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "value", "{|a}")
     assert code == 2 and "error:" in err
+
+
+def test_deep_notation_exit(capsys):
+    # a fresh interpreter, so a crash would show as a traceback on stderr
+    # and exit 1 instead of raising inside the test
+    deep = "{" * 1200 + "top" + "|bot}" * 1200
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "scgames.cli", "value", deep],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "nesting too deep" in proc.stderr
+
+    at_cap = "{" * MAX_NESTING + "top" + "|bot}" * MAX_NESTING
+    code, out, _ = run(capsys, "value", at_cap)
+    assert code == 0 and out.strip() == "bot"
 
 
 def test_unknown_atom_exit(capsys):
