@@ -27,9 +27,9 @@ import sys
 import time
 from pathlib import Path
 
-from scgames.catalog import (DEDEKIND, ValueCatalog, ValueIndex, board_at,
-                             catalog_from_json, catalog_to_json,
-                             census_layers, layer_values,
+from scgames.catalog import (DEDEKIND, CatalogEntry, ValueCatalog,
+                             ValueIndex, board_at, catalog_from_json,
+                             catalog_to_json, census_layers, layer_values,
                              merge_catalogs)
 from scgames.games import SolverContext
 from scgames.poset import builtin
@@ -62,7 +62,7 @@ def cmd_run(args) -> int:
     print(f"layers below {n} cells in {time.time() - t0:.1f}s",
           file=sys.stderr)
     out = Path(args.out)
-    index = ValueIndex(ctx)
+    entries = []
     done = 0
     if args.resume:
         if not out.exists():
@@ -78,9 +78,9 @@ def cmd_run(args) -> int:
         if snap.get("complete"):
             print("shard already complete", file=sys.stderr)
             return 0
-        index = ValueIndex(ctx,
-                           catalog_from_json(snap["catalog"], ctx).entries)
+        entries = list(catalog_from_json(snap["catalog"], ctx).entries)
         done = snap["done"]
+    index = ValueIndex(ctx, [e.value for e in entries])
 
     # a contiguous slice, so merging the shards in order keeps the first
     # witness of each value
@@ -94,23 +94,24 @@ def cmd_run(args) -> int:
     t0 = time.time()
     for processed, (idx, v) in enumerate(
             zip(todo, layer_values(ctx, n, below, todo)), 1):
-        index.add(v, n, lambda: board_at(n, idx))
+        if index.add(v):
+            entries.append(CatalogEntry(v, board_at(n, idx), n))
         done += 1
         if processed % args.snapshot_every == 0:
             write_snapshot(out, n, args.shard, args.num_shards,
-                           done, total, index.entries, complete=False)
+                           done, total, entries, complete=False)
             rate = processed / (time.time() - t0)
-            print(f"{done}/{total} boards, {len(index.entries)} values, "
+            print(f"{done}/{total} boards, {len(entries)} values, "
                   f"{rate:.0f}/s", file=sys.stderr)
     complete = done == total
     write_snapshot(out, n, args.shard, args.num_shards,
-                   done, total, index.entries, complete=complete)
+                   done, total, entries, complete=complete)
     if not complete:
         print(f"paused at {done}/{total} after --stop-after "
               f"{args.stop_after}", file=sys.stderr)
         return 0
     print(f"shard {args.shard}/{args.num_shards}: {done} boards, "
-          f"{len(index.entries)} values in {time.time() - t0:.0f}s",
+          f"{len(entries)} values in {time.time() - t0:.0f}s",
           file=sys.stderr)
     return 0
 

@@ -30,6 +30,7 @@ from .games import (
     bot,
     composite,
     equiv,
+    pair_key,
     top,
     tri,
 )
@@ -52,7 +53,7 @@ class GadgetKind(enum.Enum):
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     """Disjunctive sum over the product poset."""
     memo = ctx.cache("sum")
-    key = (G.uid, H.uid)
+    key = pair_key(G, H)
     hit = memo.get(key)
     if hit is not None:
         return hit

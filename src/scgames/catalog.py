@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import force_left, force_right
 from .games import (Game, SolverContext, UnknownAtom, atomic, composite,
@@ -212,27 +212,29 @@ class ValueCatalog:
 
 
 class ValueIndex:
-    """Catalog entries being collected, one per equivalence class.
+    """One representative per equivalence class, in the order filed.
 
     A value whose uid was seen before is filed already; any other is
-    scanned for equivalence against the entries.  The first value of a
-    class keeps its witness, so callers feed values in witness order.
+    scanned for equivalence against the representatives, oldest first.
+    The first value of a class stays its representative, so callers feed
+    values in witness order.
     """
 
-    def __init__(self, ctx: SolverContext, entries=()):
+    def __init__(self, ctx: SolverContext, values=()):
         self.ctx = ctx
-        self.entries: list[CatalogEntry] = list(entries)
-        self._seen = {e.value.uid for e in self.entries}
+        self.values: list[Game] = list(values)
+        self._seen = {v.uid for v in self.values}
 
-    def add(self, value: Game, cells: int,
-            witness: Callable[[], SetColoringGame]) -> None:
-        """File a simplified value; witness() is called only for a new
-        class, and before add returns."""
+    def add(self, value: Game) -> bool:
+        """File a simplified value; True when it opens a new class."""
         if value.uid in self._seen:
-            return
+            return False
         self._seen.add(value.uid)
-        if not any(equiv(self.ctx, value, e.value) for e in self.entries):
-            self.entries.append(CatalogEntry(value, witness(), cells))
+        for v in self.values:
+            if equiv(self.ctx, value, v):
+                return False
+        self.values.append(value)
+        return True
 
 
 def build_catalog(ctx: SolverContext, n: int,
@@ -247,24 +249,20 @@ def build_catalog(ctx: SolverContext, n: int,
         raise CarrierTooLarge(f"census of {n} cells exceeds the cap of "
                               f"{max_cells}")
     index = ValueIndex(ctx)
+    entries = []
     for k, values in enumerate(census_layers(ctx, n)):
         for i, v in enumerate(values):
-            index.add(v, k, lambda: board_at(k, i))
-    return ValueCatalog(poset, tuple(index.entries))
+            if index.add(v):
+                entries.append(CatalogEntry(v, board_at(k, i), k))
+    return ValueCatalog(poset, tuple(entries))
 
 
 def dedupe_values(ctx: SolverContext, games) -> list[Game]:
     """One simplified representative per equivalence class, first seen wins."""
-    reps: list[Game] = []
-    seen: set[int] = set()
+    index = ValueIndex(ctx)
     for g in games:
-        g = simplify(ctx, g)
-        if g.uid in seen:
-            continue
-        seen.add(g.uid)
-        if not any(equiv(ctx, g, r) for r in reps):
-            reps.append(g)
-    return reps
+        index.add(simplify(ctx, g))
+    return index.values
 
 
 def merge_catalogs(ctx: SolverContext, catalogs) -> ValueCatalog:
@@ -278,9 +276,12 @@ def merge_catalogs(ctx: SolverContext, catalogs) -> ValueCatalog:
     pool = sorted((e for c in catalogs for e in c.entries),
                   key=lambda e: e.cells)   # stable, so shard order breaks ties
     index = ValueIndex(ctx)
+    entries = []
     for e in pool:
-        index.add(simplify(ctx, e.value), e.cells, lambda: e.board)
-    return ValueCatalog(poset, tuple(index.entries))
+        v = simplify(ctx, e.value)
+        if index.add(v):
+            entries.append(CatalogEntry(v, e.board, e.cells))
+    return ValueCatalog(poset, tuple(entries))
 
 
 def catalog_to_json(cat: ValueCatalog) -> dict:
@@ -402,28 +403,22 @@ def expand_fixture(fixture: AppendixFixture, n: int,
         ctx = SolverContext()
     if not 0 <= n < len(fixture.sections):
         raise ValueError(f"table has no section for {n} cells")
-    have: list[Game] = []
-    seen: set[int] = set()
+    index = ValueIndex(ctx)
 
     def add(g: Game) -> None:
         g = simplify(ctx, g)
         for img in (g, dual(g), swap_ab(g), swap_ab(dual(g))):
-            img = simplify(ctx, img)
-            if img.uid in seen:
-                continue
-            seen.add(img.uid)
-            if not any(equiv(ctx, img, r) for r in have):
-                have.append(img)
+            index.add(simplify(ctx, img))
 
     for k in range(n + 1):
         sec = fixture.sections[k]
         if sec.closure_forms:
-            for g in list(have):      # snapshot: forms of the smaller values
+            for g in list(index.values):   # snapshot: the smaller values
                 add(force_left(g))
                 add(force_right(g))
         for e in sec.entries:
             add(parse_game(e.value, fixture.poset))
-    return set(have)
+    return set(index.values)
 
 
 # -- re-checking the printed boards ---------------------------------------------

@@ -7,7 +7,8 @@ ASCII by default.
 
 Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
-unknown posets or atoms, missing or malformed files, caps exceeded).
+unknown posets or atoms, missing or malformed files, caps exceeded, input
+nested deeper than the interpreter's recursion limit allows).
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
 
 

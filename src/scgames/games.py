@@ -3,7 +3,10 @@
 A game is an atomic leaf [a] (a an atom of the poset) or a composite node
 with non-empty sets of left and right options.  Nodes are hash-consed into
 a global table: structurally equal games are the same object, and every
-game carries a small integer ``uid``.  All memo tables key on uids.
+game carries a small integer ``uid``.  All memo tables key on uids; a
+table over pairs of games (leq, tri, sum) keys on one int, ``G.uid << 32 |
+H.uid``.  That packing is exact while every uid is below 2^32, so interning
+a new game past that bound raises :class:`UidOverflow` instead of wrapping.
 
 The order is a pair of mutually recursive relations.  ``leq(G, H)`` holds
 iff every left option of G is ``tri``-below H, G is ``tri``-below every
@@ -51,8 +54,13 @@ class SimplificationDiverged(RuntimeError):
     """Rewrite pass cap exceeded; indicates a bug, not a hard input."""
 
 
+class UidOverflow(OverflowError):
+    """No uid below UID_LIMIT is left, so pair keys would collide."""
+
+
 _GAMES: dict[tuple, "Game"] = {}
 _NEXT_UID = [0]
+UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
 
 # structural metric memos, global because games are interned globally
 _DEPTH: dict[int, int] = {}
@@ -93,9 +101,7 @@ def atomic(a: str, poset: AtomPoset) -> Game:
     key = ("a", id(poset), a)
     g = _GAMES.get(key)
     if g is None:
-        g = Game(poset, a, (), (), _NEXT_UID[0])
-        _NEXT_UID[0] += 1
-        _GAMES[key] = g
+        g = _GAMES[key] = Game(poset, a, (), (), _new_uid())
     return g
 
 
@@ -117,10 +123,16 @@ def composite(lefts: Iterable[Game], rights: Iterable[Game],
     key = ("c", id(poset), tuple(g.uid for g in ls), tuple(g.uid for g in rs))
     g = _GAMES.get(key)
     if g is None:
-        g = Game(poset, None, ls, rs, _NEXT_UID[0])
-        _NEXT_UID[0] += 1
-        _GAMES[key] = g
+        g = _GAMES[key] = Game(poset, None, ls, rs, _new_uid())
     return g
+
+
+def _new_uid() -> int:
+    uid = _NEXT_UID[0]
+    if uid >= UID_LIMIT:
+        raise UidOverflow(f"more than {UID_LIMIT} games interned")
+    _NEXT_UID[0] = uid + 1
+    return uid
 
 
 def _dedup(games: Iterable[Game]) -> tuple[Game, ...]:
@@ -150,8 +162,8 @@ class SolverContext:
                  "stats", "_extra")
 
     def __init__(self):
-        self.leq: dict[tuple[int, int], bool] = {}
-        self.tri: dict[tuple[int, int], bool] = {}
+        self.leq: dict[int, bool] = {}      # keyed by pair_key(G, H)
+        self.tri: dict[int, bool] = {}
         self.simp: dict[int, Game] = {}
         self.passable: dict[int, bool] = {}
         self.monotone: dict[int, bool] = {}
@@ -164,6 +176,11 @@ class SolverContext:
         if d is None:
             d = self._extra[name] = {}
         return d
+
+
+def pair_key(G: Game, H: Game) -> int:
+    """Memo key of an ordered pair of games; exact while uids < UID_LIMIT."""
+    return G.uid << 32 | H.uid
 
 
 def _check_pair(G: Game, H: Game) -> None:
@@ -184,29 +201,69 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
-    key = (G.uid, H.uid)
-    hit = ctx.leq.get(key)
+    # Plain loops rather than all()/any() over generators: one Python frame
+    # per relation call, and each tri memo hit is answered without a call.
+    # Keys are pair_key, spelled out to save a call per lookup.
+    key = G.uid << 32 | H.uid
+    memo = ctx.leq
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    res = (all(_tri(ctx, gl, H) for gl in G.left)
-           and all(_tri(ctx, G, hr) for hr in H.right))
-    if res and (G.is_atomic or H.is_atomic):
-        res = _tri(ctx, G, H)
-    ctx.leq[key] = res
+    tri_memo = ctx.tri
+    res = True
+    hu = H.uid
+    for gl in G.left:
+        t = tri_memo.get(gl.uid << 32 | hu)
+        if t is None:
+            t = _tri(ctx, gl, H)
+        if not t:
+            res = False
+            break
+    else:
+        gu = G.uid << 32
+        for hr in H.right:
+            t = tri_memo.get(gu | hr.uid)
+            if t is None:
+                t = _tri(ctx, G, hr)
+            if not t:
+                res = False
+                break
+        else:
+            if G.atom is not None or H.atom is not None:
+                res = _tri(ctx, G, H)
+    memo[key] = res
     return res
 
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
-    key = (G.uid, H.uid)
-    hit = ctx.tri.get(key)
+    key = G.uid << 32 | H.uid
+    memo = ctx.tri
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    if G.is_atomic and H.is_atomic:
+    if G.atom is not None and H.atom is not None:
         res = G.poset.le(G.atom, H.atom)
     else:
-        res = (any(_leq(ctx, gr, H) for gr in G.right)
-               or any(_leq(ctx, G, hl) for hl in H.left))
-    ctx.tri[key] = res
+        leq_memo = ctx.leq
+        res = False
+        hu = H.uid
+        for gr in G.right:
+            t = leq_memo.get(gr.uid << 32 | hu)
+            if t is None:
+                t = _leq(ctx, gr, H)
+            if t:
+                res = True
+                break
+        else:
+            gu = G.uid << 32
+            for hl in H.left:
+                t = leq_memo.get(gu | hl.uid)
+                if t is None:
+                    t = _leq(ctx, G, hl)
+                if t:
+                    res = True
+                    break
+    memo[key] = res
     return res
 
 

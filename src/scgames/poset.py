@@ -60,6 +60,7 @@ class AtomPoset:
         "_split",
         "_dual",
         "_lattice",
+        "_joins",
     )
 
     def __init__(self, elements: tuple[str, ...], up: tuple[int, ...],
@@ -75,6 +76,7 @@ class AtomPoset:
         self._split = None
         self._dual = _UNSET
         self._lattice = None
+        self._joins: dict[tuple[str, str], Optional[str]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -96,13 +98,20 @@ class AtomPoset:
         return bool(self._up[self._index[x]] >> self._index[y] & 1)
 
     def join2(self, x: str, y: str) -> str:
-        ix, iy = self._index[x], self._index[y]
-        ub = self._up[ix] & self._up[iy]
+        """Least upper bound of x and y, memoized per poset (None when
+        there is none, which raises on every call)."""
+        j = self._joins.get((x, y), _UNSET)
+        if j is _UNSET:
+            j = self._joins[(x, y)] = self._scan_join(x, y)
+        if j is None:
+            raise SupremumUndefined(f"join of {x!r} and {y!r} does not exist")
+        return j
+
+    def _scan_join(self, x: str, y: str) -> Optional[str]:
+        ub = self._up[self._index[x]] & self._up[self._index[y]]
         minimal = [i for i in _bits(ub)
                    if all(not (self._up[j] >> i & 1) for j in _bits(ub) if j != i)]
-        if len(minimal) != 1:
-            raise SupremumUndefined(f"join of {x!r} and {y!r} does not exist")
-        return self.elements[minimal[0]]
+        return self.elements[minimal[0]] if len(minimal) == 1 else None
 
     def join(self, names: Iterable[str]) -> str:
         """Least upper bound of a (possibly empty) set of elements."""

@@ -8,9 +8,10 @@ from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
                              build_catalog, catalog_from_json, catalog_to_json,
                              census_layers, dedupe_values, enum_payoffs,
-                             expand_fixture,
+                             expand_fixture, ValueIndex,
                              fixture_from_json, load_fixture, merge_catalogs,
                              verify_appendix)
+from scgames import catalog as catalog_mod
 from scgames.games import SolverContext, equiv, to_notation
 from scgames.setcolor import CarrierTooLarge, Threshold, eval_board
 
@@ -166,6 +167,43 @@ def test_dedupe_values(mctx):
           ("{top|top}", "top", "{a,b|bot}", "{b,a|bot}", "a")]
     reps = dedupe_values(mctx, gs)
     assert [to_notation(g) for g in reps] == ["top", "{a,b|bot}", "a"]
+
+
+def test_value_index_scans_like_a_plain_loop(mctx, monkeypatch):
+    # the scan order fixes which representative a class keeps and how many
+    # equivalence checks are made
+    calls = []
+
+    def logged(ctx, g, h):
+        calls.append((g.uid, h.uid))
+        return equiv(ctx, g, h)
+
+    monkeypatch.setattr(catalog_mod, "equiv", logged)
+    # raw games, so some classes hold several uids
+    gs = [parse(t) for t in
+          ("a", "{top|top}", "{a,b|bot}", "top", "{b,a|bot}", "{top|a}",
+           "{a|b}", "a", "{{top|a}|a}", "{b|a}", "{top|{a|bot}}")]
+    index = ValueIndex(mctx)
+    filed = [index.add(g) for g in gs]
+
+    want_calls, reps, seen, want_filed = [], [], set(), []
+    for g in gs:
+        if g.uid in seen:
+            want_filed.append(False)
+            continue
+        seen.add(g.uid)
+        new = True
+        for r in reps:
+            want_calls.append((g.uid, r.uid))
+            if equiv(mctx, g, r):
+                new = False
+                break
+        if new:
+            reps.append(g)
+        want_filed.append(new)
+    assert calls == want_calls
+    assert filed == want_filed and index.values == reps
+    assert len(reps) < len(set(g.uid for g in gs))
 
 
 def test_merge_catalogs_keeps_minimal_witness(mctx):

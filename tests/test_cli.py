@@ -131,6 +131,23 @@ def test_deep_notation_exit(capsys):
     assert code == 0 and out.strip() == "bot"
 
 
+def test_deep_board_file_exit(tmp_path):
+    # json and the payload parser recurse per level; past the recursion
+    # limit that is unusable input, not a crash
+    payoff = '{"dual": ' * 3000 + '{"const": "top"}' + "}" * 3000
+    board = tmp_path / "deep.scg"
+    board.write_text('{"poset": {"builtin": "P4"}, "cells": ["c0"], '
+                     f'"payoff": {payoff}}}')
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "scgames.cli", "eval",
+                           str(board)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+
+
 def test_unknown_atom_exit(capsys):
     code, _, err = run(capsys, "value", "z")
     assert code == 2 and "z" in err

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from reference import (
     ref_leq,
     ref_tri,
 )
+from scgames import games as games_mod
+from scgames.algebra import sum_games
 from scgames.games import (
     EmptyOptionSet,
     NoDualityMap,
@@ -37,8 +40,11 @@ from scgames.games import (
     to_notation,
     top,
     tri,
+    UID_LIMIT,
+    UidOverflow,
 )
 from scgames.notation import GameSyntaxError, parse_game
+from scgames.poset import make_poset, product
 from scgames.sampling import random_game, random_passable_game
 
 # the running example: the coupling-shaped value over the diamond poset
@@ -169,6 +175,66 @@ def test_memoized_relations_match_reference_on_random_pairs(ctx):
         h = random_game(rng, P4, max_depth=3, max_branch=2)
         assert leq(ctx, g, h) == ref_leq(g, h)
         assert tri(ctx, g, h) == ref_tri(g, h)
+
+
+def test_relations_match_reference_on_sums_in_one_context(ctx):
+    # the shape of a session summing many games: sums over P4xP4 of
+    # depth-2 passable games, every pair decided in one warm context
+    rng = random.Random(1007)
+
+    def composite_passable():
+        while True:
+            g = random_passable_game(ctx, rng, P4, 2, 3)
+            if g.atom is None:
+                return g
+
+    sums = [sum_games(ctx, composite_passable(), composite_passable())
+            for _ in range(200)]
+    assert sums[0].poset is product(P4, P4)
+    for s, u in zip(sums, sums[1:] + sums[:1]):
+        for g, h in ((s, u), (u, s), (s, s)):
+            assert leq(ctx, g, h) == ref_leq(g, h)
+            assert tri(ctx, g, h) == ref_tri(g, h)
+
+
+def test_leq_decides_chain_of_300_levels(ctx):
+    # two Python frames per level of the recursion, so 300 levels fit
+    # the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    t = top(P4)
+
+    def chain(n, base):
+        g = atomic(base, P4)
+        for _ in range(n):
+            g = composite([g], [t])
+        return g
+
+    for n in (3, 300):
+        lo, hi = chain(n, "bot"), chain(n, "top")
+        got = (leq(ctx, lo, hi), leq(ctx, hi, lo), tri(ctx, hi, lo))
+        if n == 3:
+            assert got == (ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo))
+        assert got == (True, False, False)
+
+
+def test_interning_past_uid_limit_raises():
+    # pair memo keys pack two uids into one int, exact below 2^32
+    fresh = make_poset(["lo", "uid_probe", "hi"],
+                       [("lo", "uid_probe"), ("uid_probe", "hi")])
+    saved = games_mod._NEXT_UID[0]
+    games_mod._NEXT_UID[0] = UID_LIMIT - 1
+    try:
+        last = atomic("uid_probe", fresh)
+        assert last.uid == UID_LIMIT - 1
+        assert games_mod._NEXT_UID[0] == UID_LIMIT
+        assert atomic("uid_probe", fresh) is last    # no new uid needed
+        with pytest.raises(UidOverflow):
+            atomic("hi", fresh)
+        with pytest.raises(UidOverflow):
+            composite([last], [last])
+        assert games_mod._NEXT_UID[0] == UID_LIMIT
+    finally:
+        games_mod._NEXT_UID[0] = saved
 
 
 def test_predicates_match_reference_on_random_games(ctx):

@@ -165,9 +165,23 @@ def test_join_undefined():
         ["bot", "x", "y", "z", "w", "top"],
         [("bot", "x"), ("bot", "y"), ("x", "z"), ("x", "w"),
          ("y", "z"), ("y", "w"), ("z", "top"), ("w", "top")])
-    with pytest.raises(SupremumUndefined):
-        p.join2("x", "y")
+    for _ in range(3):      # memoized, and still raising every time
+        with pytest.raises(SupremumUndefined):
+            p.join2("x", "y")
     assert not p.is_lattice()
+
+
+@pytest.mark.parametrize("name", ["Bool", "P3", "P4", "P4xP4"])
+def test_join2_memo_matches_scan(name):
+    p = (product(builtin("P4"), builtin("P4")) if name == "P4xP4"
+         else builtin(name))
+    for x in p.elements:
+        for y in p.elements:
+            ubs = [z for z in p.elements if p.le(x, z) and p.le(y, z)]
+            least = [z for z in ubs if all(p.le(z, u) for u in ubs)]
+            assert [p._scan_join(x, y)] == least
+            for _ in range(2):      # the first call may fill the memo
+                assert p.join2(x, y) == least[0]
 
 
 def test_antichain_poset():
