@@ -5,7 +5,8 @@ conditions, one per middle atom; the value of a coloring is the join of
 the atoms whose condition holds.  Monotone conditions are in bijection
 with antichains of required-black cell sets, so the n-cell boards are
 exactly the antichain pairs: M(n)^2 of them, where M runs
-2, 3, 6, 20, 168, 7581 (the Dedekind numbers).
+2, 3, 6, 20, 168, 7581 (the Dedekind numbers); board_at(n, i) is the
+i-th, and each census layer is a list in that index order.
 
 Coloring one cell of a threshold board leaves a threshold board on the
 other cells, so the census is a dynamic program over cell counts:
@@ -14,11 +15,11 @@ one-cell restrictions in the (n-1)-cell layer, found through per-antichain
 restriction tables, with no payoff table or position sweep.
 build_catalog fills the layers in order and keeps one representative per
 value class together with the first witness board at the minimal count;
-the sharded census script evaluates one index slice of a layer the same
-way.  The shipped table
-(data/appendix_p4.json) lists the values through five cells the way a
-printed table would: explicit entries per cell count, with the forced
-forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit.
+the sharded census script values one index slice of a layer the same
+way.  The shipped table (data/appendix_p4.json) lists the values through
+five cells the way a printed table would: explicit entries per cell
+count, with the forced forms <top|G> and <G|bot> and the dual / a-b-swap
+images left implicit; its patterns are read by setcolor.pattern_masks.
 expand_fixture rebuilds the full value set from it; verify_appendix
 re-evaluates every printed board against its claimed value.
 """
@@ -39,7 +40,8 @@ from .notation import GameSyntaxError, parse_game
 from .poset import (AtomPoset, UnknownPoset, builtin, poset_from_json,
                     poset_to_json)
 from .setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
-                       board_from_json, board_to_json, eval_board)
+                       board_from_json, board_to_json, eval_board,
+                       mask_pattern, pattern_masks)
 
 
 class FixtureParseError(ValueError):
@@ -76,42 +78,21 @@ def antichains(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _pattern(mask: int, n: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
-
-
 @lru_cache(maxsize=None)
 def _patterns(n: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(_pattern(m, n) for m in ac) for ac in antichains(n))
+    return tuple(tuple(mask_pattern(m, n) for m in ac) for ac in antichains(n))
 
 
 def board_at(n: int, index: int) -> SetColoringGame:
-    """The n-cell board at this position of enum_payoffs(n)."""
+    """The n-cell board at this index: M(n)^2 boards, ordered by the
+    a-antichain, then the b-antichain, each in the order of antichains(n),
+    so shards can cut a layer by index."""
     pats = _patterns(n)
     pa, pb = divmod(index, len(pats))
     poset = builtin("P4")
     return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
                            Threshold(poset, n, {"a": pats[pa],
                                                 "b": pats[pb]}))
-
-
-def enum_payoffs(n: int, poset: Optional[AtomPoset] = None,
-                 max_cells: int = DEFAULT_ENUM_CAP
-                 ) -> Iterator[SetColoringGame]:
-    """Every n-cell threshold board over the diamond, M(n)^2 in total.
-
-    Fixed order: outer loop the a-antichain, inner the b-antichain, both
-    in canonical DFS order, so shards can cut the stream by index.
-    """
-    poset = builtin("P4") if poset is None else poset
-    if poset is not builtin("P4"):
-        raise ValueError("payoff enumeration is specific to the two-atom "
-                         "diamond; other posets have no antichain-pair form")
-    if n > max_cells:
-        raise CarrierTooLarge(
-            f"{n} cells means {DEDEKIND[n] if n < 6 else '...'}^2 boards; "
-            f"cap is {max_cells} (shard the census instead)")
-    return (board_at(n, idx) for idx in range(len(_patterns(n)) ** 2))
 
 
 # -- the restriction DP --------------------------------------------------------
@@ -148,26 +129,22 @@ def _restrictions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
                  indices: Optional[Iterable[int]] = None) -> Iterator[Game]:
-    """Values of the n-cell boards at these enum_payoffs(n) indices.
+    """Values of the n-cell boards at these board_at(n) indices.
 
     Coloring cell i of an n-cell threshold board leaves the (n-1)-cell
     threshold board of the restricted conditions, so a board's value is
     simplify({V(a|i=1, b|i=1)... | V(a|i=0, b|i=0)...}) with V looked up
     in ``below``, the values of the whole (n-1)-cell layer in
-    enum_payoffs order.  This is the value eval_board gives, interned
+    board_at index order.  This is the value eval_board gives, interned
     object included.  The 0-cell boards are atoms and need no ``below``.
     """
     poset = builtin("P4")
     count = len(antichains(n))
     if indices is None:
         indices = range(count * count)
-    if n == 0:    # antichain 0 is (), never met; 1 is (0,), always met
+    if n == 0:
         for idx in indices:
-            val = poset.bot
-            for atom, met in zip(("a", "b"), divmod(idx, count)):
-                if met:
-                    val = poset.join2(val, atom)
-            yield atomic(val, poset)
+            yield atomic(board_at(0, idx).payoff.value_at(0, 0), poset)
         return
     rows = _restrictions(n)
     stride = len(antichains(n - 1))
@@ -181,7 +158,7 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
 
 def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
     """The values of every board of 0..n cells, one list per cell count,
-    each in enum_payoffs order."""
+    each in board_at index order."""
     layers: list[list[Game]] = []
     for k in range(n + 1):
         layers.append(list(layer_values(ctx, k,
@@ -330,19 +307,11 @@ class AppendixFixture:
 
 
 def _check_patterns(pats, cells: int, where: str) -> tuple[str, ...]:
-    out = []
-    for s in pats:
-        if not isinstance(s, str) or len(s) != cells or set(s) - {"0", "1"}:
-            raise FixtureParseError(f"{where}: bad pattern {s!r} for "
-                                    f"{cells} cells")
-        out.append(s)
-    masks = [sum(1 << i for i, c in enumerate(s) if c == "1") for s in out]
-    for i, m1 in enumerate(masks):
-        for m2 in masks[i + 1:]:
-            if m1 & m2 == m1 or m1 & m2 == m2:
-                raise FixtureParseError(f"{where}: patterns are not an "
-                                        "antichain")
-    return tuple(out)
+    try:
+        pattern_masks(pats, cells)
+    except ValueError as e:
+        raise FixtureParseError(f"{where}: {e}") from None
+    return tuple(pats)
 
 
 def fixture_from_json(obj) -> AppendixFixture:
@@ -350,19 +319,27 @@ def fixture_from_json(obj) -> AppendixFixture:
         raise FixtureParseError("expected an object with poset and sections")
     try:
         poset = builtin(obj["poset"])
-    except (UnknownPoset, TypeError):
+    except UnknownPoset:
         raise FixtureParseError(f"unknown poset {obj['poset']!r}") from None
+    if not isinstance(obj["sections"], list):
+        raise FixtureParseError("sections must be a list")
     sections = []
     for idx, sec in enumerate(obj["sections"]):
-        if not isinstance(sec, dict) or sec.get("cells") != idx:
+        if not (isinstance(sec, dict) and type(sec.get("cells")) is int
+                and sec["cells"] == idx):
             raise FixtureParseError("sections must run consecutively from "
                                     "0 cells")
+        rows = sec.get("entries", [])
+        if not isinstance(rows, list):
+            raise FixtureParseError(f"section {idx}: entries must be a list")
         entries = []
-        for e in sec.get("entries", ()):
+        for e in rows:
             if not isinstance(e, dict) or not {"value", "a", "b"} <= set(e):
                 raise FixtureParseError(f"section {idx}: entry needs value, "
                                         "a and b")
-            where = f"section {idx}, {e.get('value')!r}"
+            where = f"section {idx}, {e['value']!r}"
+            if not isinstance(e["value"], str):
+                raise FixtureParseError(f"{where}: value must be notation")
             try:
                 parse_game(e["value"], poset)
             except (GameSyntaxError, UnknownAtom) as err:

@@ -241,7 +241,7 @@ _BUILTIN_SPECS = {
 
 def builtin(name: str) -> AtomPoset:
     """One of the builtin posets: Bool, P3 (chain), P4 (diamond)."""
-    spec = _BUILTIN_SPECS.get(name)
+    spec = _BUILTIN_SPECS.get(name) if isinstance(name, str) else None
     if spec is None:
         raise UnknownPoset(f"unknown builtin poset {name!r}")
     return make_poset(*spec)
@@ -321,8 +321,15 @@ def poset_from_json(obj) -> AtomPoset:
         return builtin(obj["builtin"])
     if "elements" not in obj:
         raise ValueError("poset object needs 'builtin' or 'elements'")
-    le = [tuple(pr) for pr in obj.get("le", ())]
-    return make_poset(obj["elements"], le)
+    elements, le = obj["elements"], obj.get("le", [])
+    if not (isinstance(elements, list)
+            and all(isinstance(e, str) for e in elements)):
+        raise ValueError("poset elements must be a list of strings")
+    if not (isinstance(le, list)
+            and all(isinstance(pr, list) and len(pr) == 2
+                    and all(isinstance(e, str) for e in pr) for pr in le)):
+        raise ValueError("poset 'le' must be a list of [lower, upper] pairs")
+    return make_poset(elements, [tuple(pr) for pr in le])
 
 
 class MonotoneFn:

@@ -40,7 +40,6 @@ from .setcolor import (
     sc_const,
     sc_coupling,
     sc_force_left,
-    sc_force_right,
     sc_one_sided_choice,
     sc_one_sided_choice_dual,
 )
@@ -157,8 +156,6 @@ def _synthesize(ctx: SolverContext, G: Game) -> SetColoringGame:
         and G.right[0].atom == poset.bot
     if top_only and len(G.right) == 1:
         return sc_force_left(_realize(ctx, G.right[0]))
-    if bot_only and len(G.left) == 1:
-        return sc_force_right(_realize(ctx, G.left[0]))
     if bot_only:
         return sc_one_sided_choice([_realize(ctx, x) for x in G.left])
     if top_only:

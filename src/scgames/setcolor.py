@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
+from .algebra import GadgetKind
 from .games import (
     Game,
     NoDualityMap,
@@ -100,6 +100,29 @@ class Const:
         return self.atom
 
 
+def pattern_masks(patterns, n: int) -> tuple[int, ...]:
+    """Masks of a list of n-character '0'/'1' strings, character i being
+    bit i; '1' marks a cell required black.  The required sets must form
+    an antichain, so a condition has one spelling.  Raises ValueError."""
+    if not isinstance(patterns, (list, tuple)):
+        raise ValueError(f"patterns must be a list of strings, "
+                         f"not {patterns!r}")
+    masks: list[int] = []
+    for s in patterns:
+        if not isinstance(s, str) or len(s) != n or set(s) - {"0", "1"}:
+            raise ValueError(f"bad pattern {s!r} for {n} cells")
+        m = sum(1 << i for i, c in enumerate(s) if c == "1")
+        if any(m & o in (m, o) for o in masks):
+            raise ValueError("patterns are not an antichain")
+        masks.append(m)
+    return tuple(masks)
+
+
+def mask_pattern(mask: int, n: int) -> str:
+    """The pattern string of a mask over n cells; inverse of pattern_masks."""
+    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+
+
 @dataclass(frozen=True)
 class Threshold:
     """Per-atom antichains of required-black cell sets.
@@ -113,33 +136,25 @@ class Threshold:
     poset: AtomPoset
     n: int
     sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    _masks: tuple[tuple[str, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.poset.is_lattice():
             raise SupremumUndefined(
                 "threshold payoffs need a lattice poset; use composition "
                 "for anything else")
+        masks = []
         for a, patterns in self.sets.items():
             if a not in self.poset:
                 raise ValueError(f"atom {a!r} not in poset")
-            masks = []
-            for s in patterns:
-                if len(s) != self.n or set(s) - {"0", "1"}:
-                    raise ValueError(f"bad pattern {s!r} for {self.n} cells")
-                masks.append(sum(1 << i for i, c in enumerate(s) if c == "1"))
-            for i, m1 in enumerate(masks):
-                for m2 in masks[i + 1:]:
-                    if m1 & m2 == m1 or m1 & m2 == m2:
-                        raise ValueError(
-                            f"patterns for {a!r} are not an antichain")
-
-    @cached_property
-    def _masks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        out = []
-        for a, patterns in self.sets.items():
-            out.append((a, tuple(sum(1 << i for i, c in enumerate(s)
-                                     if c == "1") for s in patterns)))
-        return tuple(out)
+            try:
+                masks.append((a, pattern_masks(patterns, self.n)))
+            except ValueError as e:
+                raise ValueError(f"patterns for {a!r}: {e}") from None
+        object.__setattr__(self, "sets",
+                           {a: tuple(ps) for a, ps in self.sets.items()})
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def fits(self, n: int) -> bool:
         return n == self.n
@@ -398,44 +413,26 @@ def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
 
 # -- fixed gadget boards ------------------------------------------------------
 
-def _force_left_threshold() -> Threshold:
-    return Threshold(builtin("P3"), 1, {"a": ("0",), "top": ("1",)})
-
-
-def _force_right_threshold() -> Threshold:
-    return Threshold(builtin("P3"), 1, {"a": ("1",)})
-
-
-def _choice_threshold() -> Threshold:
-    return Threshold(builtin("P4"), 2, {"a": ("01",), "b": ("10",)})
-
-
-def _coupling_threshold() -> Threshold:
-    return Threshold(builtin("P4"), 5, {
+# The hand-verified gadget payoffs: their boards' values match the
+# constructors in the algebra module applied to the marked atoms.
+_GADGETS = {
+    GadgetKind.LEFT_FORCE: Threshold(builtin("P3"), 1, {"a": ("0",),
+                                                        "top": ("1",)}),
+    GadgetKind.RIGHT_FORCE: Threshold(builtin("P3"), 1, {"a": ("1",)}),
+    GadgetKind.CHOICE: Threshold(builtin("P4"), 2, {"a": ("01",),
+                                                    "b": ("10",)}),
+    GadgetKind.COUPLING: Threshold(builtin("P4"), 5, {
         "a": ("00011", "10101", "11000"),
         "b": ("00100", "01010"),
-    })
+    }),
+}
 
 
-def sc_base(kind) -> SetColoringGame:
-    """The four hand-verified gadget boards; values match the constructors
-    in the algebra module applied to the marked atoms."""
-    from .algebra import GadgetKind
-
-    if kind is GadgetKind.LEFT_FORCE:
-        return SetColoringGame(builtin("P3"), ("c1",),
-                               _force_left_threshold())
-    if kind is GadgetKind.RIGHT_FORCE:
-        return SetColoringGame(builtin("P3"), ("c1",),
-                               _force_right_threshold())
-    if kind is GadgetKind.CHOICE:
-        return SetColoringGame(builtin("P4"), ("c1", "c2"),
-                               _choice_threshold())
-    if kind is GadgetKind.COUPLING:
-        return SetColoringGame(builtin("P4"),
-                               ("c1", "c2", "c3", "c4", "c5"),
-                               _coupling_threshold())
-    raise ValueError(f"unknown gadget kind {kind!r}")
+def sc_base(kind: GadgetKind) -> SetColoringGame:
+    """The gadget board of this kind, on cells c1..cn."""
+    t = _GADGETS[kind]
+    return SetColoringGame(t.poset, tuple(f"c{i}" for i in range(1, t.n + 1)),
+                           t)
 
 
 # -- combinators ---------------------------------------------------------------
@@ -486,29 +483,23 @@ def _fresh_cells(k: int, taken: Sequence[str]) -> list[str]:
     return out
 
 
-def sc_force_left(S: SetColoringGame) -> SetColoringGame:
-    """One extra cell turns the board B into a board for {top|B}."""
-    g = _fresh_cells(1, S.cells)
-    cells = tuple(g + list(S.cells))
+def _forced(kind: GadgetKind, S: SetColoringGame) -> SetColoringGame:
+    cells = tuple(_fresh_cells(1, S.cells) + list(S.cells))
     payoff = Compose(projector_f(S.poset), (
-        (_force_left_threshold(), (0,)),
+        (_GADGETS[kind], (0,)),
         (S.payoff, tuple(range(1, len(cells)))),
     ))
-    out = SetColoringGame(S.poset, cells, payoff)
-    assert out.size == S.size + 1
-    return out
+    return SetColoringGame(S.poset, cells, payoff)
+
+
+def sc_force_left(S: SetColoringGame) -> SetColoringGame:
+    """One extra cell turns the board B into a board for {top|B}."""
+    return _forced(GadgetKind.LEFT_FORCE, S)
 
 
 def sc_force_right(S: SetColoringGame) -> SetColoringGame:
-    g = _fresh_cells(1, S.cells)
-    cells = tuple(g + list(S.cells))
-    payoff = Compose(projector_f(S.poset), (
-        (_force_right_threshold(), (0,)),
-        (S.payoff, tuple(range(1, len(cells)))),
-    ))
-    out = SetColoringGame(S.poset, cells, payoff)
-    assert out.size == S.size + 1
-    return out
+    """One extra cell turns the board B into a board for {B|bot}."""
+    return _forced(GadgetKind.RIGHT_FORCE, S)
 
 
 def sc_shared_choice(SG: SetColoringGame,
@@ -526,7 +517,7 @@ def sc_shared_choice(SG: SetColoringGame,
     names = _fresh_cells(2 + pool, ())
     cells = tuple(names[:2] + [f"p{i}" for i in range(pool)])
     payoff = Compose(projector_g(SG.poset), (
-        (_choice_threshold(), (0, 1)),
+        (_GADGETS[GadgetKind.CHOICE], (0, 1)),
         (SG.payoff, tuple(range(2, 2 + SG.size))),
         (SH.payoff, tuple(range(2, 2 + SH.size))),
     ))
@@ -577,7 +568,7 @@ def sc_coupling(SG: SetColoringGame,
     cells = (["k1", "k2", "k3", "k4", "k5"]
              + _prefixed("l.", SG.cells) + _prefixed("r.", SH.cells))
     payoff = Compose(projector_g(SG.poset), (
-        (_coupling_threshold(), (0, 1, 2, 3, 4)),
+        (_GADGETS[GadgetKind.COUPLING], (0, 1, 2, 3, 4)),
         (SG.payoff, tuple(range(5, 5 + p))),
         (SH.payoff, tuple(range(5 + p, 5 + p + q))),
     ))
@@ -600,8 +591,7 @@ def random_threshold_board(rng, poset: AtomPoset, n: int,
                 continue
             masks.append(m)
         if masks:
-            sets[a] = tuple("".join("1" if m >> i & 1 else "0"
-                                    for i in range(n)) for m in masks)
+            sets[a] = tuple(mask_pattern(m, n) for m in masks)
     return SetColoringGame(
         poset, tuple(f"c{i}" for i in range(n)), Threshold(poset, n, sets))
 
@@ -641,9 +631,8 @@ def payoff_to_json(expr: PayoffExpr) -> dict:
     raise TypeError(f"not a payoff expression: {expr!r}")
 
 
-def payoff_from_json(obj, poset: AtomPoset,
-                     n: Optional[int] = None) -> PayoffExpr:
-    """Parse an expression expected to land in the given poset.
+def payoff_from_json(obj, poset: AtomPoset, n: int) -> PayoffExpr:
+    """Parse an expression on n cells expected to land in the given poset.
 
     Child posets are directed by the expected codomain: the named
     projector functions fix them (P3 or P4 for the gadget child, the
@@ -657,20 +646,12 @@ def payoff_from_json(obj, poset: AtomPoset,
     if key == "threshold":
         if not isinstance(body, dict):
             raise BoardFormatError("threshold body must be an object")
-        for a, ps in body.items():
-            if not (isinstance(ps, list)
-                    and all(isinstance(s, str) for s in ps)):
-                raise BoardFormatError(
-                    f"threshold patterns for {a!r} must be a list of strings")
-        if n is None:
-            lens = {len(s) for ps in body.values() for s in ps}
-            if len(lens) > 1:
-                raise BoardFormatError("inconsistent pattern lengths")
-            n = lens.pop() if lens else 0
-        return Threshold(poset, n, {a: tuple(ps) for a, ps in body.items()})
+        return Threshold(poset, n, body)
     if key == "dual":
         return Dual(payoff_from_json(body, poset, n))
     if key == "compose":
+        if not isinstance(body, dict):
+            raise BoardFormatError("compose body must be an object")
         fn_spec = body.get("fn")
         kids = body.get("children")
         if not isinstance(kids, list) or not kids:
@@ -682,8 +663,10 @@ def payoff_from_json(obj, poset: AtomPoset,
             fn = projector_g(poset)
             child_posets = [builtin("P4"), poset, poset]
         elif isinstance(fn_spec, dict):
-            child_posets = [poset_from_json(p)
-                            for p in fn_spec.get("domains", ())]
+            domains = fn_spec.get("domains")
+            if not isinstance(domains, list) or not domains:
+                raise BoardFormatError("function table needs a domains list")
+            child_posets = [poset_from_json(p) for p in domains]
             codomain = poset_from_json(fn_spec["codomain"])
             fn = MonotoneFn(_fold_domain(child_posets), codomain,
                             fn_spec["table"])
@@ -697,9 +680,13 @@ def payoff_from_json(obj, poset: AtomPoset,
                 f"expected {len(child_posets)} children, got {len(kids)}")
         children = []
         for kid, kp in zip(kids, child_posets):
-            emb = tuple(kid.get("cells", ()))
+            emb = kid.get("cells", []) if isinstance(kid, dict) else None
+            if not (isinstance(emb, list)
+                    and all(type(i) is int for i in emb)):
+                raise BoardFormatError("a compose child is an object whose "
+                                       "cells are a list of cell indices")
             children.append(
-                (payoff_from_json(kid["payoff"], kp, len(emb)), emb))
+                (payoff_from_json(kid["payoff"], kp, len(emb)), tuple(emb)))
         return Compose(fn, tuple(children))
     raise BoardFormatError(f"unknown payoff kind {key!r}")
 
@@ -718,6 +705,9 @@ def board_from_json(obj) -> SetColoringGame:
     try:
         poset = poset_from_json(obj["poset"])
         cells = obj["cells"]
+        if not (isinstance(cells, list)
+                and all(isinstance(c, str) for c in cells)):
+            raise BoardFormatError("board cells must be a list of strings")
         payoff = payoff_from_json(obj["payoff"], poset, len(cells))
         return SetColoringGame(poset, tuple(cells), payoff)
     except BoardFormatError:

@@ -6,16 +6,16 @@ import pytest
 
 from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
-                             build_catalog, catalog_from_json, catalog_to_json,
-                             census_layers, dedupe_values, enum_payoffs,
+                             board_at, build_catalog, catalog_from_json,
+                             catalog_to_json, census_layers, dedupe_values,
                              expand_fixture, ValueIndex,
                              fixture_from_json, load_fixture, merge_catalogs,
                              verify_appendix)
 from scgames import catalog as catalog_mod
 from scgames.games import SolverContext, equiv, to_notation
-from scgames.setcolor import CarrierTooLarge, Threshold, eval_board
+from scgames.setcolor import eval_board
 
-from conftest import P3, P4, parse
+from conftest import P4, parse
 from reference import ref_count_antichains
 
 
@@ -49,34 +49,6 @@ def test_antichain_stream_is_duplicate_free_and_valid():
     assert len(seen) == DEDEKIND[4]
 
 
-def test_enum_payoff_counts():
-    assert sum(1 for _ in enum_payoffs(0)) == 4
-    assert sum(1 for _ in enum_payoffs(1)) == 9
-    assert sum(1 for _ in enum_payoffs(3)) == 400
-
-
-def test_enum_payoffs_board_shape():
-    boards = list(enum_payoffs(2))
-    assert len(boards) == 36
-    for S in boards:
-        assert S.poset is P4
-        assert len(S.cells) == 2
-        assert isinstance(S.payoff, Threshold)
-
-
-def test_enum_payoffs_cap():
-    with pytest.raises(CarrierTooLarge):
-        enum_payoffs(5)
-    # the sharded census lifts the cap explicitly
-    stream = enum_payoffs(5, max_cells=5)
-    assert next(iter(stream)).size == 5
-
-
-def test_enum_payoffs_needs_the_diamond():
-    with pytest.raises(ValueError):
-        enum_payoffs(1, poset=P3)
-
-
 # -- catalogs ------------------------------------------------------------------
 
 def test_layer_values_match_eval_board():
@@ -88,10 +60,11 @@ def test_layer_values_match_eval_board():
     for n, values in enumerate(layers):
         assert len(values) == DEDEKIND[n] ** 2
         stride = 1 if n < 4 else 23
-        for idx, S in enumerate(enum_payoffs(n)):
-            if idx % stride == 0:
-                assert values[idx] is eval_board(fresh, S), (n, idx)
-                checked += 1
+        for idx in range(0, len(values), stride):
+            S = board_at(n, idx)
+            assert S.poset is P4 and S.size == n
+            assert values[idx] is eval_board(fresh, S), (n, idx)
+            checked += 1
     assert checked == 449 + (28224 + 22) // 23
 
 
@@ -298,6 +271,20 @@ def test_fixture_parse_errors(tmp_path):
         {"cells": 1, "entries": []},
         {"cells": 2, "entries": [
             {"value": "top", "a": ["01", "11"], "b": []}]}]})
+    # pattern lists are JSON lists of strings, and errors name the entry
+    for pats in ("1", {"1": 0}, ["1", 1]):
+        with pytest.raises(FixtureParseError,
+                           match=r"section 1, '\{b\|bot\}'"):
+            fixture_from_json({"poset": "P4", "sections": [
+                {"cells": 0, "entries": []},
+                {"cells": 1, "entries": [
+                    {"value": "{b|bot}", "a": [], "b": pats}]}]})
+    bad({"poset": "P4", "sections": 5})
+    bad({"poset": "P4", "sections": [{"cells": False, "entries": []}]})
+    bad({"poset": "P4", "sections": [{"cells": 0, "entries": 5}]})
+    bad({"poset": "P4", "sections": [
+        {"cells": 0, "entries": [{"value": 5, "a": [], "b": []}]}]})
+    bad({"poset": ["P4"], "sections": []})
 
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -1,5 +1,8 @@
 """Exit codes and output of every CLI verb, run in-process."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,15 +11,19 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scgames
+from scgames.algebra import GadgetKind
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
 from scgames.notation import MAX_NESTING
-from scgames.poset import builtin
-from scgames.setcolor import eval_board, load_board
+from scgames.poset import builtin, projector_f
+from scgames.setcolor import (board_to_json, eval_board, load_board, sc_base,
+                              sc_dual, sc_force_left, sc_map, sc_sum)
 
-from conftest import parse
+from conftest import P4, parse
 
 HEX = str(resources.files("scgames") / "data" / "hex2x2.scg")
 
@@ -228,3 +235,156 @@ def test_catalog_cap(capsys):
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"
+
+
+# -- malformed files and fuzzed input -----------------------------------------
+
+def _board(cells, payoff):
+    return {"poset": {"builtin": "P4"}, "cells": cells, "payoff": payoff}
+
+
+def _one_cell_table(a, b):
+    return {"poset": "P4", "sections": [
+        {"cells": 0, "entries": []},
+        {"cells": 1, "entries": [{"value": "{b|bot}", "a": a, "b": b}]}]}
+
+
+MALFORMED = [
+    ("board", _board([], {"compose": 5})),
+    ("board", _board(["c"], {"compose": {"fn": "projector_f",
+                                         "children": [1, 2]}})),
+    ("fixture", {"poset": "P4", "sections": 5}),
+    ("poset", {"elements": 5}),
+    ("fixture", _one_cell_table("1", [])),
+    ("fixture", _one_cell_table([], {"1": 0})),
+    ("board", _board("ab", {"threshold": {"a": ["10"]}})),
+    ("board", _board([1, 2], {"threshold": {"a": ["10"]}})),
+    ("board", _board(["c"], {"compose": {
+        "fn": {"codomain": {"builtin": "P4"}, "table": {}},
+        "children": [{"payoff": {"const": "a"}, "cells": []}]}})),
+    ("poset", {"builtin": {}}),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_case(directory, kind, payload):
+    """Run the CLI on one input; returns (exit code, stderr)."""
+    if kind == "notation":
+        verb, text = payload
+        argv = {"value": ["value", text],
+                "leq": ["leq", text, "a"],
+                "check": ["check", "--passable", text]}[verb]
+    else:
+        path = directory / {"board": "in.scg", "poset": "poset.json",
+                            "fixture": "table.json"}[kind]
+        path.write_text(json.dumps(payload))
+        argv = {"board": ["eval", str(path)],
+                "poset": ["value", "--poset", str(path), "{top|bot}"],
+                "fixture": ["verify-appendix", str(path)]}[kind]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind,payload", MALFORMED)
+def test_malformed_input_exits_2(fuzz_dir, kind, payload):
+    code, err = run_case(fuzz_dir, kind, payload)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_TEMPLATES = {
+    "board": [board_to_json(S) for S in (
+        sc_base(GadgetKind.CHOICE),
+        sc_force_left(sc_base(GadgetKind.CHOICE)),
+        sc_dual(sc_base(GadgetKind.CHOICE)),
+        sc_map(projector_f(P4), sc_sum(sc_base(GadgetKind.RIGHT_FORCE),
+                                       sc_base(GadgetKind.CHOICE))),
+    )],
+    "poset": [{"builtin": "P3"},
+              {"elements": ["bot", "x", "top"],
+               "le": [["bot", "x"], ["x", "top"]]}],
+    "fixture": [_one_cell_table([], ["1"])],
+}
+
+_WORDS = ["P3", "P4", "a", "b", "top", "bot", "c", "", "0", "1", "01", "10",
+          "projector_f", "projector_g", "poset", "cells", "payoff", "const",
+          "threshold", "dual", "compose", "fn", "children", "builtin",
+          "elements", "le", "domains", "codomain", "table", "sections",
+          "entries", "value", "closure_forms"]
+
+_leaf = (st.none() | st.booleans() | st.integers(-2, 40)
+         | st.floats(-2, 40, allow_nan=False) | st.sampled_from(_WORDS)
+         | st.text(max_size=3))
+_junk = _leaf | st.recursive(
+    _leaf, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_WORDS), kids, max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@st.composite
+def _mutant(draw, kind):
+    """A valid document of this kind with up to two subtrees replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_TEMPLATES[kind])))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        new = draw(_junk)
+        if not path:
+            doc = new
+            continue
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = new
+    return kind, doc
+
+
+_games = st.recursive(
+    st.sampled_from(["a", "b", "top", "bot"]),
+    lambda g: st.builds("{{{}|{}}}".format,
+                        st.lists(g, min_size=1, max_size=2).map(",".join),
+                        st.lists(g, min_size=1, max_size=2).map(",".join)),
+    max_leaves=6)
+
+
+@st.composite
+def _notation(draw):
+    """A game in notation, perhaps with one character inserted or cut."""
+    text = draw(_games)
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["", "cut", "{", "}", "|", ",", "x", " "]))
+    if edit == "cut":
+        text = text[:at] + text[at + 1:]
+    else:
+        text = text[:at] + edit + text[at:]
+    return "notation", (draw(st.sampled_from(["value", "leq", "check"])),
+                        text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.one_of(_notation(), _mutant("board"), _mutant("poset"),
+                      _mutant("fixture")))
+def test_cli_fuzz_exit_codes(fuzz_dir, case):
+    # whatever the input, main answers with an exit code, never a
+    # traceback, and bad input gets exit 2 with one error line
+    code, err = run_case(fuzz_dir, *case)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+for _case in MALFORMED:    # every run also tries the known bad inputs
+    test_cli_fuzz_exit_codes = example(case=_case)(test_cli_fuzz_exit_codes)

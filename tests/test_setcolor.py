@@ -19,6 +19,7 @@ from scgames.algebra import (
     map_game,
     sum_games,
 )
+from scgames.catalog import antichains
 from scgames.games import SolverContext, atomic, equiv, is_monotone, \
     is_passable
 from scgames.poset import (
@@ -41,7 +42,9 @@ from scgames.setcolor import (
     eval_board,
     eval_position,
     load_board,
+    mask_pattern,
     normalize_position,
+    pattern_masks,
     payoff_eval,
     random_threshold_board,
     save_board,
@@ -444,11 +447,28 @@ def test_dual_needs_a_self_dual_poset():
 def test_threshold_patterns_must_be_antichains():
     with pytest.raises(ValueError):
         Threshold(P4, 3, {"a": ("100", "110")})
+    for pats in (["01", "11"], ["11", "01"], ["10", "10"], ["00", "01"]):
+        with pytest.raises(ValueError, match="antichain"):
+            pattern_masks(pats, 2)
+    # mask_pattern inverts pattern_masks on every antichain of 4 cells
+    for ac in antichains(4):
+        pats = [mask_pattern(m, 4) for m in ac]
+        assert pattern_masks(pats, 4) == ac
+        assert [mask_pattern(m, 4) for m in pattern_masks(pats, 4)] == pats
 
 
 def test_threshold_pattern_length_checked():
     with pytest.raises(ValueError):
         Threshold(P4, 3, {"a": ("10",)})
+    with pytest.raises(ValueError, match="list of strings"):
+        Threshold(P4, 1, {"a": "1"})
+    for pats in (["10"], ["1010"], ["1x0"], ["1 0"], [101], ("101", None),
+                 "101", {"101": 1}, None):
+        with pytest.raises(ValueError):
+            pattern_masks(pats, 3)
+    assert pattern_masks([], 3) == ()
+    assert pattern_masks([""], 0) == (0,)
+    assert pattern_masks(("100", "011"), 3) == (1, 6)
 
 
 def test_threshold_needs_a_lattice():
