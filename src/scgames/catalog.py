@@ -16,10 +16,13 @@ restriction tables, with no payoff table or position sweep.
 build_catalog fills the layers in order and keeps one representative per
 value class together with the first witness board at the minimal count;
 the sharded census script values one index slice of a layer the same
-way.  The shipped table (data/appendix_p4.json) lists the values through
-five cells the way a printed table would: explicit entries per cell
-count, with the forced forms <top|G> and <G|bot> and the dual / a-b-swap
-images left implicit; its patterns are read by setcolor.pattern_masks.
+way.  Every dedupe by equivalence goes through ValueIndex, which buckets
+representatives by their atom signature, so a value is checked with equiv
+only against the representatives it could be equivalent to.  The shipped
+table (data/appendix_p4.json) lists the values through five cells the way
+a printed table would: explicit entries per cell count, with the forced
+forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit;
+its patterns are read by setcolor.pattern_masks.
 expand_fixture rebuilds the full value set from it; verify_appendix
 re-evaluates every printed board against its claimed value.
 """
@@ -34,8 +37,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .algebra import force_left, force_right
-from .games import (Game, SolverContext, UnknownAtom, atomic, composite,
-                    dual, equiv, simplify, swap_ab, to_notation)
+from .games import (Game, PosetMismatch, SolverContext, UnknownAtom,
+                    atom_signature, atomic, composite, dual, equiv, simplify,
+                    swap_ab, to_notation)
 from .notation import GameSyntaxError, parse_game
 from .poset import (AtomPoset, UnknownPoset, builtin, poset_from_json,
                     poset_to_json)
@@ -191,27 +195,58 @@ class ValueCatalog:
 class ValueIndex:
     """One representative per equivalence class, in the order filed.
 
-    A value whose uid was seen before is filed already; any other is
-    scanned for equivalence against the representatives, oldest first.
-    The first value of a class stays its representative, so callers feed
-    values in witness order.
+    A value whose uid was seen before is filed already.  Any other is
+    checked with equiv, oldest first, against the representatives it can
+    be equivalent to: when it is passable, those of its atom signature
+    and the non-passable ones (equivalent passable games share a
+    signature); otherwise all of them.  So ``add`` answers as a scan over
+    every representative would, with no more equiv calls, and counts
+    them in ctx.stats["index_equiv"].  The first value of a class stays
+    its representative, so callers feed values in witness order.  All
+    values must live over one poset.
     """
 
     def __init__(self, ctx: SolverContext, values=()):
         self.ctx = ctx
-        self.values: list[Game] = list(values)
-        self._seen = {v.uid for v in self.values}
+        self.values: list[Game] = []
+        self._seen: set[int] = set()
+        self._loose: list[Game] = []    # the non-passable representatives
+        # signature -> its representatives and the loose ones, filing order
+        self._buckets: dict[tuple[int, int], list[Game]] = {}
+        for v in values:
+            self._seen.add(v.uid)
+            self._file(v, atom_signature(ctx, v))
 
     def add(self, value: Game) -> bool:
         """File a simplified value; True when it opens a new class."""
         if value.uid in self._seen:
             return False
+        if self.values and value.poset is not self.values[0].poset:
+            raise PosetMismatch("index values live over different posets")
         self._seen.add(value.uid)
-        for v in self.values:
-            if equiv(self.ctx, value, v):
+        ctx = self.ctx
+        sig = atom_signature(ctx, value)
+        scan = (self.values if sig is None
+                else self._buckets.get(sig, self._loose))
+        stats = ctx.stats
+        for v in scan:
+            stats["index_equiv"] += 1
+            if equiv(ctx, value, v):
                 return False
-        self.values.append(value)
+        self._file(value, sig)
         return True
+
+    def _file(self, value: Game, sig: Optional[tuple[int, int]]) -> None:
+        self.values.append(value)
+        if sig is None:
+            self._loose.append(value)
+            for bucket in self._buckets.values():
+                bucket.append(value)
+            return
+        bucket = self._buckets.get(sig)
+        if bucket is None:
+            bucket = self._buckets[sig] = list(self._loose)
+        bucket.append(value)
 
 
 def build_catalog(ctx: SolverContext, n: int,

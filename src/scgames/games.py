@@ -19,12 +19,15 @@ empirically but never rely on (see simplify).
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
-The global predicates quantify the local ones over all positions.
+The global predicates quantify the local ones over all positions.  On
+passable games leq is transitive, so the atoms below and above a passable
+game (its atom signature) are shared by every game equivalent to it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .poset import AtomPoset
@@ -59,6 +62,7 @@ class UidOverflow(OverflowError):
 
 
 _GAMES: dict[tuple, "Game"] = {}
+_UNSET = object()
 _NEXT_UID = [0]
 UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
 
@@ -140,6 +144,13 @@ def _dedup(games: Iterable[Game]) -> tuple[Game, ...]:
     for g in games:
         seen[g.uid] = g
     return tuple(seen[u] for u in sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def _atoms(poset: AtomPoset) -> tuple[Game, ...]:
+    """The atomic games of the poset, in element order (posets are
+    interned and never freed, so the cache holds each one once)."""
+    return tuple(atomic(a, poset) for a in poset.elements)
 
 
 def top(poset: AtomPoset) -> Game:
@@ -312,11 +323,42 @@ def is_passable(ctx: SolverContext, G: Game) -> bool:
     hit = ctx.passable.get(G.uid)
     if hit is not None:
         return hit
-    # local passability is exactly tri(G, G)
-    res = _tri(ctx, G, G) and all(is_passable(ctx, x)
-                                  for x in G.left + G.right)
+    # local passability is exactly tri(G, G); a plain loop keeps it to one
+    # Python frame per level, like leq
+    res = _tri(ctx, G, G)
+    if res:
+        for x in G.left + G.right:
+            if not is_passable(ctx, x):
+                res = False
+                break
     ctx.passable[G.uid] = res
     return res
+
+
+def atom_signature(ctx: SolverContext, G: Game) -> Optional[tuple[int, int]]:
+    """The atoms below G and the atoms above G, or None when G is not passable.
+
+    The pair holds two bitmasks over the poset's elements: bit i of the
+    first is set when atom i is leq G, bit i of the second when G is leq
+    atom i.  leq is transitive on passable games, so equivalent passable
+    games share a signature; off that class transitivity is open, and no
+    signature is given.
+    """
+    memo = ctx.cache("atom_signature")
+    hit = memo.get(G.uid, _UNSET)
+    if hit is not _UNSET:
+        return hit
+    sig = None
+    if is_passable(ctx, G):
+        below = above = 0
+        for i, a in enumerate(_atoms(G.poset)):
+            if _leq(ctx, a, G):
+                below |= 1 << i
+            if _leq(ctx, G, a):
+                above |= 1 << i
+        sig = (below, above)
+    memo[G.uid] = sig
+    return sig
 
 
 def is_monotone(ctx: SolverContext, G: Game) -> bool:
@@ -355,13 +397,17 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     if G.is_atomic:
         ctx.simp[G.uid] = G
         return G
-    for a in G.poset.elements:
-        cand = atomic(a, G.poset)
+    for cand in _atoms(G.poset):
         if _leq(ctx, cand, G) and _leq(ctx, G, cand):
             ctx.simp[G.uid] = cand
             return cand
-    ls = _dedup(simplify(ctx, x) for x in G.left)
-    rs = _dedup(simplify(ctx, x) for x in G.right)
+    # plain loops, so a level of nesting costs one Python frame
+    ls, rs = [], []
+    for x in G.left:
+        ls.append(simplify(ctx, x))
+    for x in G.right:
+        rs.append(simplify(ctx, x))
+    ls, rs = _dedup(ls), _dedup(rs)
     passes = 0
     while True:
         passes += 1

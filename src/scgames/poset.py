@@ -239,12 +239,19 @@ _BUILTIN_SPECS = {
 }
 
 
+_BUILTIN: dict[str, AtomPoset] = {}
+
+
 def builtin(name: str) -> AtomPoset:
-    """One of the builtin posets: Bool, P3 (chain), P4 (diamond)."""
-    spec = _BUILTIN_SPECS.get(name) if isinstance(name, str) else None
-    if spec is None:
+    """One of the builtin posets: Bool, P3 (chain), P4 (diamond).
+
+    Cached by name, so the closure is computed once per poset."""
+    if not isinstance(name, str) or name not in _BUILTIN_SPECS:
         raise UnknownPoset(f"unknown builtin poset {name!r}")
-    return make_poset(*spec)
+    p = _BUILTIN.get(name)
+    if p is None:
+        p = _BUILTIN[name] = make_poset(*_BUILTIN_SPECS[name])
+    return p
 
 
 def builtin_name(poset: AtomPoset) -> Optional[str]:

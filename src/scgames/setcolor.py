@@ -712,7 +712,9 @@ def board_from_json(obj) -> SetColoringGame:
         return SetColoringGame(poset, tuple(cells), payoff)
     except BoardFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except KeyError as e:
+        raise BoardFormatError(f"bad board JSON: missing key {e}") from e
+    except (TypeError, ValueError) as e:
         raise BoardFormatError(f"bad board JSON: {e}") from e
 
 

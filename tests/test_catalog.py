@@ -1,6 +1,7 @@
 """Census, value table expansion, and the printed-board checks."""
 
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,11 @@ from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              fixture_from_json, load_fixture, merge_catalogs,
                              verify_appendix)
 from scgames import catalog as catalog_mod
-from scgames.games import SolverContext, equiv, to_notation
+from scgames.algebra import sum_games
+from scgames.games import (SolverContext, atom_signature, bot, composite,
+                           equiv, is_passable, simplify, to_notation, top)
+from scgames.poset import product
+from scgames.sampling import random_passable_game
 from scgames.setcolor import eval_board
 
 from conftest import P4, parse
@@ -142,40 +147,112 @@ def test_dedupe_values(mctx):
     assert [to_notation(g) for g in reps] == ["top", "{a,b|bot}", "a"]
 
 
-def test_value_index_scans_like_a_plain_loop(mctx, monkeypatch):
-    # the scan order fixes which representative a class keeps and how many
-    # equivalence checks are made
-    calls = []
-
-    def logged(ctx, g, h):
-        calls.append((g.uid, h.uid))
-        return equiv(ctx, g, h)
-
-    monkeypatch.setattr(catalog_mod, "equiv", logged)
-    # raw games, so some classes hold several uids
-    gs = [parse(t) for t in
-          ("a", "{top|top}", "{a,b|bot}", "top", "{b,a|bot}", "{top|a}",
-           "{a|b}", "a", "{{top|a}|a}", "{b|a}", "{top|{a|bot}}")]
-    index = ValueIndex(mctx)
-    filed = [index.add(g) for g in gs]
-
-    want_calls, reps, seen, want_filed = [], [], set(), []
+def plain_index(ctx, gs):
+    """The find-or-insert loop ValueIndex must agree with: every value
+    scanned against every representative, oldest first.  Returns the
+    filed flags, the representatives and the number of equiv calls."""
+    reps, seen, filed, calls = [], set(), [], 0
     for g in gs:
         if g.uid in seen:
-            want_filed.append(False)
+            filed.append(False)
             continue
         seen.add(g.uid)
         new = True
         for r in reps:
-            want_calls.append((g.uid, r.uid))
-            if equiv(mctx, g, r):
+            calls += 1
+            if equiv(ctx, g, r):
                 new = False
                 break
         if new:
             reps.append(g)
-        want_filed.append(new)
-    assert calls == want_calls
+        filed.append(new)
+    return filed, reps, calls
+
+
+def test_value_index_scans_like_a_plain_loop(mctx, monkeypatch):
+    # the same classes and representatives as a scan over all of them,
+    # with equiv asked only where the signatures allow an equivalence
+    calls = []
+
+    def logged(ctx, g, h):
+        calls.append((g, h))
+        return equiv(ctx, g, h)
+
+    monkeypatch.setattr(catalog_mod, "equiv", logged)
+    # raw games, so some classes hold several uids; {a|b}, {b|a} and
+    # {a|top} are not passable
+    gs = [parse(t) for t in
+          ("a", "{top|top}", "{a,b|bot}", "top", "{b,a|bot}", "{top|a}",
+           "{a|b}", "a", "{{top|a}|a}", "{b|a}", "{top|{a|bot}}",
+           "{a|top}", "{top|bot}", "bot")]
+    before = mctx.stats["index_equiv"]
+    index = ValueIndex(mctx)
+    filed = [index.add(g) for g in gs]
+
+    want_filed, reps, want_calls = plain_index(mctx, gs)
     assert filed == want_filed and index.values == reps
+    assert len(reps) < len(set(g.uid for g in gs))
+    assert 0 < len(calls) <= want_calls
+    assert mctx.stats["index_equiv"] - before == len(calls)
+    for g, r in calls:
+        sg, sr = atom_signature(mctx, g), atom_signature(mctx, r)
+        assert sg is None or sr is None or sg == sr
+        assert r in reps
+    assert any(atom_signature(mctx, g) is None for g, _ in calls)
+
+
+def test_census_classes_share_one_signature():
+    # equivalent passable games have the same atoms below and above them
+    ctx = SolverContext()
+    classes: list[list] = []
+    for layer in census_layers(ctx, 4):
+        for v in dict.fromkeys(layer):
+            for cls in classes:
+                if equiv(ctx, v, cls[0]):
+                    if v not in cls:
+                        cls.append(v)
+                    break
+            else:
+                classes.append([v])
+    assert len(classes) == 50
+    assert sum(map(len, classes)) > 50    # some classes hold several uids
+    sigs = set()
+    for cls in classes:
+        got = {atom_signature(ctx, v) for v in cls}
+        assert len(got) == 1 and None not in got
+        sigs |= got
+    assert len(sigs) == 11
+
+
+def test_value_index_matches_plain_loop_on_sums():
+    # seeded sums over P4xP4, simplified as the dedupe callers file them,
+    # with raw non-passable games mixed in
+    ctx = SolverContext()
+    rng = random.Random(1013)
+
+    def composite_passable():
+        while True:
+            g = random_passable_game(ctx, rng, P4, 2, 2)
+            if g.atom is None:
+                return g
+
+    PP = product(P4, P4)
+    lo, hi = bot(PP), top(PP)
+    gs = []
+    for i in range(300):
+        s = simplify(ctx, sum_games(ctx, composite_passable(),
+                                    composite_passable()))
+        gs.append(s)
+        if i % 10 == 0:
+            gs.append(composite([lo], [hi]))
+            gs.append(composite([s], [hi]) if i % 20 else
+                      composite([lo], [s]))
+    assert any(not is_passable(ctx, g) for g in gs)
+    index = ValueIndex(ctx)
+    filed = [index.add(g) for g in gs]
+    want_filed, reps, want_calls = plain_index(ctx, gs)
+    assert filed == want_filed and index.values == reps
+    assert ctx.stats["index_equiv"] <= want_calls
     assert len(reps) < len(set(g.uid for g in gs))
 
 

@@ -263,6 +263,7 @@ MALFORMED = [
         "fn": {"codomain": {"builtin": "P4"}, "table": {}},
         "children": [{"payoff": {"const": "a"}, "cells": []}]}})),
     ("poset", {"builtin": {}}),
+    ("board", {"cells": [], "payoff": {"const": "a"}}),
 ]
 
 
@@ -296,6 +297,8 @@ def test_malformed_input_exits_2(fuzz_dir, kind, payload):
     code, err = run_case(fuzz_dir, kind, payload)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    if kind == "board" and "poset" not in payload:
+        assert err == "error: bad board JSON: missing key 'poset'\n"
 
 
 _TEMPLATES = {

@@ -20,6 +20,7 @@ from scgames.games import (
     NotAnOption,
     PosetMismatch,
     UnknownAtom,
+    atom_signature,
     atomic,
     bot,
     branching,
@@ -215,6 +216,25 @@ def test_leq_decides_chain_of_300_levels(ctx):
         if n == 3:
             assert got == (ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo))
         assert got == (True, False, False)
+
+
+def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
+    # simplify, is_passable and the equivalence index use one Python frame
+    # per level, so they go as deep as leq
+    from scgames.catalog import dedupe_values
+    assert sys.getrecursionlimit() <= 1000
+    t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
+    lost, kept = a, bot(P4)
+    for _ in range(450):
+        lost = composite([lost], [t])       # {...{a|top}...|top}
+        kept = composite([a, b], [kept])    # {a,b|...{a,b|bot}...}
+    assert not is_passable(ctx, lost) and is_passable(ctx, kept)
+    for g in (lost, kept):
+        s = simplify(ctx, g)
+        assert s is g or equiv(ctx, s, g)
+        assert dedupe_values(ctx, [g, s, t]) == [s, t]
+    assert atom_signature(ctx, lost) is None
+    assert atom_signature(ctx, kept) is not None
 
 
 def test_interning_past_uid_limit_raises():

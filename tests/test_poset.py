@@ -1,5 +1,6 @@
 import pytest
 
+from scgames import poset as poset_mod
 from scgames.poset import (
     AtomPoset,
     MonotoneFn,
@@ -41,6 +42,15 @@ def test_builtin_p4_diamond():
 
 
 def test_builtin_unknown():
+    with pytest.raises(UnknownPoset):
+        builtin("P5")
+
+
+def test_builtin_is_cached_by_name(monkeypatch):
+    # a builtin name is a dict lookup, with no closure recomputed
+    p4 = builtin("P4")
+    monkeypatch.setattr(poset_mod, "make_poset", None)
+    assert builtin("P4") is p4 and builtin("Bool").elements == ("bot", "top")
     with pytest.raises(UnknownPoset):
         builtin("P5")
 

@@ -566,6 +566,16 @@ def test_board_json_errors(tmp_path):
         load_board(bad)
 
 
+def test_board_json_names_a_missing_key():
+    board = {"poset": {"builtin": "P4"}, "cells": [],
+             "payoff": {"const": "a"}}
+    for key in board:
+        obj = {k: v for k, v in board.items() if k != key}
+        with pytest.raises(BoardFormatError,
+                           match=f"^bad board JSON: missing key '{key}'$"):
+            board_from_json(obj)
+
+
 def test_threshold_json_keeps_patterns():
     S = sc_base(GadgetKind.COUPLING)
     obj = board_to_json(S)
