@@ -12,11 +12,14 @@ Coloring one cell of a threshold board leaves a threshold board on the
 other cells, so the census is a dynamic program over cell counts:
 layer_values takes each n-cell board's value from the values of its 2n
 one-cell restrictions in the (n-1)-cell layer, found through per-antichain
-restriction tables, with no payoff table or position sweep.
-build_catalog fills the layers in order and keeps one representative per
-value class together with the first witness board at the minimal count;
-the sharded census script values one index slice of a layer the same
-way.  Every dedupe by equivalence goes through ValueIndex, which buckets
+restriction tables, with no payoff table or position sweep.  Permuting
+the cells of a board permutes its restrictions, so by induction every
+board of an orbit under the cell permutations has the same interned
+value.  build_catalog therefore fills the layers below n in full and
+values only the smallest board of each orbit in the top layer (558,801
+of the 57,471,561 five-cell boards), keeping one representative per
+value class together with the first witness board at the minimal count.
+Every dedupe by equivalence goes through ValueIndex, which buckets
 representatives by their atom signature, so a value is checked with equiv
 only against the representatives it could be equivalent to.  The shipped
 table (data/appendix_p4.json) lists the values through five cells the way
@@ -33,6 +36,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import permutations, tee
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -41,21 +45,16 @@ from .games import (Game, PosetMismatch, SolverContext, UnknownAtom,
                     atom_signature, atomic, composite, dual, equiv, simplify,
                     swap_ab, to_notation)
 from .notation import GameSyntaxError, parse_game
-from .poset import (AtomPoset, UnknownPoset, builtin, poset_from_json,
-                    poset_to_json)
+from .poset import AtomPoset, UnknownPoset, builtin, poset_to_json
 from .setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
-                       board_from_json, board_to_json, eval_board,
-                       mask_pattern, pattern_masks)
+                       board_to_json, eval_board, mask_pattern, pattern_masks)
 
 
 class FixtureParseError(ValueError):
     """The value-table file does not have the expected shape."""
 
 
-# Enumerating 5 cells means 7581^2 boards; that only happens sharded.
-DEFAULT_ENUM_CAP = 4
-
-# Antichain counts of the n-cube for n = 0..5.
+# Antichain counts of the n-cube for n = 0..5; the census goes this far.
 DEDEKIND = (2, 3, 6, 20, 168, 7581)
 
 
@@ -67,7 +66,7 @@ def antichains(n: int) -> tuple[tuple[int, ...], ...]:
 
     Canonical DFS order: each antichain extends its prefix with a
     numerically larger mask incomparable to everything chosen, so the
-    list is stable across runs and shardable by plain index.
+    list is stable across runs.
     """
     out: list[tuple[int, ...]] = []
 
@@ -89,8 +88,8 @@ def _patterns(n: int) -> tuple[tuple[str, ...], ...]:
 
 def board_at(n: int, index: int) -> SetColoringGame:
     """The n-cell board at this index: M(n)^2 boards, ordered by the
-    a-antichain, then the b-antichain, each in the order of antichains(n),
-    so shards can cut a layer by index."""
+    a-antichain, then the b-antichain, each in the order of antichains(n).
+    """
     pats = _patterns(n)
     pa, pb = divmod(index, len(pats))
     poset = builtin("P4")
@@ -170,6 +169,44 @@ def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
     return layers
 
 
+def _cell_permutations(n: int) -> list[list[int]]:
+    """For each permutation of the n cells, the antichains(n) index of
+    the image of each antichain."""
+    acs = antichains(n)
+    index = {ac: j for j, ac in enumerate(acs)}
+    tables = []
+    for perm in permutations(range(n)):
+        image = [sum(1 << perm[c] for c in range(n) if m >> c & 1)
+                 for m in range(1 << n)]
+        tables.append([index[tuple(sorted(image[m] for m in ac))]
+                       for ac in acs])
+    return tables
+
+
+def orbit_representatives(n: int) -> Iterator[int]:
+    """Ascending board_at(n) indices of the smallest board in each orbit
+    of the n-cell boards under permutations of the cells.
+
+    An index pa * M + pb is the smallest of its orbit exactly when pa is
+    the smallest of its antichain orbit and pb the smallest of its orbit
+    under the permutations that fix pa.  Those stabilizer orbits are
+    marked as the b-antichains are walked in order.
+    """
+    tables = _cell_permutations(n)
+    count = len(antichains(n))
+    for pa in range(count):
+        if any(t[pa] < pa for t in tables):
+            continue
+        stab = [t for t in tables if t[pa] == pa]
+        seen = bytearray(count)
+        base = pa * count
+        for pb in range(count):
+            if not seen[pb]:
+                yield base + pb
+                for t in stab:
+                    seen[t[pb]] = 1
+
+
 # -- the catalog ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -206,16 +243,13 @@ class ValueIndex:
     values must live over one poset.
     """
 
-    def __init__(self, ctx: SolverContext, values=()):
+    def __init__(self, ctx: SolverContext):
         self.ctx = ctx
         self.values: list[Game] = []
         self._seen: set[int] = set()
         self._loose: list[Game] = []    # the non-passable representatives
         # signature -> its representatives and the loose ones, filing order
         self._buckets: dict[tuple[int, int], list[Game]] = {}
-        for v in values:
-            self._seen.add(v.uid)
-            self._file(v, atom_signature(ctx, v))
 
     def add(self, value: Game) -> bool:
         """File a simplified value; True when it opens a new class."""
@@ -249,24 +283,35 @@ class ValueIndex:
         bucket.append(value)
 
 
-def build_catalog(ctx: SolverContext, n: int,
-                  max_cells: int = DEFAULT_ENUM_CAP) -> ValueCatalog:
+def build_catalog(ctx: SolverContext, n: int) -> ValueCatalog:
     """Value every board with at most n cells and dedup the values.
 
     Boards are filed in increasing cell count, so the recorded witness is
-    at the minimal count and ties go to the first board enumerated.
+    at the minimal count and ties go to the first board enumerated.  The
+    top layer is valued only on orbit_representatives: every other board
+    has the value of the smaller board that represents its orbit.
     """
-    poset = builtin("P4")
-    if n > max_cells:
+    cap = len(DEDEKIND) - 1
+    if n > cap:
         raise CarrierTooLarge(f"census of {n} cells exceeds the cap of "
-                              f"{max_cells}")
+                              f"{cap}")
+    if n < 0:
+        raise ValueError(f"census of {n} cells: the count must be 0 or more")
     index = ValueIndex(ctx)
     entries = []
-    for k, values in enumerate(census_layers(ctx, n)):
-        for i, v in enumerate(values):
+
+    def file(k: int, indices: Iterable[int], values: Iterable[Game]) -> None:
+        for i, v in zip(indices, values):
             if index.add(v):
                 entries.append(CatalogEntry(v, board_at(k, i), k))
-    return ValueCatalog(poset, tuple(entries))
+
+    below = None
+    for k, values in enumerate(census_layers(ctx, n - 1)):
+        file(k, range(len(values)), values)
+        below = values
+    reps, todo = tee(orbit_representatives(n))
+    file(n, reps, layer_values(ctx, n, below, todo))
+    return ValueCatalog(builtin("P4"), tuple(entries))
 
 
 def dedupe_values(ctx: SolverContext, games) -> list[Game]:
@@ -277,25 +322,6 @@ def dedupe_values(ctx: SolverContext, games) -> list[Game]:
     return index.values
 
 
-def merge_catalogs(ctx: SolverContext, catalogs) -> ValueCatalog:
-    """Combine shard catalogs, keeping the smallest witness per value."""
-    catalogs = list(catalogs)
-    if not catalogs:
-        raise ValueError("nothing to merge")
-    poset = catalogs[0].poset
-    if any(c.poset is not poset for c in catalogs):
-        raise ValueError("catalogs over different posets")
-    pool = sorted((e for c in catalogs for e in c.entries),
-                  key=lambda e: e.cells)   # stable, so shard order breaks ties
-    index = ValueIndex(ctx)
-    entries = []
-    for e in pool:
-        v = simplify(ctx, e.value)
-        if index.add(v):
-            entries.append(CatalogEntry(v, e.board, e.cells))
-    return ValueCatalog(poset, tuple(entries))
-
-
 def catalog_to_json(cat: ValueCatalog) -> dict:
     return {
         "poset": poset_to_json(cat.poset),
@@ -303,20 +329,6 @@ def catalog_to_json(cat: ValueCatalog) -> dict:
                      "cells": e.cells,
                      "board": board_to_json(e.board)} for e in cat.entries],
     }
-
-
-def catalog_from_json(obj, ctx: Optional[SolverContext] = None
-                      ) -> ValueCatalog:
-    """Rebuild a snapshot; pass a context to re-simplify the values."""
-    poset = poset_from_json(obj["poset"])
-    entries = []
-    for row in obj["entries"]:
-        v = parse_game(row["value"], poset)
-        if ctx is not None:
-            v = simplify(ctx, v)
-        entries.append(CatalogEntry(v, board_from_json(row["board"]),
-                                    row["cells"]))
-    return ValueCatalog(poset, tuple(entries))
 
 
 # -- the shipped value table ---------------------------------------------------

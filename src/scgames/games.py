@@ -488,10 +488,14 @@ def _bypass(ctx, cur, options, left_side):
 # -- structural metrics ------------------------------------------------------
 
 def depth(G: Game) -> int:
+    """Longest run of moves from G to an atom; one Python frame a level."""
     hit = _DEPTH.get(G.uid)
     if hit is None:
-        hit = 0 if G.is_atomic else 1 + max(depth(x)
-                                            for x in G.left + G.right)
+        hit = 0
+        for x in G.left + G.right:
+            d = depth(x) + 1
+            if d > hit:
+                hit = d
         _DEPTH[G.uid] = hit
     return hit
 

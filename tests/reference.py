@@ -87,3 +87,21 @@ def ref_count_antichains(n):
                for i, x in enumerate(chosen) for y in chosen[i + 1:]):
             count += 1
     return count
+
+
+def ref_orbit_minima(n):
+    """The smallest board_at(n) index in each orbit of the n-cell boards
+    under cell permutations: every board's patterns are permuted all n!
+    ways and the permuted boards looked up by their pattern sets."""
+    from itertools import permutations
+    from scgames.catalog import DEDEKIND, board_at
+
+    boards = [board_at(n, i).payoff.sets for i in range(DEDEKIND[n] ** 2)]
+    index = {(frozenset(s["a"]), frozenset(s["b"])): i
+             for i, s in enumerate(boards)}
+    conditions = {s[x] for s in boards for x in "ab"}
+    images = [{c: frozenset("".join(p[k] for k in perm) for p in c)
+               for c in conditions}
+              for perm in permutations(range(n))]
+    return {min(index[img[s["a"]], img[s["b"]]] for img in images)
+            for s in boards}

@@ -1,27 +1,25 @@
 """Census, value table expansion, and the printed-board checks."""
 
-import json
 import random
 
 import pytest
 
 from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
-                             board_at, build_catalog, catalog_from_json,
-                             catalog_to_json, census_layers, dedupe_values,
-                             expand_fixture, ValueIndex,
-                             fixture_from_json, load_fixture, merge_catalogs,
-                             verify_appendix)
+                             board_at, build_catalog, census_layers,
+                             dedupe_values, expand_fixture, ValueIndex,
+                             fixture_from_json, load_fixture,
+                             orbit_representatives, verify_appendix)
 from scgames import catalog as catalog_mod
 from scgames.algebra import sum_games
 from scgames.games import (SolverContext, atom_signature, bot, composite,
                            equiv, is_passable, simplify, to_notation, top)
 from scgames.poset import product
 from scgames.sampling import random_passable_game
-from scgames.setcolor import eval_board
+from scgames.setcolor import CarrierTooLarge, board_to_json, eval_board
 
 from conftest import P4, parse
-from reference import ref_count_antichains
+from reference import ref_count_antichains, ref_orbit_minima
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +138,58 @@ def test_catalog_matches_expanded_table_at_four(mctx, fixture):
     assert len(cat) == len(ex) == 50
 
 
+def test_catalog_rejects_cell_counts_outside_the_table():
+    with pytest.raises(CarrierTooLarge, match="cap"):
+        build_catalog(SolverContext(), len(DEDEKIND))
+    with pytest.raises(ValueError):
+        build_catalog(SolverContext(), -1)
+
+
+# -- orbits under cell permutations ----------------------------------------------
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_representatives_are_the_naive_orbit_minima(n):
+    reps = list(orbit_representatives(n))
+    assert reps == sorted(ref_orbit_minima(n))
+    assert len(reps) == (4, 9, 26, 125, 1990)[n]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_build_matches_full_scan(n):
+    # every board of every layer filed in board_at order, as before orbits
+    ctx = SolverContext()
+    index = ValueIndex(ctx)
+    full = [(v, board_at(k, i), k)
+            for k, layer in enumerate(census_layers(ctx, n))
+            for i, v in enumerate(layer) if index.add(v)]
+    cat = build_catalog(SolverContext(), n)
+    assert len(cat) == len(full)
+    for e, (v, board, k) in zip(cat.entries, full):
+        assert e.value is v and e.cells == k
+        assert board_to_json(e.board) == board_to_json(board)
+
+
+@pytest.fixture(scope="module")
+def five():
+    return build_catalog(SolverContext(), 5)
+
+
+def test_catalog_matches_expanded_table_at_five(five, fixture):
+    ctx = SolverContext()
+    ex = expand_fixture(fixture, 5, ctx)
+    same_values_mod_equiv(ctx, five.values(), ex)
+    assert len(five) == len(ex) == 178
+
+
+def test_five_cell_witnesses_reevaluate_fresh(five):
+    fresh = SolverContext()
+    witnesses = [e for e in five.entries if e.cells == 5]
+    assert len(witnesses) == 178 - 50
+    for e in witnesses:
+        assert e.board.size == 5
+        assert eval_board(fresh, e.board) is e.value
+
+
 def test_dedupe_values(mctx):
     gs = [parse(t) for t in
           ("{top|top}", "top", "{a,b|bot}", "{b,a|bot}", "a")]
@@ -254,29 +304,6 @@ def test_value_index_matches_plain_loop_on_sums():
     assert filed == want_filed and index.values == reps
     assert ctx.stats["index_equiv"] <= want_calls
     assert len(reps) < len(set(g.uid for g in gs))
-
-
-def test_merge_catalogs_keeps_minimal_witness(mctx):
-    cat1 = build_catalog(mctx, 1)
-    cat2 = build_catalog(mctx, 2)
-    # order must not matter for the recorded minimal cell count
-    merged = merge_catalogs(mctx, [cat2, cat1])
-    assert {e.value.uid for e in merged.entries} == \
-        {e.value.uid for e in cat2.entries}
-    cells = {to_notation(e.value): e.cells for e in merged.entries}
-    assert cells["{top|a}"] == 1
-    assert cells["a"] == 0
-
-
-def test_catalog_json_round_trip(mctx):
-    cat = build_catalog(mctx, 2)
-    obj = json.loads(json.dumps(catalog_to_json(cat)))
-    back = catalog_from_json(obj, mctx)
-    assert [to_notation(e.value) for e in back.entries] == \
-        [to_notation(e.value) for e in cat.entries]
-    assert [e.cells for e in back.entries] == [e.cells for e in cat.entries]
-    e = back.entries[-1]
-    assert equiv(mctx, eval_board(mctx, e.board), e.value)
 
 
 # -- the shipped value table -----------------------------------------------------

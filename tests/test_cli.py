@@ -232,6 +232,12 @@ def test_catalog_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_catalog_negative_cells(capsys):
+    code, out, err = run(capsys, "catalog", "-n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"

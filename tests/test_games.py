@@ -237,6 +237,19 @@ def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
     assert atom_signature(ctx, kept) is not None
 
 
+def test_chain_of_450_levels_through_depth_and_size_bound(ctx):
+    # depth takes one Python frame per level, so size_bound gets through
+    from scgames.realize import size_bound
+    assert sys.getrecursionlimit() <= 1000
+    a, b = atomic("a", P4), atomic("b", P4)
+    g = bot(P4)
+    for _ in range(450):
+        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
+    assert depth(g) == 450 and branching(g) == 2
+    per = 4 + (7 if is_monotone(ctx, g) else 10)
+    assert size_bound(ctx, g) == (2 ** 450 - 1) * per
+
+
 def test_interning_past_uid_limit_raises():
     # pair memo keys pack two uids into one int, exact below 2^32
     fresh = make_poset(["lo", "uid_probe", "hi"],
