@@ -31,6 +31,7 @@ from .games import (
     composite,
     equiv,
     pair_key,
+    rebuild,
     top,
     tri,
 )
@@ -74,19 +75,13 @@ def map_game(ctx: SolverContext, f: MonotoneFn, G: Game) -> Game:
     """Apply a monotone function to every leaf."""
     if f.domain is not G.poset:
         raise PosetMismatch("function domain differs from the game's poset")
-    memo = ctx.cache("map")
-    key = (id(f), G.uid)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if G.is_atomic:
-        out = atomic(f(G.atom), f.codomain)
-    else:
-        out = composite([map_game(ctx, f, x) for x in G.left],
-                        [map_game(ctx, f, x) for x in G.right],
-                        f.codomain)
-    memo[key] = out
-    return out
+    # one memo per function object, which the table keeps alive
+    memos = ctx.cache("map")
+    memo = memos.get(f)
+    if memo is None:
+        memo = memos[f] = {}
+    table, cod = f.table, f.codomain
+    return rebuild(G, lambda a: atomic(table[a], cod), cod, False, memo)
 
 
 def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
@@ -184,33 +179,30 @@ def substitute_atoms(X: Game, subst: dict[str, Game],
     for g in subst.values():
         if g.poset is not poset:
             raise PosetMismatch("substitution images over the wrong poset")
+    src = X.poset
 
-    def walk(g: Game) -> Game:
-        if g.is_atomic:
-            if g.atom == g.poset.top:
-                return top(poset)
-            if g.atom == g.poset.bot:
-                return bot(poset)
-            if g.atom in subst:
-                return subst[g.atom]
-            raise UnknownAtom(f"no substitution image for {g.atom!r}")
-        return composite([walk(x) for x in g.left],
-                         [walk(x) for x in g.right], poset)
+    def leaf(a: str) -> Game:
+        if a == src.top:
+            return top(poset)
+        if a == src.bot:
+            return bot(poset)
+        if a in subst:
+            return subst[a]
+        raise UnknownAtom(f"no substitution image for {a!r}")
 
-    return walk(X)
+    return rebuild(X, leaf, poset, False, {})
 
 
 def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
-                        rng: Optional[random.Random] = None,
-                        max_depth: int = 2, max_branch: int = 2):
+                        rng: Optional[random.Random] = None):
     """Search for a witness that X does not act by substitution.
 
-    Random passable games over the diamond poset are thrown at X; the
-    first G (and H, when X is binary over P4) with gadget application
-    inequivalent to literal substitution is returned, else None.  Only
-    passable candidates are fair: non-passable ones refute even the four
-    true gadgets.  A None cannot certify gadget-hood, only fail to
-    refute it.
+    Random passable games of depth and branching at most 2 over the diamond
+    poset are thrown at X; the first G (and H, when X is binary over P4)
+    with gadget application inequivalent to literal substitution is
+    returned, else None.  Only passable candidates are fair: non-passable
+    ones refute even the four true gadgets.  A None cannot certify
+    gadget-hood, only fail to refute it.
     """
     from .sampling import random_passable_game
 
@@ -221,9 +213,9 @@ def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
     if not binary and X.poset is not builtin("P3"):
         raise PosetMismatch("gadget candidates live over P3 or P4")
     for _ in range(trials):
-        g = random_passable_game(ctx, rng, target, max_depth, max_branch)
+        g = random_passable_game(ctx, rng, target, 2, 2)
         if binary:
-            h = random_passable_game(ctx, rng, target, max_depth, max_branch)
+            h = random_passable_game(ctx, rng, target, 2, 2)
             lhs = gadget_apply2(ctx, X, g, h)
             rhs = substitute_atoms(X, {"a": g, "b": h}, target)
             if not equiv(ctx, lhs, rhs):

@@ -3,10 +3,14 @@
 A game is an atomic leaf [a] (a an atom of the poset) or a composite node
 with non-empty sets of left and right options.  Nodes are hash-consed into
 a global table: structurally equal games are the same object, and every
-game carries a small integer ``uid``.  All memo tables key on uids; a
-table over pairs of games (leq, tri, sum) keys on one int, ``G.uid << 32 |
-H.uid``.  That packing is exact while every uid is below 2^32, so interning
-a new game past that bound raises :class:`UidOverflow` instead of wrapping.
+game carries a small integer ``uid``.  The table keys a leaf on
+``(poset, atom)`` and a composite on ``(poset, left, right)``, its
+uid-sorted option tuples; posets and games hash by identity, and each key
+holds the objects it names.  Memo tables key on uids, which are never
+reused; a table over pairs of games (leq, tri, sum) keys on one int,
+``G.uid << 32 | H.uid``.  That packing is exact while every uid is below
+2^32, so interning a new game past that bound raises :class:`UidOverflow`
+instead of wrapping.
 
 The order is a pair of mutually recursive relations.  ``leq(G, H)`` holds
 iff every left option of G is ``tri``-below H, G is ``tri``-below every
@@ -27,8 +31,9 @@ game (its atom signature) are shared by every game equivalent to it.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from .poset import AtomPoset
 
@@ -102,7 +107,7 @@ class Game:
 def atomic(a: str, poset: AtomPoset) -> Game:
     if a not in poset:
         raise UnknownAtom(f"atom {a!r} not in poset")
-    key = ("a", id(poset), a)
+    key = (poset, a)
     g = _GAMES.get(key)
     if g is None:
         g = _GAMES[key] = Game(poset, a, (), (), _new_uid())
@@ -124,7 +129,7 @@ def composite(lefts: Iterable[Game], rights: Iterable[Game],
     for g in ls + rs:
         if g.poset is not poset:
             raise PosetMismatch("options live over different posets")
-    key = ("c", id(poset), tuple(g.uid for g in ls), tuple(g.uid for g in rs))
+    key = (poset, ls, rs)
     g = _GAMES.get(key)
     if g is None:
         g = _GAMES[key] = Game(poset, None, ls, rs, _new_uid())
@@ -139,17 +144,16 @@ def _new_uid() -> int:
     return uid
 
 
+_uid = attrgetter("uid")
+
+
 def _dedup(games: Iterable[Game]) -> tuple[Game, ...]:
-    seen = {}
-    for g in games:
-        seen[g.uid] = g
-    return tuple(seen[u] for u in sorted(seen))
+    return tuple(sorted(set(games), key=_uid))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _atoms(poset: AtomPoset) -> tuple[Game, ...]:
-    """The atomic games of the poset, in element order (posets are
-    interned and never freed, so the cache holds each one once)."""
+    """The atomic games of the poset, in element order."""
     return tuple(atomic(a, poset) for a in poset.elements)
 
 
@@ -533,10 +537,11 @@ def position_count(G: Game) -> int:
 
 def dual(G: Game) -> Game:
     """Swap sides recursively and reverse atoms by the poset's duality map."""
-    dm = G.poset.dual_atom_map()
+    p = G.poset
+    dm = p.dual_atom_map()
     if dm is None:
         raise NoDualityMap("poset has no order-reversing self-map")
-    return _relabel(G, dm, swap_sides=True, memo=_DUAL)
+    return rebuild(G, lambda a: atomic(dm[a], p), p, True, _DUAL)
 
 
 def swap_ab(G: Game) -> Game:
@@ -550,20 +555,32 @@ def swap_ab(G: Game) -> Game:
         for y in p.elements:
             if p.le(x, y) != p.le(m[x], m[y]):
                 raise ValueError("a/b exchange is not an order automorphism")
-    return _relabel(G, m, swap_sides=False, memo=_SWAP)
+    return rebuild(G, lambda a: atomic(m[a], p), p, False, _SWAP)
 
 
-def _relabel(G, table, swap_sides, memo):
+def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
+            swap_sides: bool, memo: dict[int, Game]) -> Game:
+    """G with every leaf replaced by ``leaf(atom)``, rebuilt bottom-up.
+
+    Composites are re-interned over ``poset``, with left and right options
+    exchanged when ``swap_sides``.  ``memo`` maps uids of G's positions to
+    their images and must belong to this one (leaf, poset, swap_sides).
+    Positions are interned in post-order, left options before right, and a
+    level of nesting costs one Python frame.
+    """
     hit = memo.get(G.uid)
     if hit is not None:
         return hit
-    if G.is_atomic:
-        out = atomic(table[G.atom], G.poset)
+    if G.atom is not None:
+        out = leaf(G.atom)
     else:
-        ls = tuple(_relabel(x, table, swap_sides, memo) for x in G.left)
-        rs = tuple(_relabel(x, table, swap_sides, memo) for x in G.right)
-        out = composite(rs, ls, G.poset) if swap_sides else \
-            composite(ls, rs, G.poset)
+        ls, rs = [], []
+        for x in G.left:
+            ls.append(rebuild(x, leaf, poset, swap_sides, memo))
+        for x in G.right:
+            rs.append(rebuild(x, leaf, poset, swap_sides, memo))
+        out = composite(rs, ls, poset) if swap_sides else \
+            composite(ls, rs, poset)
     memo[G.uid] = out
     return out
 

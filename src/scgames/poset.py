@@ -9,6 +9,7 @@ GIL for consistency, which is fine for CPython.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Optional
 
 
@@ -231,32 +232,24 @@ def _intern(elements, up, top, bot) -> AtomPoset:
     return have
 
 
-_BUILTIN_SPECS = {
-    "Bool": (("bot", "top"), (("bot", "top"),)),
-    "P3": (("bot", "a", "top"), (("bot", "a"), ("a", "top"))),
-    "P4": (("bot", "a", "b", "top"),
-           (("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"))),
+_BUILTIN = {
+    "Bool": make_poset(("bot", "top"), (("bot", "top"),)),
+    "P3": make_poset(("bot", "a", "top"), (("bot", "a"), ("a", "top"))),
+    "P4": make_poset(("bot", "a", "b", "top"),
+                     (("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"))),
 }
 
 
-_BUILTIN: dict[str, AtomPoset] = {}
-
-
 def builtin(name: str) -> AtomPoset:
-    """One of the builtin posets: Bool, P3 (chain), P4 (diamond).
-
-    Cached by name, so the closure is computed once per poset."""
-    if not isinstance(name, str) or name not in _BUILTIN_SPECS:
+    """One of the builtin posets: Bool, P3 (chain), P4 (diamond)."""
+    if not isinstance(name, str) or name not in _BUILTIN:
         raise UnknownPoset(f"unknown builtin poset {name!r}")
-    p = _BUILTIN.get(name)
-    if p is None:
-        p = _BUILTIN[name] = make_poset(*_BUILTIN_SPECS[name])
-    return p
+    return _BUILTIN[name]
 
 
 def builtin_name(poset: AtomPoset) -> Optional[str]:
-    for name in _BUILTIN_SPECS:
-        if builtin(name) is poset:
+    for name, p in _BUILTIN.items():
+        if p is poset:
             return name
     return None
 
@@ -269,18 +262,10 @@ def antichain_poset(n: int, prefix: str = "a") -> AtomPoset:
     return make_poset(["bot", *atoms, "top"], le)
 
 
-_PRODUCT: dict[tuple[int, int], AtomPoset] = {}
-
-
+@cache
 def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
-    """Componentwise product, with elements named "(x,y)".
-
-    Memoized on the factors' ids, which is sound because interned posets
-    are never freed.
-    """
-    p = _PRODUCT.get((id(a), id(b)))
-    if p is not None:
-        return p
+    """Componentwise product, with elements named "(x,y)"; cached on the
+    pair of factors."""
     elements = []
     pair = {}
     for x in a.elements:
@@ -305,7 +290,6 @@ def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
         p._components = (a, b)
         p._pair = pair
         p._split = {v: k for k, v in pair.items()}
-    _PRODUCT[(id(a), id(b))] = p
     return p
 
 
@@ -374,51 +358,37 @@ class MonotoneFn:
         return f"MonotoneFn({len(self.domain)} -> {len(self.codomain)})"
 
 
-_PROJ_F: dict[int, MonotoneFn] = {}
-_PROJ_G: dict[int, MonotoneFn] = {}
-_IDENTITY: dict[int, MonotoneFn] = {}
-
-
+@cache
 def projector_f(a: AtomPoset) -> MonotoneFn:
     """P3 x A -> A: top goes to top, bot to bot, and 'a' selects the A part."""
-    fn = _PROJ_F.get(id(a))
-    if fn is None:
-        p3 = builtin("P3")
-        dom = product(p3, a)
-        table = {}
-        for x in p3.elements:
-            for y in a.elements:
-                table[dom.pair(x, y)] = (
-                    a.top if x == "top" else a.bot if x == "bot" else y)
-        fn = MonotoneFn(dom, a, table)
-        _PROJ_F[id(a)] = fn
-    return fn
+    p3 = builtin("P3")
+    dom = product(p3, a)
+    table = {}
+    for x in p3.elements:
+        for y in a.elements:
+            table[dom.pair(x, y)] = (
+                a.top if x == "top" else a.bot if x == "bot" else y)
+    return MonotoneFn(dom, a, table)
 
 
+@cache
 def projector_g(a: AtomPoset) -> MonotoneFn:
     """(P4 x A) x A -> A: top/bot are absorbing; 'a' picks the first A
     component and 'b' the second."""
-    fn = _PROJ_G.get(id(a))
-    if fn is None:
-        p4 = builtin("P4")
-        inner = product(p4, a)
-        dom = product(inner, a)
-        table = {}
-        for x in p4.elements:
-            for y in a.elements:
-                for z in a.elements:
-                    name = dom.pair(inner.pair(x, y), z)
-                    table[name] = (a.top if x == "top" else
-                                   a.bot if x == "bot" else
-                                   y if x == "a" else z)
-        fn = MonotoneFn(dom, a, table)
-        _PROJ_G[id(a)] = fn
-    return fn
+    p4 = builtin("P4")
+    inner = product(p4, a)
+    dom = product(inner, a)
+    table = {}
+    for x in p4.elements:
+        for y in a.elements:
+            for z in a.elements:
+                name = dom.pair(inner.pair(x, y), z)
+                table[name] = (a.top if x == "top" else
+                               a.bot if x == "bot" else
+                               y if x == "a" else z)
+    return MonotoneFn(dom, a, table)
 
 
+@cache
 def identity_fn(a: AtomPoset) -> MonotoneFn:
-    fn = _IDENTITY.get(id(a))
-    if fn is None:
-        fn = MonotoneFn(a, a, {e: e for e in a.elements})
-        _IDENTITY[id(a)] = fn
-    return fn
+    return MonotoneFn(a, a, {e: e for e in a.elements})

@@ -7,43 +7,40 @@ the call site and runs reproduce exactly.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
 
 from .games import Game, SolverContext, atomic, composite, is_passable
 from .poset import AtomPoset
 
 
+_MAX_TRIES = 100000     # guards random_passable_game against hostile sizes
+
+
 def random_game(rng: random.Random, poset: AtomPoset, max_depth: int,
-                max_branch: int, p_atomic: float = 0.35,
-                atoms: Optional[Sequence[str]] = None) -> Game:
+                max_branch: int, p_atomic: float = 0.35) -> Game:
     """A random game tree within hard depth and branching bounds."""
-    if atoms is None:
-        atoms = poset.elements
     if max_depth <= 0 or rng.random() < p_atomic:
-        return atomic(rng.choice(atoms), poset)
+        return atomic(rng.choice(poset.elements), poset)
     nl = rng.randint(1, max_branch)
     nr = rng.randint(1, max_branch)
     return composite(
-        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic, atoms)
+        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic)
          for _ in range(nl)],
-        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic, atoms)
+        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic)
          for _ in range(nr)],
         poset)
 
 
 def random_passable_game(ctx: SolverContext, rng: random.Random,
-                         poset: AtomPoset, max_depth: int, max_branch: int,
-                         p_atomic: float = 0.35,
-                         atoms: Optional[Sequence[str]] = None,
-                         max_tries: int = 100000) -> Game:
+                         poset: AtomPoset, max_depth: int,
+                         max_branch: int) -> Game:
     """Rejection-sample until the game is passable at every position.
 
     Passable games are dense enough at the depths the tests use (roughly a
     fifth of samples at depth 2 over the diamond poset), so rejection is
     cheap; the try cap only guards against pathological parameters.
     """
-    for _ in range(max_tries):
-        g = random_game(rng, poset, max_depth, max_branch, p_atomic, atoms)
+    for _ in range(_MAX_TRIES):
+        g = random_game(rng, poset, max_depth, max_branch)
         if is_passable(ctx, g):
             return g
     raise RuntimeError("no passable game found; parameters too hostile")

@@ -577,15 +577,15 @@ def sc_coupling(SG: SetColoringGame,
     return out
 
 
-def random_threshold_board(rng, poset: AtomPoset, n: int,
-                           max_sets: int = 3) -> SetColoringGame:
-    """A random threshold board; used by the property tests."""
+def random_threshold_board(rng, poset: AtomPoset, n: int) -> SetColoringGame:
+    """A random threshold board, with at most 3 sets an atom; used by the
+    property tests."""
     sets = {}
     for a in poset.elements:
         if a == poset.bot:
             continue
         masks: list[int] = []
-        for _ in range(rng.randint(0, max_sets)):
+        for _ in range(rng.randint(0, 3)):
             m = rng.getrandbits(n) if n else 0
             if any(x & m == x or x & m == m for x in masks):
                 continue

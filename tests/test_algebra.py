@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from scgames.algebra import (
 )
 from scgames.games import (
     PosetMismatch,
+    SolverContext,
     UnknownAtom,
     atomic,
     bot,
@@ -34,9 +36,11 @@ from scgames.games import (
     is_passable,
     leq,
     local_class,
+    swap_ab,
     top,
 )
-from scgames.poset import builtin, identity_fn, product, projector_f
+from scgames.poset import MonotoneFn, builtin, identity_fn, product, \
+    projector_f
 from scgames.sampling import random_game, random_passable_game
 
 
@@ -103,6 +107,32 @@ def test_map_preserves_shape(ctx):
         m = map_game(ctx, f, g)
         assert depth(m) == depth(g)
         assert branching(m) <= branching(g)
+
+
+def test_map_memo_is_keyed_by_the_function_object():
+    # each function is dropped after use, so a fresh one may reuse its
+    # address; a memo keyed by that address would answer with the old map
+    ctx = SolverContext()
+    g = parse("{a|b}")
+    same = {e: e for e in P4.elements}
+    swapped = {**same, "a": "b", "b": "a"}
+    for i in range(200):
+        table, want = ((swapped, parse("{b|a}")) if i % 2 else (same, g))
+        assert map_game(ctx, MonotoneFn(P4, P4, table), g) is want
+
+
+def test_chain_of_600_levels_through_the_rebuild_walkers(ctx):
+    # dual, swap_ab, map_game and substitute_atoms share one walker that
+    # takes one Python frame per level
+    assert sys.getrecursionlimit() <= 1000
+    a, b = atomic("a", P4), atomic("b", P4)
+    g = bot(P4)
+    for _ in range(600):
+        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
+    assert map_game(ctx, identity_fn(P4), g) is g
+    assert substitute_atoms(g, {"a": a, "b": b}, P4) is g
+    assert dual(dual(g)) is g
+    assert swap_ab(swap_ab(g)) is g
 
 
 def test_map_rejects_wrong_domain(ctx):
