@@ -37,6 +37,7 @@ from .games import (
 )
 from .poset import AtomPoset, MonotoneFn, builtin, product, projector_f, \
     projector_g
+from .sampling import random_passable_game
 
 
 class NotAGiftHorse(ValueError):
@@ -62,11 +63,17 @@ def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     if G.is_atomic and H.is_atomic:
         out = atomic(pr.pair(G.atom, H.atom), pr)
     else:
-        lefts = [sum_games(ctx, gl, H) for gl in G.left]
-        lefts += [sum_games(ctx, G, hl) for hl in H.left]
-        rights = [sum_games(ctx, gr, H) for gr in G.right]
-        rights += [sum_games(ctx, G, hr) for hr in H.right]
-        out = composite(lefts, rights, pr)
+        # plain loops, one Python frame a level; G's options are summed
+        # before H's on each side, which fixes the interning order
+        sides = []
+        for g_opts, h_opts in ((G.left, H.left), (G.right, H.right)):
+            opts = []
+            for x in g_opts:
+                opts.append(sum_games(ctx, x, H))
+            for y in h_opts:
+                opts.append(sum_games(ctx, G, y))
+            sides.append(opts)
+        out = composite(sides[0], sides[1], pr)
     memo[key] = out
     return out
 
@@ -204,8 +211,6 @@ def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
     ones refute even the four true gadgets.  A None cannot certify
     gadget-hood, only fail to refute it.
     """
-    from .sampling import random_passable_game
-
     if rng is None:
         rng = random.Random(0)
     target = builtin("P4")

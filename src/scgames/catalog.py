@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import permutations, tee
+from itertools import chain, permutations, tee
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -233,14 +233,14 @@ class ValueIndex:
     """One representative per equivalence class, in the order filed.
 
     A value whose uid was seen before is filed already.  Any other is
-    checked with equiv, oldest first, against the representatives it can
-    be equivalent to: when it is passable, those of its atom signature
-    and the non-passable ones (equivalent passable games share a
-    signature); otherwise all of them.  So ``add`` answers as a scan over
-    every representative would, with no more equiv calls, and counts
-    them in ctx.stats["index_equiv"].  The first value of a class stays
-    its representative, so callers feed values in witness order.  All
-    values must live over one poset.
+    checked with equiv against the representatives it can be equivalent
+    to: when it is passable, those of its atom signature (equivalent
+    passable games share a signature), then the non-passable ones;
+    otherwise all of them.  So ``add`` answers as a scan over every
+    representative would, with no more equiv calls, and counts them in
+    ctx.stats["index_equiv"].  The first value of a class stays its
+    representative, so callers feed values in witness order.  All values
+    must live over one poset.
     """
 
     def __init__(self, ctx: SolverContext):
@@ -248,7 +248,6 @@ class ValueIndex:
         self.values: list[Game] = []
         self._seen: set[int] = set()
         self._loose: list[Game] = []    # the non-passable representatives
-        # signature -> its representatives and the loose ones, filing order
         self._buckets: dict[tuple[int, int], list[Game]] = {}
 
     def add(self, value: Game) -> bool:
@@ -260,27 +259,19 @@ class ValueIndex:
         self._seen.add(value.uid)
         ctx = self.ctx
         sig = atom_signature(ctx, value)
-        scan = (self.values if sig is None
-                else self._buckets.get(sig, self._loose))
+        if sig is None:
+            scan, bucket = self.values, self._loose
+        else:
+            bucket = self._buckets.setdefault(sig, [])
+            scan = chain(bucket, self._loose)
         stats = ctx.stats
         for v in scan:
             stats["index_equiv"] += 1
             if equiv(ctx, value, v):
                 return False
-        self._file(value, sig)
-        return True
-
-    def _file(self, value: Game, sig: Optional[tuple[int, int]]) -> None:
         self.values.append(value)
-        if sig is None:
-            self._loose.append(value)
-            for bucket in self._buckets.values():
-                bucket.append(value)
-            return
-        bucket = self._buckets.get(sig)
-        if bucket is None:
-            bucket = self._buckets[sig] = list(self._loose)
         bucket.append(value)
+        return True
 
 
 def build_catalog(ctx: SolverContext, n: int) -> ValueCatalog:

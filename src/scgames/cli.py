@@ -196,10 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NotPassable as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except VerificationFailed as e:
+    except (NotPassable, VerificationFailed) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as e:

@@ -505,11 +505,15 @@ def depth(G: Game) -> int:
 
 
 def branching(G: Game) -> int:
-    """Max option count on either side over all positions; 0 when atomic."""
+    """Max option count on either side over all positions; 0 when atomic.
+    One Python frame a level."""
     hit = _BRANCH.get(G.uid)
     if hit is None:
-        local = max(len(G.left), len(G.right))
-        hit = max([local] + [branching(x) for x in G.left + G.right])
+        hit = max(len(G.left), len(G.right))
+        for x in G.left + G.right:
+            b = branching(x)
+            if b > hit:
+                hit = b
         _BRANCH[G.uid] = hit
     return hit
 
@@ -600,6 +604,11 @@ def to_notation(G: Game, unicode: bool = False) -> str:
         if G.atom == p.bot:
             return "⊥" if unicode else "bot"
         return G.atom
-    ls = sorted(to_notation(x, unicode) for x in G.left)
-    rs = sorted(to_notation(x, unicode) for x in G.right)
-    return "{" + ",".join(ls) + "|" + ",".join(rs) + "}"
+    # plain loops, not comprehensions: one Python frame a level
+    sides = []
+    for options in (G.left, G.right):
+        texts = []
+        for x in options:
+            texts.append(to_notation(x, unicode))
+        sides.append(",".join(sorted(texts)))
+    return "{" + "|".join(sides) + "}"

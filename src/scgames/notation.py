@@ -27,10 +27,9 @@ class GameSyntaxError(ValueError):
 
 _PUNCT = frozenset("{}|,")
 
-# Brace nesting the parser accepts.  The parser and the recursive
-# operations on the game it returns (simplify, the order, printing) each
-# use a few stack frames per level, and deeper input would exhaust
-# Python's recursion limit.
+# Brace nesting the parser accepts.  The parser and the order (leq/tri)
+# take two stack frames per level, printing and simplify one, so much
+# deeper input would exhaust Python's recursion limit.
 MAX_NESTING = 100
 
 

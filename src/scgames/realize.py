@@ -1,17 +1,15 @@
 """Synthesis of boards from games: passable game in, verified board out.
 
 The recursion realizes the options, then assembles the node.  Cheap shapes
-are pattern-matched first (atoms, one-sided games, pure forcing moves);
-a locally semi-monotone node K = <G*|H*> becomes the coupling of the
-one-sided choice boards for the two sides, which is equivalent to K
-because the extra options the coupling introduces are gift horses.  A node
+are pattern-matched first (atoms, and one-sided games, of which a forcing
+move is the one-option case); a locally semi-monotone node K = <G*|H*>
+becomes the coupling of the one-sided choice boards for the two sides,
+which is equivalent to K because the extra options the coupling
+introduces are gift horses.  A node
 that is passable but not semi-monotone is first extended with a gift
 horse manufactured from a good option of its other side, which makes it
-semi-monotone without changing its value.
-
-Everything over self-dual posets realizes; a poset with no
-order-reversing self-map can fail with NoDualityMap when a right-sided
-choice is needed, since that board is built by dualizing.
+semi-monotone without changing its value.  No board is dualized, so
+every passable game realizes over every poset.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .setcolor import (
     eval_board,
     sc_const,
     sc_coupling,
-    sc_force_left,
     sc_one_sided_choice,
     sc_one_sided_choice_dual,
 )
@@ -115,8 +112,6 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
     compositionally above it, or not at all when disabled), and which
     good option manufactured a gift horse at each node that needed one.
     """
-    if not is_passable(ctx, G):
-        raise NotPassable(f"not passable: {to_notation(G)}")
     bound = size_bound(ctx, G)
     board = _realize(ctx, G)
     assert board.size <= bound, "size bound violated"
@@ -154,8 +149,6 @@ def _synthesize(ctx: SolverContext, G: Game) -> SetColoringGame:
         and G.left[0].atom == poset.top
     bot_only = len(G.right) == 1 and G.right[0].is_atomic \
         and G.right[0].atom == poset.bot
-    if top_only and len(G.right) == 1:
-        return sc_force_left(_realize(ctx, G.right[0]))
     if bot_only:
         return sc_one_sided_choice([_realize(ctx, x) for x in G.left])
     if top_only:

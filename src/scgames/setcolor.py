@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import GadgetKind
 from .games import (
@@ -470,26 +470,34 @@ def sc_dual(S: SetColoringGame) -> SetColoringGame:
     return SetColoringGame(S.poset, S.cells, Dual(S.payoff))
 
 
-def _fresh_cells(k: int, taken: Sequence[str]) -> list[str]:
-    out = []
+def _fresh_cell(taken: Sequence[str]) -> str:
+    """The first name g0, g1, ... not among the taken cells."""
     have = set(taken)
     i = 0
-    while len(out) < k:
-        name = f"g{i}"
-        if name not in have:
-            out.append(name)
-            have.add(name)
+    while f"g{i}" in have:
         i += 1
-    return out
+    return f"g{i}"
+
+
+def _wire(kind: GadgetKind, cells: Sequence[str],
+          *args: tuple[SetColoringGame, int]) -> SetColoringGame:
+    """A board on the cells: the gadget of this kind on the first ones, its
+    marked atoms replaced (by projector_f or projector_g) with the argument
+    boards, each read from its start cell on; arguments may overlap."""
+    poset = args[0][0].poset
+    if any(S.poset is not poset for S, _ in args):
+        raise PosetMismatch("boards live over different posets")
+    gadget = _GADGETS[kind]
+    project = projector_f if len(args) == 1 else projector_g
+    children = [(gadget, tuple(range(gadget.n)))]
+    children += [(S.payoff, tuple(range(start, start + S.size)))
+                 for S, start in args]
+    return SetColoringGame(poset, tuple(cells),
+                           Compose(project(poset), tuple(children)))
 
 
 def _forced(kind: GadgetKind, S: SetColoringGame) -> SetColoringGame:
-    cells = tuple(_fresh_cells(1, S.cells) + list(S.cells))
-    payoff = Compose(projector_f(S.poset), (
-        (_GADGETS[kind], (0,)),
-        (S.payoff, tuple(range(1, len(cells)))),
-    ))
-    return SetColoringGame(S.poset, cells, payoff)
+    return _wire(kind, (_fresh_cell(S.cells),) + S.cells, (S, 1))
 
 
 def sc_force_left(S: SetColoringGame) -> SetColoringGame:
@@ -511,17 +519,9 @@ def sc_shared_choice(SG: SetColoringGame,
     Overlap is sound here: an extra move made on the not-chosen board only
     ever hands the mover's opponent a harmless option.
     """
-    if SG.poset is not SH.poset:
-        raise PosetMismatch("boards live over different posets")
     pool = max(SG.size, SH.size)
-    names = _fresh_cells(2 + pool, ())
-    cells = tuple(names[:2] + [f"p{i}" for i in range(pool)])
-    payoff = Compose(projector_g(SG.poset), (
-        (_GADGETS[GadgetKind.CHOICE], (0, 1)),
-        (SG.payoff, tuple(range(2, 2 + SG.size))),
-        (SH.payoff, tuple(range(2, 2 + SH.size))),
-    ))
-    out = SetColoringGame(SG.poset, cells, payoff)
+    cells = ["g0", "g1"] + [f"p{i}" for i in range(pool)]
+    out = _wire(GadgetKind.CHOICE, cells, (SG, 2), (SH, 2))
     assert out.size == pool + 2
     return out
 
@@ -530,8 +530,10 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
 
 
-def sc_one_sided_choice(boards: Sequence[SetColoringGame]) -> SetColoringGame:
-    """A board for {G_1,...,G_n | bot} built by near-halving shared choice.
+def _choice_tree(boards: Sequence[SetColoringGame],
+                 force: Callable[[SetColoringGame], SetColoringGame]
+                 ) -> SetColoringGame:
+    """Near-halving shared choice over the boards, each leaf forced.
 
     Carrier: max board size plus 2*ceil(log2 n) + 1 cells.
     """
@@ -539,20 +541,27 @@ def sc_one_sided_choice(boards: Sequence[SetColoringGame]) -> SetColoringGame:
     if not boards:
         raise ValueError("need at least one board")
     if len(boards) == 1:
-        out = sc_force_right(boards[0])
+        out = force(boards[0])
     else:
         k = (len(boards) + 1) // 2
-        out = sc_shared_choice(sc_one_sided_choice(boards[:k]),
-                               sc_one_sided_choice(boards[k:]))
+        out = sc_shared_choice(_choice_tree(boards[:k], force),
+                               _choice_tree(boards[k:], force))
     biggest = max(b.size for b in boards)
     assert out.size <= biggest + 2 * _ceil_log2(len(boards)) + 1
     return out
 
 
+def sc_one_sided_choice(boards: Sequence[SetColoringGame]) -> SetColoringGame:
+    """A board for {G_1,...,G_n | bot}: the choice tree with sc_force_right
+    leaves."""
+    return _choice_tree(boards, sc_force_right)
+
+
 def sc_one_sided_choice_dual(
         boards: Sequence[SetColoringGame]) -> SetColoringGame:
-    """A board for {top | H_1,...,H_m}, the mirror of the above."""
-    return sc_dual(sc_one_sided_choice([sc_dual(b) for b in boards]))
+    """A board for {top | H_1,...,H_m}: the same tree with sc_force_left
+    leaves, so it needs no duality map."""
+    return _choice_tree(boards, sc_force_left)
 
 
 def sc_coupling(SG: SetColoringGame,
@@ -562,17 +571,10 @@ def sc_coupling(SG: SetColoringGame,
     Realizes {G, {top|H} | {G|bot}, H}.  The carriers must not overlap
     here: unlike choice, both sub-boards stay live in every line of play.
     """
-    if SG.poset is not SH.poset:
-        raise PosetMismatch("boards live over different posets")
     p, q = SG.size, SH.size
     cells = (["k1", "k2", "k3", "k4", "k5"]
              + _prefixed("l.", SG.cells) + _prefixed("r.", SH.cells))
-    payoff = Compose(projector_g(SG.poset), (
-        (_GADGETS[GadgetKind.COUPLING], (0, 1, 2, 3, 4)),
-        (SG.payoff, tuple(range(5, 5 + p))),
-        (SH.payoff, tuple(range(5 + p, 5 + p + q))),
-    ))
-    out = SetColoringGame(SG.poset, tuple(cells), payoff)
+    out = _wire(GadgetKind.COUPLING, cells, (SG, 5), (SH, 5 + p))
     assert out.size == p + q + 5
     return out
 

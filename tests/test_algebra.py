@@ -37,6 +37,7 @@ from scgames.games import (
     leq,
     local_class,
     swap_ab,
+    to_notation,
     top,
 )
 from scgames.poset import MonotoneFn, builtin, identity_fn, product, \
@@ -133,6 +134,19 @@ def test_chain_of_600_levels_through_the_rebuild_walkers(ctx):
     assert substitute_atoms(g, {"a": a, "b": b}, P4) is g
     assert dual(dual(g)) is g
     assert swap_ab(swap_ab(g)) is g
+
+
+def test_chain_of_600_levels_through_printing_branching_and_sum(ctx):
+    # to_notation, branching and sum_games loop over options rather than
+    # recurse through comprehensions: one Python frame per level
+    assert sys.getrecursionlimit() <= 1000
+    a, b = atomic("a", P4), atomic("b", P4)
+    g = bot(P4)
+    for _ in range(600):
+        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
+    assert branching(g) == 2
+    assert to_notation(g).count("{") == 600
+    assert depth(sum_games(ctx, g, a)) == 600
 
 
 def test_map_rejects_wrong_domain(ctx):

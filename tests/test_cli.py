@@ -101,6 +101,17 @@ def test_realize_with_verify(capsys):
     assert report["carrier_size"] <= report["bound"]
 
 
+def test_realize_over_a_chain_poset(capsys, tmp_path):
+    # the chain bot<x<y<top has no order-reversing self-map
+    p = tmp_path / "chain4.json"
+    p.write_text(json.dumps({"elements": ["bot", "x", "y", "top"],
+                             "le": [["bot", "x"], ["x", "y"], ["y", "top"]]}))
+    code, out, _ = run(capsys, "realize", "--verify", "--poset", str(p),
+                       "{top|x,{y|bot}}")
+    assert code == 0
+    assert json.loads(out)["verified"] == "brute_force"
+
+
 def test_realize_writes_board(capsys, tmp_path):
     out_file = tmp_path / "choice.scg"
     code, out, err = run(capsys, "realize", "{a,b|bot}", "--verify",

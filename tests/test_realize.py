@@ -12,7 +12,7 @@ from scgames.games import (
     is_passable,
     local_class,
 )
-from scgames.poset import antichain_poset, builtin
+from scgames.poset import antichain_poset, builtin, make_poset
 from scgames.realize import (
     DEFAULT_VERIFY_CAP,
     NotPassable,
@@ -24,7 +24,7 @@ from scgames.realize import (
     verify,
 )
 from scgames.sampling import random_passable_game
-from scgames.setcolor import eval_board, sc_const
+from scgames.setcolor import Compose, Dual, eval_board, sc_const
 from conftest import P4, parse
 
 
@@ -175,6 +175,50 @@ def test_random_round_trips(mctx):
             assert is_monotone(mctx, eval_board(mctx, r.board,
                                                max_cells=12))
     assert brute >= 15
+
+
+def _payoff_nodes(expr):
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Dual):
+            stack.append(e.child)
+        elif isinstance(e, Compose):
+            stack.extend(c for c, _ in e.children)
+
+
+def test_realized_boards_hold_no_dual(mctx):
+    rng = random.Random(5002)
+    for _ in range(40):
+        G = random_passable_game(mctx, rng, P4, max_depth=2, max_branch=3)
+        board = realize(mctx, G, verify_value=False).board
+        assert not any(isinstance(e, Dual)
+                       for e in _payoff_nodes(board.payoff))
+
+
+CHAIN4 = make_poset(["bot", "x", "y", "top"],
+                    [("bot", "x"), ("x", "y"), ("y", "top")])
+# bot < x, y < z, w < top: x and y have no join, and no self-map reverses it
+BOWTIE6 = make_poset(["bot", "x", "y", "z", "w", "top"],
+                     [("bot", "x"), ("bot", "y"), ("x", "z"), ("x", "w"),
+                      ("y", "z"), ("y", "w"), ("z", "top"), ("w", "top")])
+
+
+@pytest.mark.parametrize("poset, seed", [(CHAIN4, 7), (BOWTIE6, 3)],
+                         ids=["chain4", "bowtie6"])
+def test_random_round_trips_without_a_duality_map(poset, seed):
+    assert poset.dual_atom_map() is None
+    ctx = SolverContext()
+    rng = random.Random(seed)
+    brute = 0
+    for _ in range(40):
+        G = random_passable_game(ctx, rng, poset, max_depth=2, max_branch=2)
+        r = realize(ctx, G, verify_cap=12)
+        assert r.carrier_size <= r.bound
+        if r.verified is VerifiedHow.BRUTE_FORCE:
+            brute += 1
+    assert brute >= 20
 
 
 def test_round_trip_equivalence_spot_check(mctx):

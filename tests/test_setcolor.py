@@ -181,8 +181,8 @@ def test_raw_eval_matches_reference_on_composed_boards(ctx):
         boards.append(sc_shared_choice(_small_board(rng, 2),
                                        _small_board(rng, 2)))
         # Dual payoffs around shared choices
-        boards.append(sc_one_sided_choice_dual(
-            [_small_board(rng, 1), _small_board(rng, 1)]))
+        boards.append(sc_dual(sc_shared_choice(_small_board(rng, 2),
+                                               _small_board(rng, 2))))
         # disjoint children beside the five gadget cells
         boards.append(sc_coupling(_small_board(rng, 1), sc_const("b", P4)))
     for S in boards:
@@ -194,8 +194,8 @@ def test_raw_eval_position_matches_reference(ctx):
     rng = random.Random(3015)
     boards = [sc_base(GadgetKind.COUPLING),
               sc_shared_choice(_small_board(rng, 2), _small_board(rng, 2)),
-              sc_one_sided_choice_dual([_small_board(rng, 2),
-                                        sc_const("a", P4)])]
+              sc_dual(sc_shared_choice(_small_board(rng, 3),
+                                       sc_const("a", P4)))]
     for S in boards:
         for _ in range(12):
             p = "".join(rng.choice("01..") for _ in range(S.size))
@@ -440,6 +440,16 @@ def test_dual_needs_a_self_dual_poset():
     assert chain4.dual_atom_map() is None
     with pytest.raises(NoDualityMap):
         sc_dual(sc_const("x", chain4))
+
+
+def test_one_sided_choice_dual_needs_no_duality_map(ctx):
+    chain4 = make_poset(
+        ["bot", "x", "y", "top"],
+        [("bot", "x"), ("x", "y"), ("y", "top")])
+    x, y = sc_const("x", chain4), sc_const("y", chain4)
+    S = sc_one_sided_choice_dual([x, y])
+    assert S.size == 3
+    assert equiv(ctx, eval_board(ctx, S), parse("{top|x,y}", chain4))
 
 
 # -- payoff validation ---------------------------------------------------------
