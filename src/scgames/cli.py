@@ -8,7 +8,10 @@ ASCII by default.
 Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded, input
-nested deeper than the interpreter's recursion limit allows).
+nested deeper than the interpreter's recursion limit allows).  With
+``--stats`` (before the verb), the counters of the verb's SolverContext
+are printed as one JSON line on stderr; stdout and the exit code stay as
+they are.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ def _parse(args, text):
     return parse_game(text, _load_poset(args.poset))
 
 
-def cmd_value(args) -> int:
-    ctx = SolverContext()
+def cmd_value(args, ctx: SolverContext) -> int:
     if args.game.endswith(".scg"):
         v = eval_board(ctx, load_board(args.game), max_cells=args.max_cells)
     else:
@@ -55,37 +57,32 @@ def cmd_value(args) -> int:
     return 0
 
 
-def cmd_leq(args) -> int:
-    ctx = SolverContext()
+def cmd_leq(args, ctx: SolverContext) -> int:
     res = leq(ctx, _parse(args, args.left), _parse(args, args.right))
     print("true" if res else "false")
     return 0 if res else 1
 
 
-def cmd_equiv(args) -> int:
-    ctx = SolverContext()
+def cmd_equiv(args, ctx: SolverContext) -> int:
     res = equiv(ctx, _parse(args, args.left), _parse(args, args.right))
     print("true" if res else "false")
     return 0 if res else 1
 
 
-def cmd_check(args) -> int:
-    ctx = SolverContext()
+def cmd_check(args, ctx: SolverContext) -> int:
     G = _parse(args, args.game)
     res = is_passable(ctx, G) if args.passable else is_monotone(ctx, G)
     print("true" if res else "false")
     return 0 if res else 1
 
 
-def cmd_eval(args) -> int:
-    ctx = SolverContext()
+def cmd_eval(args, ctx: SolverContext) -> int:
     v = eval_board(ctx, load_board(args.board), max_cells=args.max_cells)
     print(to_notation(v, unicode=args.unicode))
     return 0
 
 
-def cmd_realize(args) -> int:
-    ctx = SolverContext()
+def cmd_realize(args, ctx: SolverContext) -> int:
     report = realize(ctx, _parse(args, args.game),
                      verify_value=args.verify, verify_cap=args.max_cells)
     if args.out:
@@ -95,8 +92,8 @@ def cmd_realize(args) -> int:
     return 0
 
 
-def cmd_verify_appendix(args) -> int:
-    report = verify_appendix(SolverContext(), load_fixture(args.fixture))
+def cmd_verify_appendix(args, ctx: SolverContext) -> int:
+    report = verify_appendix(ctx, load_fixture(args.fixture))
     for c in report.checks:
         line = f"{' ok ' if c.ok else 'FAIL'}  {c.cells}  {c.claimed}"
         if not c.ok:
@@ -107,8 +104,8 @@ def cmd_verify_appendix(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_catalog(args) -> int:
-    cat = build_catalog(SolverContext(), args.n)
+def cmd_catalog(args, ctx: SolverContext) -> int:
+    cat = build_catalog(ctx, args.n)
     text = json.dumps(catalog_to_json(cat), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -125,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None,
                     help="accepted for script compatibility; every command "
                          "here is deterministic")
+    ap.add_argument("--stats", action="store_true",
+                    help="print the solver's counters as one JSON line on "
+                         "stderr after the command")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     poset_flag = argparse.ArgumentParser(add_help=False)
@@ -194,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    ctx = SolverContext()
     try:
-        return args.fn(args)
+        return args.fn(args, ctx)
     except (NotPassable, VerificationFailed) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return 2
+    finally:
+        if args.stats:
+            print(json.dumps(ctx.stats, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ boards score by the payoff.  Positions are written as strings over
 '1' (black), '0' (white) and '.' (empty), indexed by cell order; the
 aliases ●/○/◦/⋆/* are accepted on input.
 
-Payoffs are expression trees rather than bare tables so that carriers in
-the teens stay affordable: a constant, a threshold family (per atom, an
-antichain of required-black cell sets), composition along a monotone
+Payoffs are expression trees rather than bare tables, so boards are
+stored and written compactly: a constant, a threshold family (per atom,
+an antichain of required-black cell sets), composition along a monotone
 function, or dualization.  Composition is how gadget boards act on
 sub-boards; the children's cell embeddings may overlap, which the shared
-choice construction exploits to keep carriers small.
+choice construction exploits to keep carriers small.  An evaluation
+compiles the tree once, bottom-up, into a flat list of the payoff at
+every coloring (``compiled``); ``value_at`` scores one coloring.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ class Const:
     def value_at(self, black: int, n: int) -> str:
         return self.atom
 
+    def compiled(self, n: int) -> list[str]:
+        return [self.atom] * (1 << n)
+
 
 def pattern_masks(patterns, n: int) -> tuple[int, ...]:
     """Masks of a list of n-character '0'/'1' strings, character i being
@@ -168,6 +173,14 @@ class Threshold:
                     break
         return val
 
+    def compiled(self, n: int) -> list[str]:
+        table = [self.poset.bot] * (1 << n)
+        for a, masks in self._masks:
+            for black in range(1 << n):
+                if any(req & black == req for req in masks):
+                    table[black] = self.poset.join2(table[black], a)
+        return table
+
 
 @dataclass(frozen=True)
 class Compose:
@@ -217,6 +230,27 @@ class Compose:
                 element = dom.pair(element, v)
         return self.fn(element)
 
+    def compiled(self, n: int) -> list[str]:
+        # spread[b] is the child's coloring at carrier coloring b, built by
+        # doubling over the cells, so any injective embedding reads right;
+        # the children's spread lists are then paired pointwise
+        element = dom = None
+        for child, emb in self.children:
+            table = child.compiled(len(emb))
+            bit_of = {i: 1 << j for j, i in enumerate(emb)}
+            spread = [0]
+            for i in range(n):
+                spread += [s | bit_of.get(i, 0) for s in spread]
+            values = [table[s] for s in spread]
+            if element is None:
+                element, dom = values, child.poset
+            else:
+                dom = product(dom, child.poset)
+                pair = dom._pair
+                element = [pair[xy] for xy in zip(element, values)]
+        fn = self.fn.table
+        return [fn[x] for x in element]
+
 
 @dataclass(frozen=True)
 class Dual:
@@ -240,7 +274,14 @@ class Dual:
         return self.child.poset.dual_atom_map()[
             self.child.value_at(flipped, n)]
 
+    def compiled(self, n: int) -> list[str]:
+        # the swapped coloring of black is full & ~black, i.e. full - black
+        swap = self.child.poset.dual_atom_map()
+        return [swap[v] for v in reversed(self.child.compiled(n))]
 
+
+# Each payoff class scores one coloring of n cells by value_at(black, n),
+# and all of them by compiled(n), a list indexed by the black-cell mask.
 PayoffExpr = Const | Threshold | Compose | Dual
 
 
@@ -289,15 +330,15 @@ def _payoff_table(S: SetColoringGame, black: int,
     (bit j for the j-th empty cell in cell order) on top of the given black
     cells.  Each entry is the index of its outcome in the returned list (in
     order of first appearance), written big-endian in as many bytes as the
-    largest index needs.
+    largest index needs.  The payoff is compiled once, into its list over
+    all 2^n colorings, and the entries are read from it at black | sub.
     """
-    n = S.size
-    value_at = S.payoff.value_at
+    pay = S.payoff.compiled(S.size)
     codes: dict[str, int] = {}
     seq = []
     sub = 0
     while True:
-        v = value_at(black | sub, n)
+        v = pay[black | sub]
         code = codes.get(v)
         if code is None:
             code = codes[v] = len(codes)
@@ -335,12 +376,14 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                   max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """Value of an arbitrary partial coloring of the board.
 
+    The payoff is compiled into a table once per call (see _payoff_table).
     A position's value depends only on the payoff restricted to its empty
     cells, so positions are memoized by that table, coded as in
-    _payoff_table.  Coloring the i-th remaining cell keeps every other
-    block of 2^i entries: the odd blocks when it goes black, the even ones
-    when it goes white.  ``ctx.stats["eval_residuals"]`` grows by the
-    number of distinct tables evaluated.
+    _payoff_table, and each option's table is looked up in the memo before
+    it is recursed into.  Coloring the i-th remaining cell keeps every
+    other block of 2^i entries: the odd blocks when it goes black, the
+    even ones when it goes white.  ``ctx.stats["eval_residuals"]`` grows
+    by the number of distinct tables evaluated.
     """
     n = S.size
     if n > max_cells:
@@ -355,11 +398,10 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     leaves = [atomic(a, poset) for a in outcomes]
     width = _code_width(len(outcomes))
     memo: dict[bytes, Game] = {}
+    known = memo.get
 
     def rec(t: bytes) -> Game:
-        g = memo.get(t)
-        if g is not None:
-            return g
+        """The value of a table not yet in the memo."""
         size = len(t)
         if size == width:
             g = leaves[int.from_bytes(t, "big")]
@@ -379,8 +421,10 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                                       for j in range(0, size, span)])
                     black = b"".join([t[j:j + block]
                                       for j in range(block, size, span)])
-                lefts.append(rec(black))
-                rights.append(rec(white))
+                g = known(black)
+                lefts.append(rec(black) if g is None else g)
+                g = known(white)
+                rights.append(rec(white) if g is None else g)
                 block *= 2
             g = composite(lefts, rights, poset)
             if simplify:
@@ -394,7 +438,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
 
 
 def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
-    """Exhaustively verify the payoff respects the coloring order.
+    """Exhaustively verify the payoff respects the coloring order, on its
+    compiled table.
 
     It is enough to compare colorings across single white-to-black flips;
     those generate the pointwise order.
@@ -402,7 +447,7 @@ def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
     n = S.size
     if n > cap:
         raise CarrierTooLarge(f"{n} cells exceeds the check cap of {cap}")
-    pay = [S.payoff.value_at(black, n) for black in range(1 << n)]
+    pay = S.payoff.compiled(n)
     for black in range(1 << n):
         for i in range(n):
             if not black >> i & 1:

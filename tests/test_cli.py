@@ -65,6 +65,16 @@ def test_eval_shipped_hex(capsys):
     assert code == 0 and out.strip() == "{top|bot}"
 
 
+def test_stats_flag_prints_counters_on_stderr(capsys):
+    code, out, err = run(capsys, "--stats", "eval", HEX)
+    assert code == 0 and out.strip() == "{top|bot}"
+    assert json.loads(err)["eval_residuals"] > 0
+    # a false predicate keeps its exit code, and the line is still printed
+    code, out, err = run(capsys, "--stats", "leq", "top", "a")
+    assert (code, out.strip()) == (1, "false")
+    assert isinstance(json.loads(err), dict)
+
+
 def test_leq_exit_codes(capsys):
     code, out, _ = run(capsys, "leq", "a", "top")
     assert (code, out.strip()) == (0, "true")

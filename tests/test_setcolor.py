@@ -26,9 +26,13 @@ from scgames.poset import (
     SupremumUndefined,
     antichain_poset,
     builtin,
+    identity_fn,
     make_poset,
+    product,
     projector_f,
 )
+from scgames.realize import realize
+from scgames.sampling import random_passable_game
 from scgames.setcolor import (
     BoardFormatError,
     CarrierTooLarge,
@@ -190,12 +194,39 @@ def test_raw_eval_matches_reference_on_composed_boards(ctx):
         assert eval_board(ctx, S, simplify=False) is ref_eval(S)
 
 
+def _scrambled_json_board():
+    """Five cells; compose children read cells [2, 0] and [4, 1, 2]
+    (permuted, non-contiguous, overlapping on cell 2, cell 3 unread) plus a
+    Const on [], through the table form of ((x,y),z) -> x|z if y is top
+    else x, which tells its arguments apart."""
+    xy = product(P4, P4)
+    dom = product(xy, P4)
+    table = {dom.pair(xy.pair(x, y), z): P4.join2(x, z) if y == "top" else x
+             for x in P4.elements for y in P4.elements for z in P4.elements}
+    return board_from_json({
+        "poset": {"builtin": "P4"},
+        "cells": ["c0", "c1", "c2", "c3", "c4"],
+        "payoff": {"compose": {
+            "fn": {"domains": [{"builtin": "P4"}] * 3,
+                   "codomain": {"builtin": "P4"}, "table": table},
+            "children": [
+                {"payoff": {"threshold": {"a": ["10"], "b": ["01"]}},
+                 "cells": [2, 0]},
+                {"payoff": {"threshold": {"top": ["110", "011"],
+                                          "a": ["001"]}},
+                 "cells": [4, 1, 2]},
+                {"payoff": {"const": "b"}, "cells": []},
+            ]}},
+    })
+
+
 def test_raw_eval_position_matches_reference(ctx):
     rng = random.Random(3015)
     boards = [sc_base(GadgetKind.COUPLING),
               sc_shared_choice(_small_board(rng, 2), _small_board(rng, 2)),
               sc_dual(sc_shared_choice(_small_board(rng, 3),
-                                       sc_const("a", P4)))]
+                                       sc_const("a", P4))),
+              _scrambled_json_board()]
     for S in boards:
         for _ in range(12):
             p = "".join(rng.choice("01..") for _ in range(S.size))
@@ -287,6 +318,36 @@ def test_eval_cap(ctx):
         eval_position(ctx, S, ".....", max_cells=4)
     with pytest.raises(CarrierTooLarge):
         check_payoff_monotone(S, cap=4)
+
+
+def _compiled_boards():
+    rng = random.Random(3016)
+    yield from (sc_base(kind) for kind in GadgetKind)
+    for n in range(6):
+        yield random_threshold_board(rng, P4, n)
+    yield sc_dual(sc_shared_choice(_small_board(rng, 3), _small_board(rng, 2)))
+    both = sc_sum(random_threshold_board(rng, P3, 2), _small_board(rng, 3))
+    yield both
+    yield sc_map(projector_f(P4), both)
+    wide = sc_sum(both, _small_board(rng, 2))
+    yield wide
+    yield sc_map(identity_fn(wide.poset), wide)
+    mctx, realized = SolverContext(), 0
+    while realized < 20:
+        G = random_passable_game(mctx, rng, P4, max_depth=2, max_branch=2)
+        board = realize(mctx, G, verify_value=False).board
+        if board.size <= 12:
+            realized += 1
+            yield board
+    yield _scrambled_json_board()
+    yield sc_const("a", P4)
+
+
+def test_compiled_payoff_is_value_at_every_coloring():
+    for S in _compiled_boards():
+        n = S.size
+        assert S.payoff.compiled(n) == [S.payoff.value_at(b, n)
+                                        for b in range(1 << n)]
 
 
 # -- structural homomorphisms --------------------------------------------------
