@@ -10,8 +10,8 @@ out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded, input
 nested deeper than the interpreter's recursion limit allows).  With
 ``--stats`` (before the verb), the counters of the verb's SolverContext
-are printed as one JSON line on stderr; stdout and the exit code stay as
-they are.
+and its memo sizes (under ``memo``) are printed as one JSON line on
+stderr; stdout and the exit code stay as they are.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ def main(argv=None) -> int:
         return 2
     finally:
         if args.stats:
-            print(json.dumps(ctx.stats, sort_keys=True), file=sys.stderr)
+            print(json.dumps(dict(ctx.stats, memo=ctx.memo_sizes()),
+                             sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

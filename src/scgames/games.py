@@ -21,6 +21,20 @@ atoms.  Equivalence is leq both ways.  leq is reflexive on all games;
 whether it is transitive on non-passable games is an open question we test
 empirically but never rely on (see simplify).
 
+A query with an atomic side reads one bit of the other game's atom masks
+(:func:`atom_masks`): four bitmasks over the poset's elements, bit i for
+the atom a_i, holding ``leq(G, a_i)``, ``tri(G, a_i)``, ``leq(a_i, G)`` and
+``tri(a_i, G)``.  An atom's masks are its up-row twice, then its down-row
+twice.  Unfolding the clauses above against an atom gives, for composite G,
+
+    tri(G, .) = OR over right options gr of leq(gr, .)
+    leq(G, .) = tri(G, .) AND the AND over left options gl of tri(gl, .)
+    tri(., G) = OR over left options gl of leq(., gl)
+    leq(., G) = tri(., G) AND the AND over right options gr of tri(., gr)
+
+so a game's masks come from its options' in one pass.  The pair memos
+(``ctx.leq``, ``ctx.tri``) therefore hold composite pairs only.
+
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
 The global predicates quantify the local ones over all positions.  On
@@ -31,7 +45,6 @@ game (its atom signature) are shared by every game equivalent to it.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cache
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -67,7 +80,6 @@ class UidOverflow(OverflowError):
 
 
 _GAMES: dict[tuple, "Game"] = {}
-_UNSET = object()
 _NEXT_UID = [0]
 UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
 
@@ -151,12 +163,6 @@ def _dedup(games: Iterable[Game]) -> tuple[Game, ...]:
     return tuple(sorted(set(games), key=_uid))
 
 
-@cache
-def _atoms(poset: AtomPoset) -> tuple[Game, ...]:
-    """The atomic games of the poset, in element order."""
-    return tuple(atomic(a, poset) for a in poset.elements)
-
-
 def top(poset: AtomPoset) -> Game:
     return atomic(poset.top, poset)
 
@@ -173,12 +179,13 @@ class SolverContext:
     without this module knowing their key shapes.
     """
 
-    __slots__ = ("leq", "tri", "simp", "passable", "monotone", "local",
-                 "stats", "_extra")
+    __slots__ = ("leq", "tri", "masks", "simp", "passable", "monotone",
+                 "local", "stats", "_extra")
 
     def __init__(self):
-        self.leq: dict[int, bool] = {}      # keyed by pair_key(G, H)
+        self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
         self.tri: dict[int, bool] = {}
+        self.masks: dict[int, tuple[int, int, int, int]] = {}
         self.simp: dict[int, Game] = {}
         self.passable: dict[int, bool] = {}
         self.monotone: dict[int, bool] = {}
@@ -191,6 +198,11 @@ class SolverContext:
         if d is None:
             d = self._extra[name] = {}
         return d
+
+    def memo_sizes(self) -> dict[str, int]:
+        """Entries in the order and simplification memos."""
+        return {"leq": len(self.leq), "tri": len(self.tri),
+                "masks": len(self.masks), "simp": len(self.simp)}
 
 
 def pair_key(G: Game, H: Game) -> int:
@@ -215,10 +227,58 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
     return _tri(ctx, G, H)
 
 
+def atom_masks(ctx: SolverContext, G: Game) -> tuple[int, int, int, int]:
+    """G against every atom: the masks of ``leq(G, .)``, ``tri(G, .)``,
+    ``leq(., G)`` and ``tri(., G)``, bit i for atom i in element order.
+
+    Built bottom-up by the recurrences in the module docstring, memoized
+    in ctx.masks by uid; a level of nesting costs one Python frame.
+    """
+    memo = ctx.masks
+    hit = memo.get(G.uid)
+    if hit is not None:
+        return hit
+    if G.atom is not None:
+        p = G.poset
+        i = p._index[G.atom]
+        up = p._up[i]
+        down = 0
+        for j, row in enumerate(p._up):
+            down |= (row >> i & 1) << j
+        res = (up, up, down, down)
+    else:
+        # leq(G, .) starts from the AND over left options, leq(., G) from
+        # the AND over right ones; -1 has every bit set
+        tri_g = below = 0
+        leq_g = leq_b = -1
+        for x in G.left:
+            m = memo.get(x.uid)
+            if m is None:
+                m = atom_masks(ctx, x)
+            leq_g &= m[1]
+            below |= m[2]
+        for x in G.right:
+            m = memo.get(x.uid)
+            if m is None:
+                m = atom_masks(ctx, x)
+            tri_g |= m[0]
+            leq_b &= m[3]
+        res = (tri_g & leq_g, tri_g, below & leq_b, below)
+    memo[G.uid] = res
+    return res
+
+
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
-    # Plain loops rather than all()/any() over generators: one Python frame
+    # An atomic side is answered from the other game's masks.  Otherwise
+    # plain loops rather than all()/any() over generators: one Python frame
     # per relation call, and each tri memo hit is answered without a call.
     # Keys are pair_key, spelled out to save a call per lookup.
+    if G.atom is not None:
+        m = ctx.masks.get(H.uid) or atom_masks(ctx, H)
+        return m[2] >> G.poset._index[G.atom] & 1 == 1
+    if H.atom is not None:
+        m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
+        return m[0] >> H.poset._index[H.atom] & 1 == 1
     key = G.uid << 32 | H.uid
     memo = ctx.leq
     hit = memo.get(key)
@@ -243,41 +303,41 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
             if not t:
                 res = False
                 break
-        else:
-            if G.atom is not None or H.atom is not None:
-                res = _tri(ctx, G, H)
     memo[key] = res
     return res
 
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
+    if G.atom is not None:
+        m = ctx.masks.get(H.uid) or atom_masks(ctx, H)
+        return m[3] >> G.poset._index[G.atom] & 1 == 1
+    if H.atom is not None:
+        m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
+        return m[1] >> H.poset._index[H.atom] & 1 == 1
     key = G.uid << 32 | H.uid
     memo = ctx.tri
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if G.atom is not None and H.atom is not None:
-        res = G.poset.le(G.atom, H.atom)
+    leq_memo = ctx.leq
+    res = False
+    hu = H.uid
+    for gr in G.right:
+        t = leq_memo.get(gr.uid << 32 | hu)
+        if t is None:
+            t = _leq(ctx, gr, H)
+        if t:
+            res = True
+            break
     else:
-        leq_memo = ctx.leq
-        res = False
-        hu = H.uid
-        for gr in G.right:
-            t = leq_memo.get(gr.uid << 32 | hu)
+        gu = G.uid << 32
+        for hl in H.left:
+            t = leq_memo.get(gu | hl.uid)
             if t is None:
-                t = _leq(ctx, gr, H)
+                t = _leq(ctx, G, hl)
             if t:
                 res = True
                 break
-        else:
-            gu = G.uid << 32
-            for hl in H.left:
-                t = leq_memo.get(gu | hl.uid)
-                if t is None:
-                    t = _leq(ctx, G, hl)
-                if t:
-                    res = True
-                    break
     memo[key] = res
     return res
 
@@ -348,21 +408,10 @@ def atom_signature(ctx: SolverContext, G: Game) -> Optional[tuple[int, int]]:
     games share a signature; off that class transitivity is open, and no
     signature is given.
     """
-    memo = ctx.cache("atom_signature")
-    hit = memo.get(G.uid, _UNSET)
-    if hit is not _UNSET:
-        return hit
-    sig = None
-    if is_passable(ctx, G):
-        below = above = 0
-        for i, a in enumerate(_atoms(G.poset)):
-            if _leq(ctx, a, G):
-                below |= 1 << i
-            if _leq(ctx, G, a):
-                above |= 1 << i
-        sig = (below, above)
-    memo[G.uid] = sig
-    return sig
+    if not is_passable(ctx, G):
+        return None
+    m = atom_masks(ctx, G)
+    return m[2], m[0]
 
 
 def is_monotone(ctx: SolverContext, G: Game) -> bool:
@@ -401,10 +450,14 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     if G.is_atomic:
         ctx.simp[G.uid] = G
         return G
-    for cand in _atoms(G.poset):
-        if _leq(ctx, cand, G) and _leq(ctx, G, cand):
-            ctx.simp[G.uid] = cand
-            return cand
+    m = atom_masks(ctx, G)
+    both = m[0] & m[2]
+    if both:
+        # the first atom, in element order, equivalent to G
+        p = G.poset
+        cand = atomic(p.elements[(both & -both).bit_length() - 1], p)
+        ctx.simp[G.uid] = cand
+        return cand
     # plain loops, so a level of nesting costs one Python frame
     ls, rs = [], []
     for x in G.left:
@@ -531,10 +584,6 @@ def positions(G: Game) -> list[Game]:
         out.append(g)
         stack.extend(reversed(g.left + g.right))
     return out
-
-
-def position_count(G: Game) -> int:
-    return len(positions(G))
 
 
 # -- symmetries --------------------------------------------------------------

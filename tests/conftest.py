@@ -3,11 +3,17 @@ from hypothesis import strategies as st
 
 from scgames.games import SolverContext, atomic, composite
 from scgames.notation import parse_game
-from scgames.poset import builtin
+from scgames.poset import builtin, make_poset
 
 P4 = builtin("P4")
 P3 = builtin("P3")
 BOOL = builtin("Bool")
+CHAIN4 = make_poset(["bot", "x", "y", "top"],
+                    [("bot", "x"), ("x", "y"), ("y", "top")])
+# bot < x, y < z, w < top: x and y have no join, and no self-map reverses it
+BOWTIE6 = make_poset(["bot", "x", "y", "z", "w", "top"],
+                     [("bot", "x"), ("bot", "y"), ("x", "z"), ("x", "w"),
+                      ("y", "z"), ("y", "w"), ("z", "top"), ("w", "top")])
 
 
 @pytest.fixture

@@ -68,11 +68,20 @@ def test_eval_shipped_hex(capsys):
 def test_stats_flag_prints_counters_on_stderr(capsys):
     code, out, err = run(capsys, "--stats", "eval", HEX)
     assert code == 0 and out.strip() == "{top|bot}"
-    assert json.loads(err)["eval_residuals"] > 0
-    # a false predicate keeps its exit code, and the line is still printed
+    stats = json.loads(err)
+    assert stats["eval_residuals"] > 0
+    assert sorted(stats["memo"]) == ["leq", "masks", "simp", "tri"]
+    assert stats["memo"]["simp"] > 0
+    # a false predicate keeps its exit code, and the line is still printed;
+    # two atoms are compared through their masks, not the pair memos
     code, out, err = run(capsys, "--stats", "leq", "top", "a")
     assert (code, out.strip()) == (1, "false")
-    assert isinstance(json.loads(err), dict)
+    assert json.loads(err)["memo"] == {"leq": 0, "tri": 0, "masks": 1,
+                                       "simp": 0}
+    # a composite pair is memoized, and its atom queries read masks
+    code, out, err = run(capsys, "--stats", "leq", "{a|bot}", "{top|b}")
+    memo = json.loads(err)["memo"]
+    assert code == 0 and memo["leq"] >= 1 and memo["masks"] >= 2
 
 
 def test_leq_exit_codes(capsys):

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from conftest import P3, P4, games_over, parse
+from conftest import BOWTIE6, CHAIN4, P3, P4, games_over, parse
 from reference import (
     ref_equiv,
     ref_is_monotone,
@@ -20,6 +20,8 @@ from scgames.games import (
     NotAnOption,
     PosetMismatch,
     UnknownAtom,
+    SolverContext,
+    atom_masks,
     atom_signature,
     atomic,
     bot,
@@ -34,7 +36,6 @@ from scgames.games import (
     is_passable,
     leq,
     local_class,
-    position_count,
     positions,
     simplify,
     swap_ab,
@@ -178,24 +179,91 @@ def test_memoized_relations_match_reference_on_random_pairs(ctx):
         assert tri(ctx, g, h) == ref_tri(g, h)
 
 
+def _composite_passable(ctx, rng):
+    while True:
+        g = random_passable_game(ctx, rng, P4, 2, 3)
+        if g.atom is None:
+            return g
+
+
 def test_relations_match_reference_on_sums_in_one_context(ctx):
     # the shape of a session summing many games: sums over P4xP4 of
     # depth-2 passable games, every pair decided in one warm context
     rng = random.Random(1007)
-
-    def composite_passable():
-        while True:
-            g = random_passable_game(ctx, rng, P4, 2, 3)
-            if g.atom is None:
-                return g
-
-    sums = [sum_games(ctx, composite_passable(), composite_passable())
+    sums = [sum_games(ctx, _composite_passable(ctx, rng),
+                      _composite_passable(ctx, rng))
             for _ in range(200)]
     assert sums[0].poset is product(P4, P4)
     for s, u in zip(sums, sums[1:] + sums[:1]):
         for g, h in ((s, u), (u, s), (s, s)):
             assert leq(ctx, g, h) == ref_leq(g, h)
             assert tri(ctx, g, h) == ref_tri(g, h)
+
+
+MASK_POSETS = [(P4, 3), (product(P4, P4), 2), (CHAIN4, 3), (BOWTIE6, 3)]
+MASK_IDS = ["P4", "P4xP4", "chain4", "bowtie6"]
+
+
+@pytest.mark.parametrize("poset, max_depth", MASK_POSETS, ids=MASK_IDS)
+def test_atom_masks_match_reference(poset, max_depth):
+    # every (game, atom) pair in both orders, atoms against atoms included
+    ctx = SolverContext()
+    rng = random.Random(1011)
+    atoms = [atomic(e, poset) for e in poset.elements]
+    samples = atoms + [random_game(rng, poset, max_depth, 2)
+                       for _ in range(40)]
+    sigs = []
+    for g in samples:
+        masks = atom_masks(ctx, g)
+        below = above = 0
+        for i, a in enumerate(atoms):
+            want = (ref_leq(g, a), ref_tri(g, a), ref_leq(a, g),
+                    ref_tri(a, g))
+            assert tuple(m >> i & 1 == 1 for m in masks) == want
+            assert (leq(ctx, g, a), tri(ctx, g, a), leq(ctx, a, g),
+                    tri(ctx, a, g)) == want
+            below |= want[2] << i
+            above |= want[0] << i
+        sigs.append((below, above) if ref_is_passable(g) else None)
+    # every query had an atomic side, so none reached the pair memos
+    assert not ctx.leq and not ctx.tri
+    assert [atom_signature(ctx, g) for g in samples] == sigs
+
+
+@pytest.mark.parametrize("poset, max_depth", MASK_POSETS, ids=MASK_IDS)
+def test_simplify_collapses_to_the_first_equivalent_atom(poset, max_depth):
+    ctx = SolverContext()
+    rng = random.Random(1012)
+    atoms = [atomic(e, poset) for e in poset.elements]
+    collapsed = 0
+    for _ in range(60):
+        g = random_game(rng, poset, max_depth, 2)
+        for x in positions(g):
+            same = [a for a in atoms if ref_equiv(x, a)]
+            s = simplify(ctx, x)
+            if same:
+                assert s is same[0]
+                collapsed += x.atom is None
+            else:
+                assert s.atom is None
+    assert collapsed > 0
+
+
+def test_pair_memos_hold_composite_pairs_only():
+    ctx = SolverContext()
+    rng = random.Random(1013)
+    for _ in range(60):
+        s = sum_games(ctx, _composite_passable(ctx, rng),
+                      _composite_passable(ctx, rng))
+        assert s.poset is product(P4, P4)
+        simplify(ctx, s)
+    atomic_uids = {g.uid for g in list(games_mod._GAMES.values())
+                   if g.atom is not None}
+    keys = list(ctx.leq) + list(ctx.tri)
+    assert keys and ctx.masks
+    low = UID_LIMIT - 1
+    assert not [k for k in keys
+                if k >> 32 in atomic_uids or k & low in atomic_uids]
 
 
 def test_leq_decides_chain_of_300_levels(ctx):
@@ -345,7 +413,7 @@ def test_simplify_idempotent_and_sound(ctx):
         s = simplify(ctx, g)
         assert equiv(ctx, s, g)
         assert simplify(ctx, s) is s
-        assert position_count(s) <= position_count(g) or s is g
+        assert len(positions(s)) <= len(positions(g)) or s is g
 
 
 def test_simplify_never_grows_on_passable_samples(ctx):
@@ -363,11 +431,11 @@ def test_depth_branching_positions(ctx):
     assert branching(parse("a")) == 0
     g0 = parse("{top|bot}")
     assert depth(g0) == 1 and branching(g0) == 1
-    assert position_count(g0) == 3
+    assert len(positions(g0)) == 3
     k = parse(COUPLING_TEXT)
     assert depth(k) == 2
     assert branching(k) == 2
-    assert position_count(k) == 7
+    assert len(positions(k)) == 7
     assert positions(k)[0] is k
 
 

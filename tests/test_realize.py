@@ -12,7 +12,7 @@ from scgames.games import (
     is_passable,
     local_class,
 )
-from scgames.poset import antichain_poset, builtin, make_poset
+from scgames.poset import antichain_poset, builtin
 from scgames.realize import (
     DEFAULT_VERIFY_CAP,
     NotPassable,
@@ -25,7 +25,7 @@ from scgames.realize import (
 )
 from scgames.sampling import random_passable_game
 from scgames.setcolor import Compose, Dual, eval_board, sc_const
-from conftest import P4, parse
+from conftest import BOWTIE6, CHAIN4, P4, parse
 
 
 @pytest.fixture(scope="module")
@@ -195,14 +195,6 @@ def test_realized_boards_hold_no_dual(mctx):
         board = realize(mctx, G, verify_value=False).board
         assert not any(isinstance(e, Dual)
                        for e in _payoff_nodes(board.payoff))
-
-
-CHAIN4 = make_poset(["bot", "x", "y", "top"],
-                    [("bot", "x"), ("x", "y"), ("y", "top")])
-# bot < x, y < z, w < top: x and y have no join, and no self-map reverses it
-BOWTIE6 = make_poset(["bot", "x", "y", "z", "w", "top"],
-                     [("bot", "x"), ("bot", "y"), ("x", "z"), ("x", "w"),
-                      ("y", "z"), ("y", "w"), ("z", "top"), ("w", "top")])
 
 
 @pytest.mark.parametrize("poset, seed", [(CHAIN4, 7), (BOWTIE6, 3)],
