@@ -9,8 +9,9 @@ Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded, input
 nested deeper than the interpreter's recursion limit allows).  With
-``--stats`` (before the verb), the counters of the verb's SolverContext
-and its memo sizes (under ``memo``) are printed as one JSON line on
+``--stats`` (before the verb), the counters of the verb's SolverContext,
+its memo sizes (under ``memo``) and the number of games the verb added
+to the intern table (``interned``) are printed as one JSON line on
 stderr; stdout and the exit code stay as they are.
 """
 
@@ -21,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import games
 from .catalog import build_catalog, catalog_to_json, load_fixture, \
     verify_appendix
 from .games import SolverContext, is_monotone, is_passable, leq, equiv, \
@@ -123,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted for script compatibility; every command "
                          "here is deterministic")
     ap.add_argument("--stats", action="store_true",
-                    help="print the solver's counters as one JSON line on "
-                         "stderr after the command")
+                    help="print the solver's counters, memo sizes and "
+                         "newly interned games as one JSON line on stderr "
+                         "after the command")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     poset_flag = argparse.ArgumentParser(add_help=False)
@@ -195,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     ctx = SolverContext()
+    interned = len(games._GAMES)
     try:
         return args.fn(args, ctx)
     except (NotPassable, VerificationFailed) as e:
@@ -208,7 +212,8 @@ def main(argv=None) -> int:
         return 2
     finally:
         if args.stats:
-            print(json.dumps(dict(ctx.stats, memo=ctx.memo_sizes()),
+            print(json.dumps(dict(ctx.stats, memo=ctx.memo_sizes(),
+                                  interned=len(games._GAMES) - interned),
                              sort_keys=True), file=sys.stderr)
 
 

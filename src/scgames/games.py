@@ -443,6 +443,12 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     explicit equivalence check against the current node, and the final
     result is checked against the input; if that last check fails we
     return the input unchanged rather than a wrong answer.
+
+    Pruning compares options with each other only, so the current node is
+    interned once both sides are pruned, right before a bypass needs it;
+    a node that pruning would change is never interned.  Each round of
+    the loop prunes both sides and tries one bypass, and the pass cap
+    counts those rounds.
     """
     hit = ctx.simp.get(G.uid)
     if hit is not None:
@@ -470,12 +476,9 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
         passes += 1
         if passes > _SIMPLIFY_PASS_CAP:
             raise SimplificationDiverged(f"no fixpoint after {passes} passes")
+        ls = _prune_dominated(ctx, ls, keep_large=True)
+        rs = _prune_dominated(ctx, rs, keep_large=False)
         cur = composite(ls, rs, G.poset)
-        ls2 = _prune_dominated(ctx, ls, keep_large=True)
-        rs2 = _prune_dominated(ctx, rs, keep_large=False)
-        if ls2 is not ls or rs2 is not rs:
-            ls, rs = ls2, rs2
-            continue
         new_ls = _bypass(ctx, cur, ls, left_side=True)
         if new_ls is not None:
             ls = new_ls
@@ -485,33 +488,43 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
             rs = new_rs
             continue
         break
-    out = composite(ls, rs, G.poset)
-    if out is not G and not equiv(ctx, out, G):
+    if cur is not G and not equiv(ctx, cur, G):
         # only reachable through a transitivity failure; keep the input
         ctx.stats["simplify_fallback"] += 1
-        out = G
-    ctx.simp[G.uid] = out
-    return out
+        cur = G
+    ctx.simp[G.uid] = cur
+    return cur
 
 
 def _prune_dominated(ctx, options, keep_large):
-    """Drop one dominated option, or return the tuple untouched.
+    """The options left when dominated ones are dropped until none is.
 
     For left options larger is better, so X goes when some other Y has
     X <= Y; right options dually.  Equivalent pairs keep the smaller uid.
-    One removal per call: the relation is not trusted to be transitive,
-    and stepwise removal can never empty the set.
+    The rule is applied one removal at a time, since the relation is not
+    trusted to be transitive, and stepwise removal can never empty the set.
+    Dropping the first dominated option and rescanning from the start
+    would find every earlier option undominated again: each was checked
+    against a superset of the options left, and whether Y dominates X
+    depends on the pair alone.  So the scan resumes at the dropped
+    option's slot, with the same survivors in the same order.
     """
     if len(options) < 2:
         return options
-    for x in options:
-        for y in options:
+    opts = list(options)
+    i = 0
+    while i < len(opts):
+        x = opts[i]
+        for y in opts:
             if y is x:
                 continue
             lo, hi = (x, y) if keep_large else (y, x)
             if _leq(ctx, lo, hi) and (y.uid < x.uid or not _leq(ctx, hi, lo)):
-                return tuple(o for o in options if o is not x)
-    return options
+                del opts[i]
+                break
+        else:
+            i += 1
+    return tuple(opts)
 
 
 def _bypass(ctx, cur, options, left_side):

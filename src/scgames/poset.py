@@ -138,6 +138,7 @@ class AtomPoset:
 
     @property
     def components(self) -> Optional[tuple["AtomPoset", "AtomPoset"]]:
+        """The two factors of a product poset, or None for any other."""
         return self._components
 
     def pair(self, x: str, y: str) -> str:

@@ -434,6 +434,9 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
 
     out = rec(table)
     ctx.stats["eval_residuals"] += len(memo)
+    # rec reaches itself through its closure; clearing the name breaks that
+    # cycle, so the memo is freed on return, not at a later full collection
+    del rec
     return out
 
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scgames
+from scgames import games
 from scgames.algebra import GadgetKind
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
@@ -82,6 +83,18 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     code, out, err = run(capsys, "--stats", "leq", "{a|bot}", "{top|b}")
     memo = json.loads(err)["memo"]
     assert code == 0 and memo["leq"] >= 1 and memo["masks"] >= 2
+    # interned counts the games the verb added to the process-wide table:
+    # a nine-level game no other test builds adds at least its eight outer
+    # composites, and the same verb again adds none
+    text = "a"
+    for _ in range(9):
+        text = "{" + text + ",b|a}"
+    for fresh in (True, False):
+        before = len(games._GAMES)
+        code, out, err = run(capsys, "--stats", "value", text)
+        interned = json.loads(err)["interned"]
+        assert code == 0 and interned == len(games._GAMES) - before
+        assert interned >= 8 if fresh else interned == 0
 
 
 def test_leq_exit_codes(capsys):

@@ -424,6 +424,68 @@ def test_simplify_never_grows_on_passable_samples(ctx):
         assert equiv(ctx, s, g)
 
 
+def test_simplify_interns_no_discarded_node():
+    # over a diamond no other test builds, {top|top} simplifies to top, so
+    # the children of {{top|top},s|bot} give {top,s|bot}; s is dominated,
+    # and only {top|bot} may be interned, never {top,s|bot}
+    p = make_poset(["bot", "s", "t", "top"],
+                   [("bot", "s"), ("bot", "t"), ("s", "top"), ("t", "top")])
+    g = parse("{{top|top},s|bot}", p)
+    before = set(games_mod._GAMES)
+    out = simplify(SolverContext(), g)
+    assert out is parse("{top|bot}", p)
+    added = [games_mod._GAMES[k] for k in set(games_mod._GAMES) - before]
+    assert added and set(added) <= set(positions(out))
+    pre_prune = (p, games_mod._dedup([top(p), atomic("s", p)]), (bot(p),))
+    assert pre_prune not in games_mod._GAMES
+
+
+def _prune_stepwise(ctx, options, keep_large):
+    """The prune rule by its definition: drop the first dominated option,
+    then rescan from the start, until no option is dominated."""
+    while True:
+        for x in options:
+            dominated = False
+            for y in options:
+                if y is x:
+                    continue
+                lo, hi = (x, y) if keep_large else (y, x)
+                if leq(ctx, lo, hi) and (y.uid < x.uid
+                                         or not leq(ctx, hi, lo)):
+                    dominated = True
+                    break
+            if dominated:
+                options = tuple(o for o in options if o is not x)
+                break
+        else:
+            return options
+
+
+@pytest.mark.parametrize("poset, max_depth", [(P4, 3), (product(P4, P4), 2)],
+                         ids=["P4", "P4xP4"])
+def test_prune_in_one_call_equals_the_stepwise_rule(poset, max_depth):
+    ctx = SolverContext()
+    rng = random.Random(1014)
+    pool = [atomic(e, poset) for e in poset.elements]
+    for _ in range(30):
+        g = random_game(rng, poset, max_depth, 2)
+        # a game and its simplified form are equivalent, and usually
+        # distinct, so equivalent pairs turn on the smaller uid
+        pool += [g, simplify(ctx, g)]
+    pool = games_mod._dedup(pool)
+    ties = non_passable = 0
+    for _ in range(300):
+        options = rng.sample(pool, rng.randint(1, 6))
+        for opts in (tuple(options), games_mod._dedup(options)):
+            for keep_large in (True, False):
+                got = games_mod._prune_dominated(ctx, opts, keep_large)
+                assert got == _prune_stepwise(ctx, opts, keep_large)
+        ties += any(x is not y and ref_equiv(x, y)
+                    for x in options for y in options)
+        non_passable += not all(is_passable(ctx, x) for x in options)
+    assert ties > 0 and non_passable > 0
+
+
 # -- structural metrics -------------------------------------------------------
 
 def test_depth_branching_positions(ctx):

@@ -5,6 +5,7 @@ so the compiled threshold masks and the evaluator are checked against
 independent arithmetic, not against themselves.
 """
 
+import gc
 import json
 import random
 
@@ -308,6 +309,19 @@ def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
     for _ in range(8):
         want = sum_games(ctx, want, one)
     assert eval_board(ctx, S, simplify=False) is want
+
+
+def test_eval_leaves_no_garbage_cycle(ctx):
+    # the residual memo is freed when the evaluation returns, not held by
+    # a reference cycle until a full collection
+    S = random_threshold_board(random.Random(5), P4, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        eval_board(ctx, S)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_cap(ctx):
