@@ -175,12 +175,12 @@ class SolverContext:
     """Memo tables for the recursive relations, confined to one thread.
 
     ``cache(name)`` hands out extra per-context dicts so the other modules
-    (sum, map, board evaluation, synthesis) share this object's lifetime
-    without this module knowing their key shapes.
+    (sum, map, realization) share this object's lifetime without this
+    module knowing their key shapes.
     """
 
     __slots__ = ("leq", "tri", "masks", "simp", "passable", "monotone",
-                 "local", "stats", "_extra")
+                 "stats", "_extra")
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
@@ -189,7 +189,6 @@ class SolverContext:
         self.simp: dict[int, Game] = {}
         self.passable: dict[int, bool] = {}
         self.monotone: dict[int, bool] = {}
-        self.local: dict[int, str] = {}
         self.stats = defaultdict(int)
         self._extra: dict[str, dict] = {}
 
@@ -362,24 +361,17 @@ def is_good_right(ctx: SolverContext, G: Game, option: Game) -> bool:
 
 def local_class(ctx: SolverContext, G: Game) -> str:
     """Strongest local label: atomic, monotone, semi_monotone, passable, none."""
-    hit = ctx.local.get(G.uid)
-    if hit is not None:
-        return hit
     if G.is_atomic:
-        res = "atomic"
-    else:
-        good_l = [_leq(ctx, G, x) for x in G.left]
-        good_r = [_leq(ctx, x, G) for x in G.right]
-        if all(good_l) and all(good_r):
-            res = "monotone"
-        elif any(good_l) and any(good_r):
-            res = "semi_monotone"
-        elif any(good_l) or any(good_r):
-            res = "passable"
-        else:
-            res = "none"
-    ctx.local[G.uid] = res
-    return res
+        return "atomic"
+    good_l = [_leq(ctx, G, x) for x in G.left]
+    good_r = [_leq(ctx, x, G) for x in G.right]
+    if all(good_l) and all(good_r):
+        return "monotone"
+    if any(good_l) and any(good_r):
+        return "semi_monotone"
+    if any(good_l) or any(good_r):
+        return "passable"
+    return "none"
 
 
 def is_passable(ctx: SolverContext, G: Game) -> bool:

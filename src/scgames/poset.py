@@ -53,7 +53,6 @@ class AtomPoset:
         "elements",
         "top",
         "bot",
-        "key",
         "_index",
         "_up",
         "_components",
@@ -65,13 +64,12 @@ class AtomPoset:
     )
 
     def __init__(self, elements: tuple[str, ...], up: tuple[int, ...],
-                 top: str, bot: str, key: tuple):
+                 top: str, bot: str):
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
         self._up = up
         self.top = top
         self.bot = bot
-        self.key = key
         self._components = None
         self._pair = None
         self._split = None
@@ -90,9 +88,6 @@ class AtomPoset:
         if b is not None:
             return f"AtomPoset({b})"
         return f"AtomPoset({len(self.elements)} elements)"
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def le(self, x: str, y: str) -> bool:
         """Return whether x <= y."""
@@ -123,17 +118,8 @@ class AtomPoset:
 
     def is_lattice(self) -> bool:
         if self._lattice is None:
-            ok = True
-            for x in self.elements:
-                for y in self.elements:
-                    try:
-                        self.join2(x, y)
-                    except SupremumUndefined:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._lattice = ok
+            self._lattice = all(self._scan_join(x, y) is not None
+                                for x in self.elements for y in self.elements)
         return self._lattice
 
     @property
@@ -201,17 +187,10 @@ def make_poset(elements: Iterable[str], le: Iterable[tuple[str, str]]) -> AtomPo
         if x not in index or y not in index:
             raise ValueError(f"relation mentions unknown element {x!r} or {y!r}")
         up[index[x]] |= 1 << index[y]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
         for i in range(n):
-            row = up[i]
-            new = row
-            for j in _bits(row):
-                new |= up[j]
-            if new != row:
-                up[i] = new
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in _bits(up[i]):
             if j != i and up[j] >> i & 1:
@@ -228,7 +207,7 @@ def _intern(elements, up, top, bot) -> AtomPoset:
     key = (elements, up)
     have = _INTERN.get(key)
     if have is None:
-        have = AtomPoset(elements, up, top, bot, key)
+        have = AtomPoset(elements, up, top, bot)
         _INTERN[key] = have
     return have
 

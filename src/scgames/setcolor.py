@@ -379,8 +379,9 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     The payoff is compiled into a table once per call (see _payoff_table).
     A position's value depends only on the payoff restricted to its empty
     cells, so positions are memoized by that table, coded as in
-    _payoff_table, and each option's table is looked up in the memo before
-    it is recursed into.  Coloring the i-th remaining cell keeps every
+    _payoff_table.  The one-entry tables seed the memo with the outcome
+    atoms, and each option's table is looked up in the memo before it is
+    recursed into.  Coloring the i-th remaining cell keeps every
     other block of 2^i entries: the odd blocks when it goes black, the
     even ones when it goes white.  ``ctx.stats["eval_residuals"]`` grows
     by the number of distinct tables evaluated.
@@ -395,44 +396,41 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     black = sum(1 << i for i, c in enumerate(p) if c == "1")
     table, outcomes = _payoff_table(S, black, empty)
     poset = S.poset
-    leaves = [atomic(a, poset) for a in outcomes]
     width = _code_width(len(outcomes))
-    memo: dict[bytes, Game] = {}
+    memo: dict[bytes, Game] = {i.to_bytes(width, "big"): atomic(a, poset)
+                               for i, a in enumerate(outcomes)}
     known = memo.get
 
     def rec(t: bytes) -> Game:
         """The value of a table not yet in the memo."""
         size = len(t)
-        if size == width:
-            g = leaves[int.from_bytes(t, "big")]
-        else:
-            lefts, rights = [], []
-            block = width
-            while block < size:
-                if block == 1:
-                    white, black = t[0::2], t[1::2]
-                elif block in _UNIT_FORMAT:
-                    units = memoryview(t).cast(_UNIT_FORMAT[block])
-                    white = units[0::2].tobytes()
-                    black = units[1::2].tobytes()
-                else:
-                    span = 2 * block
-                    white = b"".join([t[j:j + block]
-                                      for j in range(0, size, span)])
-                    black = b"".join([t[j:j + block]
-                                      for j in range(block, size, span)])
-                g = known(black)
-                lefts.append(rec(black) if g is None else g)
-                g = known(white)
-                rights.append(rec(white) if g is None else g)
-                block *= 2
-            g = composite(lefts, rights, poset)
-            if simplify:
-                g = simplify_game(ctx, g)
+        lefts, rights = [], []
+        block = width
+        while block < size:
+            if block == 1:
+                white, black = t[0::2], t[1::2]
+            elif block in _UNIT_FORMAT:
+                units = memoryview(t).cast(_UNIT_FORMAT[block])
+                white = units[0::2].tobytes()
+                black = units[1::2].tobytes()
+            else:
+                span = 2 * block
+                white = b"".join([t[j:j + block]
+                                  for j in range(0, size, span)])
+                black = b"".join([t[j:j + block]
+                                  for j in range(block, size, span)])
+            g = known(black)
+            lefts.append(rec(black) if g is None else g)
+            g = known(white)
+            rights.append(rec(white) if g is None else g)
+            block *= 2
+        g = composite(lefts, rights, poset)
+        if simplify:
+            g = simplify_game(ctx, g)
         memo[t] = g
         return g
 
-    out = rec(table)
+    out = known(table) or rec(table)
     ctx.stats["eval_residuals"] += len(memo)
     # rec reaches itself through its closure; clearing the name breaks that
     # cycle, so the memo is freed on return, not at a later full collection

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scgames import poset as poset_mod
@@ -64,6 +66,41 @@ def test_make_poset_transitive_closure():
     p = make_poset(["w", "x", "y", "z"], [("w", "x"), ("x", "y"), ("y", "z")])
     assert p.le("w", "z")
     assert p.top == "z" and p.bot == "w"
+
+
+def _reachable(elements, pairs):
+    """Naive reflexive-transitive closure: a search from every element."""
+    succ = {e: [y for x, y in pairs if x == e] for e in elements}
+    closure = set()
+    for e in elements:
+        seen, todo = {e}, [e]
+        while todo:
+            for y in succ[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        closure |= {(e, y) for y in seen}
+    return closure
+
+
+def test_make_poset_closure_matches_reachability():
+    # random acyclic relations between bot and top, listed in shuffled
+    # order over elements in shuffled order, so no row is closed in one pass
+    rng = random.Random(13)
+    for _ in range(60):
+        inner = [f"e{i}" for i in range(rng.randint(0, 7))]
+        rank = rng.sample(inner, len(inner))    # a random linear extension
+        pairs = [("bot", x) for x in inner] + [(x, "top") for x in inner]
+        pairs += [(x, y) for i, x in enumerate(rank) for y in rank[i + 1:]
+                  if rng.random() < 0.3]
+        pairs.append(("bot", "top"))
+        rng.shuffle(pairs)
+        elements = rng.sample(["bot", "top", *inner], len(inner) + 2)
+        p = make_poset(elements, pairs)
+        closure = _reachable(elements, pairs)
+        assert {(x, y) for x in elements for y in elements
+                if p.le(x, y)} == closure
+        assert make_poset(elements, sorted(closure)) is p
 
 
 def test_make_poset_rejects_cycle():
@@ -175,6 +212,9 @@ def test_join_undefined():
         ["bot", "x", "y", "z", "w", "top"],
         [("bot", "x"), ("bot", "y"), ("x", "z"), ("x", "w"),
          ("y", "z"), ("y", "w"), ("z", "top"), ("w", "top")])
+    ubs = [u for u in p.elements if p.le("x", u) and p.le("y", u)]
+    assert [u for u in ubs if not any(p.le(v, u) and v != u for v in ubs)] \
+        == ["z", "w"]
     for _ in range(3):      # memoized, and still raising every time
         with pytest.raises(SupremumUndefined):
             p.join2("x", "y")
@@ -192,6 +232,8 @@ def test_join2_memo_matches_scan(name):
             assert [p._scan_join(x, y)] == least
             for _ in range(2):      # the first call may fill the memo
                 assert p.join2(x, y) == least[0]
+    # every pair has exactly one least upper bound, so a lattice
+    assert p.is_lattice()
 
 
 def test_antichain_poset():

@@ -309,6 +309,13 @@ def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
     for _ in range(8):
         want = sum_games(ctx, want, one)
     assert eval_board(ctx, S, simplify=False) is want
+    # a colored cell contributes its atom to the sum, an empty one the cell
+    part = {".": one, "1": atomic("top", BOOL), "0": atomic("bot", BOOL)}
+    for position in ("1........", "........0", "...1.0..."):
+        want = part[position[0]]
+        for c in position[1:]:
+            want = sum_games(ctx, want, part[c])
+        assert eval_position(ctx, S, position, simplify=False) is want
 
 
 def test_eval_leaves_no_garbage_cycle(ctx):
