@@ -7,12 +7,12 @@ ASCII by default.
 
 Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
-unknown posets or atoms, missing or malformed files, caps exceeded, input
-nested deeper than the interpreter's recursion limit allows).  With
-``--stats`` (before the verb), the counters of the verb's SolverContext,
-its memo sizes (under ``memo``) and the number of games the verb added
-to the intern table (``interned``) are printed as one JSON line on
-stderr; stdout and the exit code stay as they are.
+unknown posets or atoms, missing or malformed files, caps exceeded or
+negative, input nested deeper than the interpreter's recursion limit
+allows).  With ``--stats`` (before the verb), the counters of the verb's
+SolverContext, its memo sizes (under ``memo``) and the number of games the
+verb added to the intern table (``interned``) are printed as one JSON line
+on stderr; stdout and the exit code stay as they are.
 """
 
 from __future__ import annotations
@@ -200,6 +200,9 @@ def main(argv=None) -> int:
     ctx = SolverContext()
     interned = len(games._GAMES)
     try:
+        if getattr(args, "max_cells", 0) < 0:
+            raise ValueError(f"--max-cells must be 0 or more, "
+                             f"not {args.max_cells}")
         return args.fn(args, ctx)
     except (NotPassable, VerificationFailed) as e:
         print(f"error: {e}", file=sys.stderr)

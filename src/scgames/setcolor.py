@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import GadgetKind
@@ -347,6 +348,8 @@ def _payoff_table(S: SetColoringGame, black: int,
             break
         sub = (sub - empty) & empty     # next submask, ascending
     width = _code_width(len(codes))
+    if width == 1:
+        return bytes(seq), list(codes)
     return b"".join([c.to_bytes(width, "big") for c in seq]), list(codes)
 
 
@@ -356,6 +359,44 @@ _UNIT_FORMAT = {2: "H", 4: "I", 8: "Q"}
 
 def _code_width(outcomes: int) -> int:
     return (max(outcomes - 1, 1).bit_length() + 7) // 8
+
+
+_PLANS: dict[tuple[int, int], tuple[tuple, ...]] = {}
+
+
+def _split_plan(size: int, width: int) -> tuple[tuple, ...]:
+    """How to split a coded table of this many bytes, one step per cell.
+
+    Step i takes the blocks of 2^i entries (``block`` bytes) whose cell-i
+    bit is 1 (black) and 0 (white), as a triple (black, white, fmt):
+    slice objects when fmt is None, a unit format to cast a memoryview to
+    and take every other unit of when fmt is a letter, and itemgetters of
+    the block slices, whose results are joined, when fmt is "".  One slice
+    is enough for blocks of one byte and for the top cell; the strided
+    view serves 2-, 4- and 8-byte blocks with more than two to a half.
+    Plans are built once per process and shared.
+    """
+    plan = _PLANS.get((size, width))
+    if plan is None:
+        steps = []
+        block = width
+        while block < size:
+            span = 2 * block
+            if block == 1:
+                step = (slice(1, None, 2), slice(0, None, 2), None)
+            elif span == size:
+                step = (slice(block, None), slice(None, block), None)
+            elif block in _UNIT_FORMAT and size > 2 * span:
+                step = (None, None, _UNIT_FORMAT[block])
+            else:
+                step = (itemgetter(*[slice(j, j + block)
+                                     for j in range(block, size, span)]),
+                        itemgetter(*[slice(j, j + block)
+                                     for j in range(0, size, span)]), "")
+            steps.append(step)
+            block = span
+        plan = _PLANS[(size, width)] = tuple(steps)
+    return plan
 
 
 def eval_board(ctx: SolverContext, S: SetColoringGame,
@@ -383,7 +424,12 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     atoms, and each option's table is looked up in the memo before it is
     recursed into.  Coloring the i-th remaining cell keeps every
     other block of 2^i entries: the odd blocks when it goes black, the
-    even ones when it goes white.  ``ctx.stats["eval_residuals"]`` grows
+    even ones when it goes white.  The steps that take them apart are
+    planned once per table size (see _split_plan).  A dead cell, one whose
+    two colorings leave the same table, gives its black option's value to
+    the white one without a second lookup.  Options are visited black
+    then white, from the first empty cell up, so games are interned in
+    the same order on every run.  ``ctx.stats["eval_residuals"]`` grows
     by the number of distinct tables evaluated.
     """
     n = S.size
@@ -401,29 +447,30 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                                for i, a in enumerate(outcomes)}
     known = memo.get
 
+    plans = {width << k: _split_plan(width << k, width)
+             for k in range(empty.bit_count() + 1)}
+    join = b"".join
+
     def rec(t: bytes) -> Game:
         """The value of a table not yet in the memo."""
-        size = len(t)
         lefts, rights = [], []
-        block = width
-        while block < size:
-            if block == 1:
-                white, black = t[0::2], t[1::2]
-            elif block in _UNIT_FORMAT:
-                units = memoryview(t).cast(_UNIT_FORMAT[block])
-                white = units[0::2].tobytes()
-                black = units[1::2].tobytes()
+        for on, off, fmt in plans[len(t)]:
+            if fmt is None:
+                black, white = t[on], t[off]
+            elif fmt:
+                units = memoryview(t).cast(fmt)
+                black, white = units[1::2].tobytes(), units[0::2].tobytes()
             else:
-                span = 2 * block
-                white = b"".join([t[j:j + block]
-                                  for j in range(0, size, span)])
-                black = b"".join([t[j:j + block]
-                                  for j in range(block, size, span)])
+                black, white = join(on(t)), join(off(t))
             g = known(black)
-            lefts.append(rec(black) if g is None else g)
-            g = known(white)
-            rights.append(rec(white) if g is None else g)
-            block *= 2
+            if g is None:
+                g = rec(black)
+            lefts.append(g)
+            if white != black:     # a dead cell leaves one table either way
+                g = known(white)
+                if g is None:
+                    g = rec(white)
+            rights.append(g)
         g = composite(lefts, rights, poset)
         if simplify:
             g = simplify_game(ctx, g)

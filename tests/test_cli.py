@@ -281,6 +281,28 @@ def test_catalog_negative_cells(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "{top|bot}", "--max-cells", "-1"],
+    ["value", HEX, "--max-cells", "-1"],
+    ["eval", HEX, "--max-cells", "-1"],
+    ["realize", "{top|bot}", "--verify", "--max-cells", "-1"],
+])
+def test_negative_max_cells(capsys, argv):
+    # a negative cap would skip the check and still label the result
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_python_m_scgames_runs_the_cli():
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "scgames", "eval", HEX],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.strip() == "{top|bot}"
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"

@@ -21,8 +21,8 @@ from scgames.algebra import (
     sum_games,
 )
 from scgames.catalog import antichains
-from scgames.games import SolverContext, atomic, equiv, is_monotone, \
-    is_passable
+from scgames.games import SolverContext, atomic, composite, equiv, \
+    is_monotone, is_passable
 from scgames.poset import (
     SupremumUndefined,
     antichain_poset,
@@ -65,6 +65,7 @@ from scgames.setcolor import (
     sc_shared_choice,
     sc_sum,
     shipped_board,
+    _split_plan,
 )
 from conftest import BOOL, P3, P4, parse
 from reference import ref_eval
@@ -232,6 +233,89 @@ def test_raw_eval_position_matches_reference(ctx):
         for _ in range(12):
             p = "".join(rng.choice("01..") for _ in range(S.size))
             assert eval_position(ctx, S, p, simplify=False) is ref_eval(S, p)
+
+
+def _memo_eval(S, positions):
+    """Raw values of positions by the textbook recursion, memoized on the
+    position string: exhausted positions score by value_at, the options
+    color one empty cell black (left) or white (right)."""
+    n = S.size
+    memo = {}
+
+    def rec(p):
+        g = memo.get(p)
+        if g is None:
+            if "." not in p:
+                black = sum(1 << i for i, c in enumerate(p) if c == "1")
+                g = atomic(S.payoff.value_at(black, n), S.poset)
+            else:
+                empty = [i for i, c in enumerate(p) if c == "."]
+                g = composite([rec(p[:i] + "1" + p[i + 1:]) for i in empty],
+                              [rec(p[:i] + "0" + p[i + 1:]) for i in empty],
+                              S.poset)
+            memo[p] = g
+        return g
+
+    return [rec(p) for p in positions]
+
+
+def test_raw_eval_matches_memoized_recursion_on_eight_and_nine_cells(ctx):
+    # wide enough for every kind of split step; shared-choice and coupling
+    # boards have dead cells, whose two colorings leave one table
+    rng = random.Random(3016)
+    boards = [random_threshold_board(rng, P4, n) for n in (8, 8, 9, 9)]
+    boards += [sc_shared_choice(random_threshold_board(rng, P4, 6),
+                                random_threshold_board(rng, P4, k))
+               for k in (3, 7)]
+    boards += [sc_coupling(random_threshold_board(rng, P4, 2),
+                           random_threshold_board(rng, P4, 2)),
+               sc_coupling(random_threshold_board(rng, P4, 3),
+                           sc_const("b", P4))]
+    for S in boards:
+        assert S.size in (8, 9)
+        positions = ["." * S.size]
+        positions += ["".join(rng.choice("01...") for _ in range(S.size))
+                      for _ in range(4)]
+        want = _memo_eval(S, positions)
+        for p, w in zip(positions, want):
+            assert eval_position(ctx, S, p, simplify=False) is w
+
+
+def _split_step(step, t):
+    """Apply one step of a split plan, as the evaluator does."""
+    on, off, fmt = step
+    if fmt is None:
+        return t[on], t[off]
+    if fmt:
+        units = memoryview(t).cast(fmt)
+        return units[1::2].tobytes(), units[0::2].tobytes()
+    return b"".join(on(t)), b"".join(off(t))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_split_plans_take_the_entries_by_cell_bit(width):
+    # every step of every plan up to 2^14 bytes keeps, in order, the
+    # entries whose cell-i bit is 1 (black) and 0 (white); entries are
+    # told apart by their index, in as many tables as that needs
+    for k in range(1, 15):
+        size = 1 << k
+        if size < width:
+            continue
+        entries = size // width
+        if width == 1:
+            codes = [lambda j: j & 255, lambda j: j >> 8]
+        else:
+            codes = [lambda j: j]
+        plan = _split_plan(size, width)
+        assert len(plan) == entries.bit_length() - 1
+        for code in codes:
+            t = b"".join(code(j).to_bytes(width, "big")
+                         for j in range(entries))
+            for i, step in enumerate(plan):
+                want = [b"".join(code(j).to_bytes(width, "big")
+                                 for j in range(entries) if j >> i & 1 == bit)
+                        for bit in (1, 0)]
+                assert list(_split_step(step, t)) == want, (size, i)
 
 
 def test_eval_counts_distinct_residual_tables(ctx):
