@@ -51,6 +51,10 @@ class VerificationFailed(RuntimeError):
 
 
 class VerifiedHow(enum.Enum):
+    """How a realized board was checked.  COMPOSITIONAL labels a board
+    above the verify cap: no check runs on it, and it rests on the
+    construction alone."""
+
     BRUTE_FORCE = "brute_force"
     COMPOSITIONAL = "compositional"
     SKIPPED = "skipped"
@@ -108,9 +112,10 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
     """Synthesize a monotone set coloring board whose value is G.
 
     The report records the board, its carrier size against the size
-    bound, how the result was verified (brute force under the cap,
-    compositionally above it, or not at all when disabled), and which
-    good option manufactured a gift horse at each node that needed one.
+    bound, how the result was verified (by brute force under the cap; no
+    check runs above it, labelled compositional, or when disabled), and
+    which good option manufactured a gift horse at each node that needed
+    one.
     """
     bound = size_bound(ctx, G)
     board = _realize(ctx, G)

@@ -6,7 +6,7 @@ of a position is computed by the usual recursion: the left options color
 one empty cell black, the right options color one white, and exhausted
 boards score by the payoff.  Positions are written as strings over
 '1' (black), '0' (white) and '.' (empty), indexed by cell order; the
-aliases ●/○/◦/⋆/* are accepted on input.
+aliases ●/⊤ (black), ○/◦/⊥ (white) and ⋆/* (empty) are accepted on input.
 
 Payoffs are expression trees rather than bare tables, so boards are
 stored and written compactly: a constant, a threshold family (per atom,
@@ -15,7 +15,8 @@ function, or dualization.  Composition is how gadget boards act on
 sub-boards; the children's cell embeddings may overlap, which the shared
 choice construction exploits to keep carriers small.  An evaluation
 compiles the tree once, bottom-up, into a flat list of the payoff at
-every coloring (``compiled``); ``value_at`` scores one coloring.
+every coloring, each outcome given by its index in the poset's element
+order (``compiled``); ``value_at`` scores one coloring by name.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class Const:
     def value_at(self, black: int, n: int) -> str:
         return self.atom
 
-    def compiled(self, n: int) -> list[str]:
-        return [self.atom] * (1 << n)
+    def compiled(self, n: int) -> list[int]:
+        return [self.poset._index[self.atom]] * (1 << n)
 
 
 def pattern_masks(patterns, n: int) -> tuple[int, ...]:
@@ -174,13 +175,14 @@ class Threshold:
                     break
         return val
 
-    def compiled(self, n: int) -> list[str]:
+    def compiled(self, n: int) -> list[int]:
         table = [self.poset.bot] * (1 << n)
         for a, masks in self._masks:
             for black in range(1 << n):
                 if any(req & black == req for req in masks):
                     table[black] = self.poset.join2(table[black], a)
-        return table
+        index = self.poset._index
+        return [index[v] for v in table]
 
 
 @dataclass(frozen=True)
@@ -231,26 +233,26 @@ class Compose:
                 element = dom.pair(element, v)
         return self.fn(element)
 
-    def compiled(self, n: int) -> list[str]:
+    def compiled(self, n: int) -> list[int]:
         # spread[b] is the child's coloring at carrier coloring b, built by
         # doubling over the cells, so any injective embedding reads right;
-        # the children's spread lists are then paired pointwise
-        element = dom = None
+        # the children's values are then paired pointwise, (x, y) at
+        # x * len(child poset) + y, which is how product numbers them
+        element = None
         for child, emb in self.children:
             table = child.compiled(len(emb))
             bit_of = {i: 1 << j for j, i in enumerate(emb)}
             spread = [0]
             for i in range(n):
                 spread += [s | bit_of.get(i, 0) for s in spread]
-            values = [table[s] for s in spread]
             if element is None:
-                element, dom = values, child.poset
+                element = [table[s] for s in spread]
             else:
-                dom = product(dom, child.poset)
-                pair = dom._pair
-                element = [pair[xy] for xy in zip(element, values)]
-        fn = self.fn.table
-        return [fn[x] for x in element]
+                k = len(child.poset)
+                element = [x * k + table[s] for x, s in zip(element, spread)]
+        index, fn = self.poset._index, self.fn.table
+        image = [index[fn[x]] for x in self.fn.domain.elements]
+        return [image[x] for x in element]
 
 
 @dataclass(frozen=True)
@@ -275,14 +277,17 @@ class Dual:
         return self.child.poset.dual_atom_map()[
             self.child.value_at(flipped, n)]
 
-    def compiled(self, n: int) -> list[str]:
+    def compiled(self, n: int) -> list[int]:
         # the swapped coloring of black is full & ~black, i.e. full - black
-        swap = self.child.poset.dual_atom_map()
+        poset = self.poset
+        dual = poset.dual_atom_map()
+        swap = [poset._index[dual[x]] for x in poset.elements]
         return [swap[v] for v in reversed(self.child.compiled(n))]
 
 
 # Each payoff class scores one coloring of n cells by value_at(black, n),
-# and all of them by compiled(n), a list indexed by the black-cell mask.
+# an element name, and all of them by compiled(n), a list indexed by the
+# black-cell mask of element indices into poset.elements.
 PayoffExpr = Const | Threshold | Compose | Dual
 
 
@@ -323,42 +328,8 @@ def payoff_eval(S: SetColoringGame, position: str) -> str:
     return S.payoff.value_at(black, S.size)
 
 
-def _payoff_table(S: SetColoringGame, black: int,
-                  empty: int) -> tuple[bytes, list[str]]:
-    """The payoff over the colorings of the empty cells, coded as bytes.
-
-    Entry s is the payoff when the empty cells are colored by the bits of s
-    (bit j for the j-th empty cell in cell order) on top of the given black
-    cells.  Each entry is the index of its outcome in the returned list (in
-    order of first appearance), written big-endian in as many bytes as the
-    largest index needs.  The payoff is compiled once, into its list over
-    all 2^n colorings, and the entries are read from it at black | sub.
-    """
-    pay = S.payoff.compiled(S.size)
-    codes: dict[str, int] = {}
-    seq = []
-    sub = 0
-    while True:
-        v = pay[black | sub]
-        code = codes.get(v)
-        if code is None:
-            code = codes[v] = len(codes)
-        seq.append(code)
-        if sub == empty:
-            break
-        sub = (sub - empty) & empty     # next submask, ascending
-    width = _code_width(len(codes))
-    if width == 1:
-        return bytes(seq), list(codes)
-    return b"".join([c.to_bytes(width, "big") for c in seq]), list(codes)
-
-
 # blocks of 2, 4 and 8 bytes are taken every other one by a strided view
 _UNIT_FORMAT = {2: "H", 4: "I", 8: "Q"}
-
-
-def _code_width(outcomes: int) -> int:
-    return (max(outcomes - 1, 1).bit_length() + 7) // 8
 
 
 _PLANS: dict[tuple[int, int], tuple[tuple, ...]] = {}
@@ -417,20 +388,24 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                   max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """Value of an arbitrary partial coloring of the board.
 
-    The payoff is compiled into a table once per call (see _payoff_table).
     A position's value depends only on the payoff restricted to its empty
-    cells, so positions are memoized by that table, coded as in
-    _payoff_table.  The one-entry tables seed the memo with the outcome
-    atoms, and each option's table is looked up in the memo before it is
-    recursed into.  Coloring the i-th remaining cell keeps every
-    other block of 2^i entries: the odd blocks when it goes black, the
-    even ones when it goes white.  The steps that take them apart are
-    planned once per table size (see _split_plan).  A dead cell, one whose
-    two colorings leave the same table, gives its black option's value to
-    the white one without a second lookup.  Options are visited black
-    then white, from the first empty cell up, so games are interned in
-    the same order on every run.  ``ctx.stats["eval_residuals"]`` grows
-    by the number of distinct tables evaluated.
+    cells, so positions are memoized by that table: entry s is the payoff
+    when the empty cells are colored by the bits of s (bit j for the j-th
+    empty cell), each outcome written big-endian as its element index, in
+    as many bytes as the poset's largest index needs.  Coloring the i-th
+    remaining cell keeps every other block of 2^i entries: the odd blocks
+    when it goes black, the even ones when it goes white.  The payoff is
+    compiled once per call, and the colored cells of the position are
+    taken off it that way, from the highest down.  The one-entry tables
+    seed the memo with the outcome atoms, in order of first appearance,
+    and each option's table is looked up in the memo before it is
+    recursed into.  The steps that take a table apart are planned once per
+    table size (see _split_plan).  A dead cell, one whose two colorings
+    leave the same table, gives its black option's value to the white one
+    without a second lookup.  Options are visited black then white, from
+    the first empty cell up, so games are interned in the same order on
+    every run.  ``ctx.stats["eval_residuals"]`` grows by the number of
+    distinct tables evaluated.
     """
     n = S.size
     if n > max_cells:
@@ -440,12 +415,19 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
         raise ValueError("position length differs from carrier size")
     empty = sum(1 << i for i, c in enumerate(p) if c == ".")
     black = sum(1 << i for i, c in enumerate(p) if c == "1")
-    table, outcomes = _payoff_table(S, black, empty)
+    pay = S.payoff.compiled(n)
+    for i in reversed(range(n)):
+        if not empty >> i & 1:
+            block = 1 << i
+            pay = [v for j in range(black & block, len(pay), 2 * block)
+                   for v in pay[j:j + block]]
     poset = S.poset
-    width = _code_width(len(outcomes))
-    memo: dict[bytes, Game] = {i.to_bytes(width, "big"): atomic(a, poset)
-                               for i, a in enumerate(outcomes)}
+    width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
+    memo: dict[bytes, Game] = {
+        v.to_bytes(width, "big"): atomic(poset.elements[v], poset)
+        for v in dict.fromkeys(pay)}
     known = memo.get
+    table = b"".join([v.to_bytes(width, "big") for v in pay])
 
     plans = {width << k: _split_plan(width << k, width)
              for k in range(empty.bit_count() + 1)}
@@ -496,10 +478,11 @@ def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
     if n > cap:
         raise CarrierTooLarge(f"{n} cells exceeds the check cap of {cap}")
     pay = S.payoff.compiled(n)
+    up = S.poset._up
     for black in range(1 << n):
         for i in range(n):
             if not black >> i & 1:
-                if not S.poset.le(pay[black], pay[black | 1 << i]):
+                if not up[pay[black]] >> pay[black | 1 << i] & 1:
                     return False
     return True
 

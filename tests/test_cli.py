@@ -70,7 +70,7 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     code, out, err = run(capsys, "--stats", "eval", HEX)
     assert code == 0 and out.strip() == "{top|bot}"
     stats = json.loads(err)
-    assert stats["eval_residuals"] > 0
+    assert stats["eval_residuals"] == 19
     assert sorted(stats["memo"]) == ["leq", "masks", "simp", "tri"]
     assert stats["memo"]["simp"] > 0
     # a false predicate keeps its exit code, and the line is still printed;

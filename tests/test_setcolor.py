@@ -8,6 +8,7 @@ independent arithmetic, not against themselves.
 import gc
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -24,6 +25,7 @@ from scgames.catalog import antichains
 from scgames.games import SolverContext, atomic, composite, equiv, \
     is_monotone, is_passable
 from scgames.poset import (
+    MonotoneFn,
     SupremumUndefined,
     antichain_poset,
     builtin,
@@ -113,6 +115,7 @@ def test_payoff_eval_accepts_unicode_aliases():
     S = sc_base(GadgetKind.COUPLING)
     assert payoff_eval(S, "◦●◦●●") == payoff_eval(S, "01011")
     assert payoff_eval(S, "●●◦◦●") == payoff_eval(S, "11001")
+    assert normalize_position("⊤⊥*") == "10."
 
 
 def test_payoff_eval_rejects_partial_positions():
@@ -402,6 +405,24 @@ def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
         assert eval_position(ctx, S, position, simplify=False) is want
 
 
+def test_eval_codes_few_outcomes_of_a_wide_poset_in_two_bytes(ctx):
+    # Bool boards mapped into Bool^9: two outcomes, but 512 elements, so
+    # every entry of a residual table takes two bytes
+    wide = BOOL
+    for _ in range(8):
+        wide = product(wide, BOOL)
+    assert len(wide) == 512
+    f = MonotoneFn(BOOL, wide, {"bot": wide.bot, "top": wide.top})
+    rng = random.Random(3017)
+    for _ in range(6):
+        n = rng.randint(3, 4)
+        S = sc_map(f, random_threshold_board(rng, BOOL, n))
+        for k in range(3 ** n):
+            position = "".join("01."[k // 3 ** i % 3] for i in range(n))
+            got = eval_position(ctx, S, position, simplify=False)
+            assert got is ref_eval(S, position), position
+
+
 def test_eval_leaves_no_garbage_cycle(ctx):
     # the residual memo is freed when the evaluation returns, not held by
     # a reference cycle until a full collection
@@ -451,8 +472,9 @@ def _compiled_boards():
 def test_compiled_payoff_is_value_at_every_coloring():
     for S in _compiled_boards():
         n = S.size
-        assert S.payoff.compiled(n) == [S.payoff.value_at(b, n)
-                                        for b in range(1 << n)]
+        names = S.poset.elements
+        assert [names[v] for v in S.payoff.compiled(n)] == [
+            S.payoff.value_at(b, n) for b in range(1 << n)]
 
 
 # -- structural homomorphisms --------------------------------------------------
@@ -685,6 +707,30 @@ def test_payoff_monotonicity_holds_by_construction():
     S = sc_coupling(sc_dual(sc_base(GadgetKind.CHOICE)),
                     sc_force_left(sc_const("b", P4)))
     assert check_payoff_monotone(S)
+
+
+@dataclass(frozen=True)
+class _TablePayoff:
+    """A payoff given by its compiled table alone, monotone or not."""
+
+    poset: object
+    table: tuple
+
+    def fits(self, n):
+        return len(self.table) == 1 << n
+
+    def compiled(self, n):
+        return list(self.table)
+
+
+def test_payoff_monotonicity_check_reads_the_order():
+    # over Bool, element 0 is bot and 1 is top: the one-cell table that
+    # scores black below white is the one that fails
+    assert BOOL.elements == ("bot", "top")
+    up = SetColoringGame(BOOL, ("c",), _TablePayoff(BOOL, (0, 1)))
+    down = SetColoringGame(BOOL, ("c",), _TablePayoff(BOOL, (1, 0)))
+    assert check_payoff_monotone(up)
+    assert not check_payoff_monotone(down)
 
 
 def test_random_threshold_boards_are_monotone():
