@@ -55,27 +55,35 @@ class GadgetKind(enum.Enum):
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     """Disjunctive sum over the product poset."""
     memo = ctx.cache("sum")
-    key = pair_key(G, H)
-    hit = memo.get(key)
+    hit = memo.get(pair_key(G, H))
     if hit is not None:
         return hit
     pr = product(G.poset, H.poset)
-    if G.is_atomic and H.is_atomic:
-        out = atomic(pr.pair(G.atom, H.atom), pr)
-    else:
+    pair = pr.pair
+
+    def rec(G: Game, H: Game) -> Game:
         # plain loops, one Python frame a level; G's options are summed
-        # before H's on each side, which fixes the interning order
-        sides = []
-        for g_opts, h_opts in ((G.left, H.left), (G.right, H.right)):
-            opts = []
-            for x in g_opts:
-                opts.append(sum_games(ctx, x, H))
-            for y in h_opts:
-                opts.append(sum_games(ctx, G, y))
-            sides.append(opts)
-        out = composite(sides[0], sides[1], pr)
-    memo[key] = out
-    return out
+        # before H's on each side, left side first, which fixes the
+        # interning order.  Keys are pair_key, spelled out.
+        if G.atom is not None and H.atom is not None:
+            out = atomic(pair(G.atom, H.atom), pr)
+        else:
+            gu, hu = G.uid << 32, H.uid
+            sides = []
+            for g_opts, h_opts in ((G.left, H.left), (G.right, H.right)):
+                opts = []
+                for x in g_opts:
+                    s = memo.get(x.uid << 32 | hu)
+                    opts.append(rec(x, H) if s is None else s)
+                for y in h_opts:
+                    s = memo.get(gu | y.uid)
+                    opts.append(rec(G, y) if s is None else s)
+                sides.append(opts)
+            out = composite(sides[0], sides[1], pr)
+        memo[G.uid << 32 | H.uid] = out
+        return out
+
+    return rec(G, H)
 
 
 def map_game(ctx: SolverContext, f: MonotoneFn, G: Game) -> Game:

@@ -33,7 +33,17 @@ twice.  Unfolding the clauses above against an atom gives, for composite G,
     leq(., G) = tri(., G) AND the AND over right options gr of tri(., gr)
 
 so a game's masks come from its options' in one pass.  The pair memos
-(``ctx.leq``, ``ctx.tri``) therefore hold composite pairs only.
+(``ctx.leq``, ``ctx.tri``) therefore hold composite pairs only, and a
+composite pair costs one lookup in them: a miss goes to the relation's
+cold path, which evaluates the clauses.  There an atomic option is read
+from the other game's masks, and a composite option costs one lookup in
+the other relation's memo, whose miss goes straight to that relation's
+cold path.
+
+:func:`composite` sorts, deduplicates and checks its options, then hands
+them to ``_intern``, the one place a composite node is made.
+:func:`simplify`, whose option tuples are already uid-sorted, free of
+duplicates, non-empty and over one poset, calls ``_intern`` directly.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
@@ -141,6 +151,17 @@ def composite(lefts: Iterable[Game], rights: Iterable[Game],
     for g in ls + rs:
         if g.poset is not poset:
             raise PosetMismatch("options live over different posets")
+    return _intern(poset, ls, rs)
+
+
+def _intern(poset: AtomPoset, ls: tuple[Game, ...],
+            rs: tuple[Game, ...]) -> Game:
+    """The interned composite with exactly these option tuples.
+
+    The caller guarantees what :func:`composite` checks: both tuples are
+    non-empty, uid-sorted and free of duplicates, and every option lives
+    over ``poset``.  Nothing is re-checked here.
+    """
     key = (poset, ls, rs)
     g = _GAMES.get(key)
     if g is None:
@@ -268,9 +289,8 @@ def atom_masks(ctx: SolverContext, G: Game) -> tuple[int, int, int, int]:
 
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
-    # An atomic side is answered from the other game's masks.  Otherwise
-    # plain loops rather than all()/any() over generators: one Python frame
-    # per relation call, and each tri memo hit is answered without a call.
+    # An atomic side is answered from the other game's masks, a composite
+    # pair by one lookup in ctx.leq; only a miss goes to the clauses.
     # Keys are pair_key, spelled out to save a call per lookup.
     if G.atom is not None:
         m = ctx.masks.get(H.uid) or atom_masks(ctx, H)
@@ -278,32 +298,10 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     if H.atom is not None:
         m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
         return m[0] >> H.poset._index[H.atom] & 1 == 1
-    key = G.uid << 32 | H.uid
-    memo = ctx.leq
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    tri_memo = ctx.tri
-    res = True
-    hu = H.uid
-    for gl in G.left:
-        t = tri_memo.get(gl.uid << 32 | hu)
-        if t is None:
-            t = _tri(ctx, gl, H)
-        if not t:
-            res = False
-            break
-    else:
-        gu = G.uid << 32
-        for hr in H.right:
-            t = tri_memo.get(gu | hr.uid)
-            if t is None:
-                t = _tri(ctx, G, hr)
-            if not t:
-                res = False
-                break
-    memo[key] = res
-    return res
+    hit = ctx.leq.get(G.uid << 32 | H.uid)
+    if hit is None:
+        hit = _leq_cold(ctx, G, H)
+    return hit
 
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
@@ -313,31 +311,91 @@ def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
     if H.atom is not None:
         m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
         return m[1] >> H.poset._index[H.atom] & 1 == 1
-    key = G.uid << 32 | H.uid
-    memo = ctx.tri
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    hit = ctx.tri.get(G.uid << 32 | H.uid)
+    if hit is None:
+        hit = _tri_cold(ctx, G, H)
+    return hit
+
+
+def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
+    """leq of two composites whose pair is not in ctx.leq, by its clauses.
+
+    An atomic option is read from the other game's masks, fetched at the
+    first such option of a loop; a composite one costs one tri lookup, and
+    a miss goes straight to _tri_cold.  Plain loops rather than all()/any()
+    over generators: one Python frame per relation call.
+    """
+    tri_memo = ctx.tri
+    index = G.poset._index
+    res = True
+    hu = H.uid
+    m = None
+    for gl in G.left:
+        if gl.atom is not None:
+            if m is None:
+                m = ctx.masks.get(hu) or atom_masks(ctx, H)
+            t = m[3] >> index[gl.atom] & 1
+        else:
+            t = tri_memo.get(gl.uid << 32 | hu)
+            if t is None:
+                t = _tri_cold(ctx, gl, H)
+        if not t:
+            res = False
+            break
+    else:
+        gu = G.uid << 32
+        m = None
+        for hr in H.right:
+            if hr.atom is not None:
+                if m is None:
+                    m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
+                t = m[1] >> index[hr.atom] & 1
+            else:
+                t = tri_memo.get(gu | hr.uid)
+                if t is None:
+                    t = _tri_cold(ctx, G, hr)
+            if not t:
+                res = False
+                break
+    ctx.leq[G.uid << 32 | hu] = res
+    return res
+
+
+def _tri_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
+    """tri of two composites whose pair is not in ctx.tri; see _leq_cold."""
     leq_memo = ctx.leq
+    index = G.poset._index
     res = False
     hu = H.uid
+    m = None
     for gr in G.right:
-        t = leq_memo.get(gr.uid << 32 | hu)
-        if t is None:
-            t = _leq(ctx, gr, H)
+        if gr.atom is not None:
+            if m is None:
+                m = ctx.masks.get(hu) or atom_masks(ctx, H)
+            t = m[2] >> index[gr.atom] & 1
+        else:
+            t = leq_memo.get(gr.uid << 32 | hu)
+            if t is None:
+                t = _leq_cold(ctx, gr, H)
         if t:
             res = True
             break
     else:
         gu = G.uid << 32
+        m = None
         for hl in H.left:
-            t = leq_memo.get(gu | hl.uid)
-            if t is None:
-                t = _leq(ctx, G, hl)
+            if hl.atom is not None:
+                if m is None:
+                    m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
+                t = m[0] >> index[hl.atom] & 1
+            else:
+                t = leq_memo.get(gu | hl.uid)
+                if t is None:
+                    t = _leq_cold(ctx, G, hl)
             if t:
                 res = True
                 break
-    memo[key] = res
+    ctx.tri[G.uid << 32 | hu] = res
     return res
 
 
@@ -457,11 +515,14 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
         ctx.simp[G.uid] = cand
         return cand
     # plain loops, so a level of nesting costs one Python frame
+    simp = ctx.simp
     ls, rs = [], []
     for x in G.left:
-        ls.append(simplify(ctx, x))
+        s = simp.get(x.uid)
+        ls.append(simplify(ctx, x) if s is None else s)
     for x in G.right:
-        rs.append(simplify(ctx, x))
+        s = simp.get(x.uid)
+        rs.append(simplify(ctx, x) if s is None else s)
     ls, rs = _dedup(ls), _dedup(rs)
     passes = 0
     while True:
@@ -470,7 +531,7 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
             raise SimplificationDiverged(f"no fixpoint after {passes} passes")
         ls = _prune_dominated(ctx, ls, keep_large=True)
         rs = _prune_dominated(ctx, rs, keep_large=False)
-        cur = composite(ls, rs, G.poset)
+        cur = _intern(G.poset, ls, rs)
         new_ls = _bypass(ctx, cur, ls, left_side=True)
         if new_ls is not None:
             ls = new_ls
@@ -529,19 +590,19 @@ def _bypass(ctx, cur, options, left_side):
     value of the node.
     """
     for x in options:
-        if x.is_atomic:
+        if x.atom is not None:
             continue
         targets = x.right if left_side else x.left
         for t in targets:
-            if t.is_atomic:
+            if t.atom is not None:
                 continue
             ok = _leq(ctx, t, cur) if left_side else _leq(ctx, cur, t)
             if not ok:
                 continue
             rest = tuple(o for o in options if o is not x)
             new = _dedup(rest + (t.left if left_side else t.right))
-            cand = (composite(new, cur.right, cur.poset) if left_side
-                    else composite(cur.left, new, cur.poset))
+            cand = (_intern(cur.poset, new, cur.right) if left_side
+                    else _intern(cur.poset, cur.left, new))
             if equiv(ctx, cand, cur):
                 return new
     return None

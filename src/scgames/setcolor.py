@@ -318,7 +318,12 @@ class SetColoringGame:
 
 
 def payoff_eval(S: SetColoringGame, position: str) -> str:
-    """Score a finished coloring (no empty cells allowed)."""
+    """Score a finished coloring (no empty cells allowed).
+
+    Reads the payoff's ``value_at``, one coloring at a time, not the
+    compiled table that evaluation uses, so tests can hold one against the
+    other.
+    """
     p = normalize_position(position)
     if len(p) != S.size:
         raise ValueError("position length differs from carrier size")

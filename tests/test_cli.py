@@ -67,12 +67,18 @@ def test_eval_shipped_hex(capsys):
 
 
 def test_stats_flag_prints_counters_on_stderr(capsys):
-    code, out, err = run(capsys, "--stats", "eval", HEX)
-    assert code == 0 and out.strip() == "{top|bot}"
-    stats = json.loads(err)
-    assert stats["eval_residuals"] == 19
-    assert sorted(stats["memo"]) == ["leq", "masks", "simp", "tri"]
-    assert stats["memo"]["simp"] > 0
+    # a fresh interpreter, since `interned` counts against the process-wide
+    # table; the line is the one README prints, byte for byte
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "scgames", "--stats", "eval",
+                           HEX], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
+    assert json.loads(proc.stderr) == {
+        "eval_residuals": 19, "interned": 12,
+        "memo": {"leq": 6, "masks": 12, "simp": 12, "tri": 1}}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
     # a false predicate keeps its exit code, and the line is still printed;
     # two atoms are compared through their masks, not the pair memos
     code, out, err = run(capsys, "--stats", "leq", "top", "a")

@@ -200,6 +200,28 @@ def test_relations_match_reference_on_sums_in_one_context(ctx):
             assert tri(ctx, g, h) == ref_tri(g, h)
 
 
+def test_cold_paths_match_reference_at_atomic_options(ctx):
+    # the order kernel reads an atomic option from the other game's masks:
+    # sampled pairs of positions, each with atomic options on both sides,
+    # of sums of composite passable games, one fresh context a sum
+    rng = random.Random(1016)
+    gs = [_composite_passable(ctx, rng) for _ in range(31)]
+    seen = set()
+    for g, h in zip(gs, gs[1:]):
+        local = SolverContext()
+        s = sum_games(local, g, h)
+        mixed = [x for x in positions(s)
+                 if any(o.atom is not None for o in x.left)
+                 and any(o.atom is not None for o in x.right)]
+        for _ in range(30):
+            x, y = rng.choice(mixed), rng.choice(mixed)
+            got = (leq(local, x, y), tri(local, x, y), equiv(local, x, y))
+            assert got == (ref_leq(x, y), ref_tri(x, y), ref_equiv(x, y))
+            seen.add(got)
+        assert ref_equiv(simplify(local, s), s)
+    assert len(seen) == 4       # every consistent outcome occurs
+
+
 MASK_POSETS = [(P4, 3), (product(P4, P4), 2), (CHAIN4, 3), (BOWTIE6, 3)]
 MASK_IDS = ["P4", "P4xP4", "chain4", "bowtie6"]
 
@@ -284,6 +306,30 @@ def test_leq_decides_chain_of_300_levels(ctx):
         if n == 3:
             assert got == (ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo))
         assert got == (True, False, False)
+
+
+def test_chain_of_400_levels_through_the_order_kernel():
+    # leq and tri alternate two Python frames per level, so 400 levels fit
+    # the default recursion limit in every entry that reaches them; each
+    # query gets a fresh context, so no memo answers it from another's
+    # recursion, and the answers match the reference on a shallow chain
+    assert sys.getrecursionlimit() <= 1000
+    a, b = atomic("a", P4), atomic("b", P4)
+
+    def chain(n):
+        g = bot(P4)
+        for _ in range(n):
+            g = composite([a, b], [g])      # {a,b|...{a,b|bot}...}
+        return g
+
+    g, h = chain(4), chain(3)
+    assert (ref_leq(g, h), ref_leq(h, g), ref_equiv(g, h),
+            ref_is_passable(g)) == (False, True, False, True)
+    g, h = chain(400), chain(399)
+    assert (leq(SolverContext(), g, h), leq(SolverContext(), h, g),
+            equiv(SolverContext(), g, h),
+            is_passable(SolverContext(), g)) == (False, True, False, True)
+    assert simplify(SolverContext(), g) is g
 
 
 def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
