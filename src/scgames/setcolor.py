@@ -405,12 +405,35 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     seed the memo with the outcome atoms, in order of first appearance,
     and each option's table is looked up in the memo before it is
     recursed into.  The steps that take a table apart are planned once per
-    table size (see _split_plan).  A dead cell, one whose two colorings
-    leave the same table, gives its black option's value to the white one
-    without a second lookup.  Options are visited black then white, from
-    the first empty cell up, so games are interned in the same order on
-    every run.  ``ctx.stats["eval_residuals"]`` grows by the number of
-    distinct tables evaluated.
+    table size (see _split_plan).  Options are visited black then white,
+    from the first empty cell up, so games are interned in the same order
+    on every run.
+
+    A cell is dead in a table when its two colorings leave the same table
+    (Björnsson, Hayward, Johanson and van Rijswijck, *Dead cell analysis in
+    Hex and the Shannon game*, 2007; P. Selinger, *On the combinatorial
+    value of Hex positions*, 2021).  With simplify=True a table is split
+    at its empty cells before any option is recursed into, and a table
+    with a dead cell takes the value of its filled table, the table left
+    by its first dead cell, which the memo then holds under both keys; no
+    node is built for it.  This is sound up to equivalence.  Let P' be P
+    with its dead cell c filled.  A cell other than c is dead in P iff it
+    is dead in P', and c stays dead in every option of P, so by induction
+    each option of P that colors a cell d other than c is equivalent to
+    the option of P' that colors d, and by option congruence P is
+    equivalent to {P', P'^L | P', P'^R}.  That game is equivalent to P':
+    in the clauses of leq, both ways, every option of P' is matched with
+    itself (leq is reflexive), and the two added options P' need
+    tri(P', P'), which holds because P' is passable: every payoff class is
+    monotone by construction, and a monotone position is passable.  The
+    memoized simplified evaluator already rests on option congruence, so
+    this assumes nothing more.  With simplify=False the reduction is off,
+    so a dead cell's two options share one value but stay in the tree: the
+    structural sum and map identities hold for the raw trees exactly.
+
+    ``ctx.stats["eval_residuals"]`` grows by the number of distinct tables
+    expanded into a node (the one-entry tables included), and
+    ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.
     """
     n = S.size
     if n > max_cells:
@@ -437,10 +460,12 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     plans = {width << k: _split_plan(width << k, width)
              for k in range(empty.bit_count() + 1)}
     join = b"".join
+    dead = 0
 
     def rec(t: bytes) -> Game:
         """The value of a table not yet in the memo."""
-        lefts, rights = [], []
+        nonlocal dead
+        halves = []
         for on, off, fmt in plans[len(t)]:
             if fmt is None:
                 black, white = t[on], t[off]
@@ -449,6 +474,14 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                 black, white = units[1::2].tobytes(), units[0::2].tobytes()
             else:
                 black, white = join(on(t)), join(off(t))
+            if simplify and black == white:
+                g = known(black) or rec(black)
+                memo[t] = g
+                dead += 1
+                return g
+            halves.append((black, white))
+        lefts, rights = [], []
+        for black, white in halves:
             g = known(black)
             if g is None:
                 g = rec(black)
@@ -465,7 +498,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
         return g
 
     out = known(table) or rec(table)
-    ctx.stats["eval_residuals"] += len(memo)
+    ctx.stats["eval_residuals"] += len(memo) - dead
+    ctx.stats["eval_dead"] += dead
     # rec reaches itself through its closure; clearing the name breaks that
     # cycle, so the memo is freed on return, not at a later full collection
     del rec

@@ -75,8 +75,8 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
                            HEX], capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
     assert json.loads(proc.stderr) == {
-        "eval_residuals": 19, "interned": 12,
-        "memo": {"leq": 6, "masks": 12, "simp": 12, "tri": 1}}
+        "eval_dead": 10, "eval_residuals": 9, "interned": 8,
+        "memo": {"leq": 6, "masks": 8, "simp": 8, "tri": 1}}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
     # a false predicate keeps its exit code, and the line is still printed;

@@ -8,6 +8,7 @@ independent arithmetic, not against themselves.
 import gc
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -18,10 +19,11 @@ from scgames.algebra import (
     coupling,
     force_left,
     force_right,
+    gadget_game,
     map_game,
     sum_games,
 )
-from scgames.catalog import antichains
+from scgames.catalog import antichains, expand_fixture, load_fixture
 from scgames.games import SolverContext, atomic, composite, equiv, \
     is_monotone, is_passable
 from scgames.poset import (
@@ -321,35 +323,147 @@ def test_split_plans_take_the_entries_by_cell_bit(width):
                 assert list(_split_step(step, t)) == want, (size, i)
 
 
-def test_eval_counts_distinct_residual_tables(ctx):
+def _table(S, p):
+    """The payoffs over the empty cells of p, scored one coloring at a time
+    by payoff_eval: entry s colors the j-th empty cell by bit j of s."""
+    empty = [i for i, c in enumerate(p) if c == "."]
+    out = []
+    for sub in range(1 << len(empty)):
+        q = list(p)
+        for j, i in enumerate(empty):
+            q[i] = "1" if sub >> j & 1 else "0"
+        out.append(payoff_eval(S, "".join(q)))
+    return tuple(out)
+
+
+def _walk_counts(S):
+    """How many distinct residual tables the simplified evaluator expands
+    into a node, and how many a dead cell settles, by a walk over
+    positions: a table with a dead cell, one whose two colorings leave the
+    same table, goes on into the table with its first dead cell filled;
+    any other table (the one-entry tables too) goes on into all its
+    options."""
+    kinds = {}
+    todo = ["." * S.size]
+    while todo:
+        p = todo.pop()
+        t = _table(S, p)
+        if t in kinds:
+            continue
+        options = [(p[:i] + "1" + p[i + 1:], p[:i] + "0" + p[i + 1:])
+                   for i, c in enumerate(p) if c == "."]
+        dead = [b for b, w in options if _table(S, b) == _table(S, w)]
+        if dead:
+            kinds[t] = "dead"
+            todo.append(dead[0])
+        else:
+            kinds[t] = "residual"
+            todo += [q for pair in options for q in pair]
+    return Counter(kinds.values())
+
+
+def test_eval_counts_distinct_residual_tables():
     # positions with the same payoff over their empty cells share a value,
-    # so the evaluator visits each distinct residual table once
-    S = sc_base(GadgetKind.COUPLING)
+    # so the evaluator visits each distinct residual table once; a table
+    # with a dead cell is settled by its filled table, with no node, but
+    # raw trees keep a node for every table of every position
+    for S in (sc_base(GadgetKind.COUPLING), shipped_board("hex2x2.scg")):
+        n = S.size
+        want = _walk_counts(S)
+        assert want["dead"] > 0
+        ctx = SolverContext()
+        eval_board(ctx, S)
+        assert ctx.stats["eval_residuals"] == want["residual"]
+        assert ctx.stats["eval_dead"] == want["dead"]
+        every = {_table(S, "".join("01."[k // 3 ** i % 3] for i in range(n)))
+                 for k in range(3 ** n)}
+        assert want["residual"] + want["dead"] <= len(every) < 3 ** n
+        ctx = SolverContext()
+        eval_board(ctx, S, simplify=False)
+        assert ctx.stats["eval_residuals"] == len(every)
+        assert ctx.stats["eval_dead"] == 0
+
+
+def _planted_board(rng, poset, n):
+    """A random threshold board on n cells, one of which is in no required
+    set, so it is dead in every position."""
+    T = random_threshold_board(rng, poset, n - 1).payoff
+    c = rng.randrange(n)
+    sets = {a: tuple(s[:c] + "0" + s[c:] for s in ps)
+            for a, ps in T.sets.items()}
+    return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+                           Threshold(poset, n, sets))
+
+
+def _dead_cells(S):
+    """The cells whose color never changes the payoff."""
     n = S.size
-    residuals = set()
-    for k in range(3 ** n):
-        p = ""
-        for _ in range(n):
-            p += "01."[k % 3]
-            k //= 3
-        empty = [i for i, c in enumerate(p) if c == "."]
-        table = []
-        for sub in range(1 << len(empty)):
-            q = list(p)
-            for j, i in enumerate(empty):
-                q[i] = "1" if sub >> j & 1 else "0"
-            table.append(payoff_eval(S, "".join(q)))
-        residuals.add(tuple(table))
-    eval_board(ctx, S)
-    assert ctx.stats["eval_residuals"] == len(residuals) < 3 ** n
+    return [i for i in range(n)
+            if all(S.payoff.value_at(b, n) == S.payoff.value_at(b | 1 << i, n)
+                   for b in range(1 << n) if not b >> i & 1)]
+
+
+def _planted_boards(rng):
+    """Seeded threshold and composed boards of at most 8 cells, each with
+    a dead cell."""
+    wide = product(product(BOOL, BOOL), BOOL)
+    f = MonotoneFn(BOOL, wide, {"bot": wide.bot, "top": wide.top})
+    boards = [_planted_board(rng, poset, rng.randint(1, 6))
+              for poset in (P4, P4, P4, BOOL, BOOL, P3) for _ in range(2)]
+    boards += [
+        sc_sum(_planted_board(rng, P4, 3), _small_board(rng, 2)),
+        sc_coupling(_planted_board(rng, P4, 2), _small_board(rng, 1)),
+        sc_dual(_planted_board(rng, P4, 5)),
+        sc_force_left(_planted_board(rng, P4, 4)),
+        sc_shared_choice(_planted_board(rng, P4, 4), _small_board(rng, 2)),
+        sc_map(f, _planted_board(rng, BOOL, 5)),
+    ]
+    return boards
+
+
+def test_dead_cell_reduction_is_exact_on_planted_boards(ctx):
+    # a position with a dead cell empty has the very value of the
+    # position with it filled, either color
+    rng = random.Random(3018)
+    for S in _planted_boards(rng):
+        n = S.size
+        dead = _dead_cells(S)
+        assert n <= 8 and dead, S
+        for _ in range(6):
+            c = rng.choice(dead)
+            p = [rng.choice("01...") for _ in range(n)]
+            p[c] = "."
+            got = eval_position(ctx, S, "".join(p))
+            for fill in "10":
+                p[c] = fill
+                assert eval_position(ctx, S, "".join(p)) is got
 
 
 def test_simplified_eval_is_equivalent_to_raw(ctx):
     rng = random.Random(3002)
-    for _ in range(25):
-        S = random_threshold_board(rng, P4, rng.randint(1, 4))
+    boards = [random_threshold_board(rng, P4, rng.randint(1, 4))
+              for _ in range(25)]
+    for S in boards + _planted_boards(random.Random(3019)):
         raw = eval_board(ctx, S, simplify=False)
         assert equiv(ctx, eval_board(ctx, S), raw)
+
+
+def test_simplified_eval_is_equivalent_to_raw_on_criterion_6_boards(ctx):
+    # the boards that criterion 6 realizes, those of at most 10 cells
+    curated = sorted(expand_fixture(load_fixture(), 3, ctx),
+                     key=lambda g: g.uid)
+    curated += [gadget_game(k) for k in GadgetKind]
+    curated.append(parse("{top|bot}"))
+    rng = random.Random(9006)
+    randoms = [random_passable_game(ctx, rng, P4, 2, 2) for _ in range(100)]
+    checked = 0
+    for g in curated + randoms:
+        S = realize(ctx, g, verify_value=False).board
+        if S.size <= 10:
+            assert equiv(ctx, eval_board(ctx, S),
+                         eval_board(ctx, S, simplify=False))
+            checked += 1
+    assert checked == 95
 
 
 def test_eval_position_agrees_with_eval_board(ctx):
