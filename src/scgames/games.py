@@ -22,8 +22,8 @@ whether it is transitive on non-passable games is an open question we test
 empirically but never rely on (see simplify).
 
 A query with an atomic side reads one bit of the other game's atom masks
-(:func:`atom_masks`): four bitmasks over the poset's elements, bit i for
-the atom a_i, holding ``leq(G, a_i)``, ``tri(G, a_i)``, ``leq(a_i, G)`` and
+(``G.masks``): four bitmasks over the poset's elements, bit i for the atom
+a_i, holding ``leq(G, a_i)``, ``tri(G, a_i)``, ``leq(a_i, G)`` and
 ``tri(a_i, G)``.  An atom's masks are its up-row twice, then its down-row
 twice.  Unfolding the clauses above against an atom gives, for composite G,
 
@@ -32,7 +32,11 @@ twice.  Unfolding the clauses above against an atom gives, for composite G,
     tri(., G) = OR over left options gl of leq(., gl)
     leq(., G) = tri(., G) AND the AND over right options gr of tri(., gr)
 
-so a game's masks come from its options' in one pass.  The pair memos
+so a game's masks come from its options' in one pass.  They depend on the
+game alone, so every game gets them when it is interned, together with
+its ``depth`` (the longest run of moves to an atom) and its ``branching``
+(the most options on either side of any position, 0 for an atom), each
+also read off its options' fields.  The pair memos
 (``ctx.leq``, ``ctx.tri``) therefore hold composite pairs only, and a
 composite pair costs one lookup in them: a miss goes to the relation's
 cold path, which evaluates the clauses.  There an atomic option is read
@@ -93,9 +97,7 @@ _GAMES: dict[tuple, "Game"] = {}
 _NEXT_UID = [0]
 UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
 
-# structural metric memos, global because games are interned globally
-_DEPTH: dict[int, int] = {}
-_BRANCH: dict[int, int] = {}
+# symmetry images, global because games are interned globally
 _DUAL: dict[int, "Game"] = {}
 _SWAP: dict[int, "Game"] = {}
 
@@ -104,19 +106,25 @@ class Game:
     """Interned game node.  Build via :func:`atomic` / :func:`composite`.
 
     ``atom`` is None for composites; ``left``/``right`` are () for leaves
-    and uid-sorted tuples of Games otherwise.
+    and uid-sorted tuples of Games otherwise.  ``masks``, ``depth`` and
+    ``branching`` are fixed at interning; see the module docstring.
     """
 
-    __slots__ = ("poset", "atom", "left", "right", "uid")
+    __slots__ = ("poset", "atom", "left", "right", "uid", "masks", "depth",
+                 "branching")
 
     def __init__(self, poset: AtomPoset, atom: Optional[str],
                  left: tuple["Game", ...], right: tuple["Game", ...],
-                 uid: int):
+                 uid: int, masks: tuple[int, int, int, int], depth: int,
+                 branching: int):
         self.poset = poset
         self.atom = atom
         self.left = left
         self.right = right
         self.uid = uid
+        self.masks = masks
+        self.depth = depth
+        self.branching = branching
 
     @property
     def is_atomic(self) -> bool:
@@ -132,7 +140,13 @@ def atomic(a: str, poset: AtomPoset) -> Game:
     key = (poset, a)
     g = _GAMES.get(key)
     if g is None:
-        g = _GAMES[key] = Game(poset, a, (), (), _new_uid())
+        i = poset._index[a]
+        up = poset._up[i]
+        down = 0
+        for j, row in enumerate(poset._up):
+            down |= (row >> i & 1) << j
+        g = _GAMES[key] = Game(poset, a, (), (), _new_uid(),
+                               (up, up, down, down), 0, 0)
     return g
 
 
@@ -160,12 +174,37 @@ def _intern(poset: AtomPoset, ls: tuple[Game, ...],
 
     The caller guarantees what :func:`composite` checks: both tuples are
     non-empty, uid-sorted and free of duplicates, and every option lives
-    over ``poset``.  Nothing is re-checked here.
+    over ``poset``.  Nothing is re-checked here.  A new node's masks,
+    depth and branching come from its options' by the module docstring's
+    recurrences.
     """
     key = (poset, ls, rs)
     g = _GAMES.get(key)
     if g is None:
-        g = _GAMES[key] = Game(poset, None, ls, rs, _new_uid())
+        # leq(G, .) starts from the AND over left options, leq(., G) from
+        # the AND over right ones; -1 has every bit set
+        tri_g = below = depth = 0
+        leq_g = leq_b = -1
+        branching = max(len(ls), len(rs))
+        for x in ls:
+            m = x.masks
+            leq_g &= m[1]
+            below |= m[2]
+            if x.depth > depth:
+                depth = x.depth
+            if x.branching > branching:
+                branching = x.branching
+        for x in rs:
+            m = x.masks
+            tri_g |= m[0]
+            leq_b &= m[3]
+            if x.depth > depth:
+                depth = x.depth
+            if x.branching > branching:
+                branching = x.branching
+        g = _GAMES[key] = Game(poset, None, ls, rs, _new_uid(),
+                               (tri_g & leq_g, tri_g, below & leq_b, below),
+                               depth + 1, branching)
     return g
 
 
@@ -195,18 +234,19 @@ def bot(poset: AtomPoset) -> Game:
 class SolverContext:
     """Memo tables for the recursive relations, confined to one thread.
 
-    ``cache(name)`` hands out extra per-context dicts so the other modules
-    (sum, map, realization) share this object's lifetime without this
-    module knowing their key shapes.
+    What depends on one game alone (its atom masks, depth and branching)
+    is a field of the game, not a memo here.  ``cache(name)`` hands out
+    extra per-context dicts so the other modules (sum, map, realization)
+    share this object's lifetime without this module knowing their key
+    shapes.
     """
 
-    __slots__ = ("leq", "tri", "masks", "simp", "passable", "monotone",
-                 "stats", "_extra")
+    __slots__ = ("leq", "tri", "simp", "passable", "monotone", "stats",
+                 "_extra")
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
         self.tri: dict[int, bool] = {}
-        self.masks: dict[int, tuple[int, int, int, int]] = {}
         self.simp: dict[int, Game] = {}
         self.passable: dict[int, bool] = {}
         self.monotone: dict[int, bool] = {}
@@ -220,9 +260,10 @@ class SolverContext:
         return d
 
     def memo_sizes(self) -> dict[str, int]:
-        """Entries in the order and simplification memos."""
+        """Entries in the pair memos of the order and in the
+        simplification memo."""
         return {"leq": len(self.leq), "tri": len(self.tri),
-                "masks": len(self.masks), "simp": len(self.simp)}
+                "simp": len(self.simp)}
 
 
 def pair_key(G: Game, H: Game) -> int:
@@ -247,57 +288,14 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
     return _tri(ctx, G, H)
 
 
-def atom_masks(ctx: SolverContext, G: Game) -> tuple[int, int, int, int]:
-    """G against every atom: the masks of ``leq(G, .)``, ``tri(G, .)``,
-    ``leq(., G)`` and ``tri(., G)``, bit i for atom i in element order.
-
-    Built bottom-up by the recurrences in the module docstring, memoized
-    in ctx.masks by uid; a level of nesting costs one Python frame.
-    """
-    memo = ctx.masks
-    hit = memo.get(G.uid)
-    if hit is not None:
-        return hit
-    if G.atom is not None:
-        p = G.poset
-        i = p._index[G.atom]
-        up = p._up[i]
-        down = 0
-        for j, row in enumerate(p._up):
-            down |= (row >> i & 1) << j
-        res = (up, up, down, down)
-    else:
-        # leq(G, .) starts from the AND over left options, leq(., G) from
-        # the AND over right ones; -1 has every bit set
-        tri_g = below = 0
-        leq_g = leq_b = -1
-        for x in G.left:
-            m = memo.get(x.uid)
-            if m is None:
-                m = atom_masks(ctx, x)
-            leq_g &= m[1]
-            below |= m[2]
-        for x in G.right:
-            m = memo.get(x.uid)
-            if m is None:
-                m = atom_masks(ctx, x)
-            tri_g |= m[0]
-            leq_b &= m[3]
-        res = (tri_g & leq_g, tri_g, below & leq_b, below)
-    memo[G.uid] = res
-    return res
-
-
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     # An atomic side is answered from the other game's masks, a composite
     # pair by one lookup in ctx.leq; only a miss goes to the clauses.
     # Keys are pair_key, spelled out to save a call per lookup.
     if G.atom is not None:
-        m = ctx.masks.get(H.uid) or atom_masks(ctx, H)
-        return m[2] >> G.poset._index[G.atom] & 1 == 1
+        return H.masks[2] >> G.poset._index[G.atom] & 1 == 1
     if H.atom is not None:
-        m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
-        return m[0] >> H.poset._index[H.atom] & 1 == 1
+        return G.masks[0] >> H.poset._index[H.atom] & 1 == 1
     hit = ctx.leq.get(G.uid << 32 | H.uid)
     if hit is None:
         hit = _leq_cold(ctx, G, H)
@@ -306,11 +304,9 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
     if G.atom is not None:
-        m = ctx.masks.get(H.uid) or atom_masks(ctx, H)
-        return m[3] >> G.poset._index[G.atom] & 1 == 1
+        return H.masks[3] >> G.poset._index[G.atom] & 1 == 1
     if H.atom is not None:
-        m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
-        return m[1] >> H.poset._index[H.atom] & 1 == 1
+        return G.masks[1] >> H.poset._index[H.atom] & 1 == 1
     hit = ctx.tri.get(G.uid << 32 | H.uid)
     if hit is None:
         hit = _tri_cold(ctx, G, H)
@@ -320,21 +316,18 @@ def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
     """leq of two composites whose pair is not in ctx.leq, by its clauses.
 
-    An atomic option is read from the other game's masks, fetched at the
-    first such option of a loop; a composite one costs one tri lookup, and
-    a miss goes straight to _tri_cold.  Plain loops rather than all()/any()
-    over generators: one Python frame per relation call.
+    An atomic option is read from the other game's masks; a composite one
+    costs one tri lookup, and a miss goes straight to _tri_cold.  Plain
+    loops rather than all()/any() over generators: one Python frame per
+    relation call.
     """
     tri_memo = ctx.tri
     index = G.poset._index
     res = True
     hu = H.uid
-    m = None
     for gl in G.left:
         if gl.atom is not None:
-            if m is None:
-                m = ctx.masks.get(hu) or atom_masks(ctx, H)
-            t = m[3] >> index[gl.atom] & 1
+            t = H.masks[3] >> index[gl.atom] & 1
         else:
             t = tri_memo.get(gl.uid << 32 | hu)
             if t is None:
@@ -344,12 +337,9 @@ def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
             break
     else:
         gu = G.uid << 32
-        m = None
         for hr in H.right:
             if hr.atom is not None:
-                if m is None:
-                    m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
-                t = m[1] >> index[hr.atom] & 1
+                t = G.masks[1] >> index[hr.atom] & 1
             else:
                 t = tri_memo.get(gu | hr.uid)
                 if t is None:
@@ -367,12 +357,9 @@ def _tri_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
     index = G.poset._index
     res = False
     hu = H.uid
-    m = None
     for gr in G.right:
         if gr.atom is not None:
-            if m is None:
-                m = ctx.masks.get(hu) or atom_masks(ctx, H)
-            t = m[2] >> index[gr.atom] & 1
+            t = H.masks[2] >> index[gr.atom] & 1
         else:
             t = leq_memo.get(gr.uid << 32 | hu)
             if t is None:
@@ -382,12 +369,9 @@ def _tri_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
             break
     else:
         gu = G.uid << 32
-        m = None
         for hl in H.left:
             if hl.atom is not None:
-                if m is None:
-                    m = ctx.masks.get(G.uid) or atom_masks(ctx, G)
-                t = m[0] >> index[hl.atom] & 1
+                t = G.masks[0] >> index[hl.atom] & 1
             else:
                 t = leq_memo.get(gu | hl.uid)
                 if t is None:
@@ -460,7 +444,7 @@ def atom_signature(ctx: SolverContext, G: Game) -> Optional[tuple[int, int]]:
     """
     if not is_passable(ctx, G):
         return None
-    m = atom_masks(ctx, G)
+    m = G.masks
     return m[2], m[0]
 
 
@@ -469,8 +453,13 @@ def is_monotone(ctx: SolverContext, G: Game) -> bool:
     hit = ctx.monotone.get(G.uid)
     if hit is not None:
         return hit
-    res = (local_class(ctx, G) in ("atomic", "monotone")
-           and all(is_monotone(ctx, x) for x in G.left + G.right))
+    # a plain loop keeps it to one Python frame per level, like is_passable
+    res = local_class(ctx, G) in ("atomic", "monotone")
+    if res:
+        for x in G.left + G.right:
+            if not is_monotone(ctx, x):
+                res = False
+                break
     ctx.monotone[G.uid] = res
     return res
 
@@ -506,7 +495,7 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     if G.is_atomic:
         ctx.simp[G.uid] = G
         return G
-    m = atom_masks(ctx, G)
+    m = G.masks
     both = m[0] & m[2]
     if both:
         # the first atom, in element order, equivalent to G
@@ -608,34 +597,7 @@ def _bypass(ctx, cur, options, left_side):
     return None
 
 
-# -- structural metrics ------------------------------------------------------
-
-def depth(G: Game) -> int:
-    """Longest run of moves from G to an atom; one Python frame a level."""
-    hit = _DEPTH.get(G.uid)
-    if hit is None:
-        hit = 0
-        for x in G.left + G.right:
-            d = depth(x) + 1
-            if d > hit:
-                hit = d
-        _DEPTH[G.uid] = hit
-    return hit
-
-
-def branching(G: Game) -> int:
-    """Max option count on either side over all positions; 0 when atomic.
-    One Python frame a level."""
-    hit = _BRANCH.get(G.uid)
-    if hit is None:
-        hit = max(len(G.left), len(G.right))
-        for x in G.left + G.right:
-            b = branching(x)
-            if b > hit:
-                hit = b
-        _BRANCH[G.uid] = hit
-    return hit
-
+# -- positions ---------------------------------------------------------------
 
 def positions(G: Game) -> list[Game]:
     """All distinct positions, the game itself first, options before leaves."""

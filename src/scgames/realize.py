@@ -22,8 +22,6 @@ from .games import (
     Game,
     SolverContext,
     composite,
-    depth,
-    branching,
     equiv,
     is_monotone,
     is_passable,
@@ -72,10 +70,10 @@ def size_bound(ctx: SolverContext, G: Game) -> int:
     """
     if not is_passable(ctx, G):
         raise NotPassable(f"not passable: {to_notation(G)}")
-    d = depth(G)
+    d = G.depth
     if d == 0:
         return 0
-    b = max(branching(G), 1)
+    b = max(G.branching, 1)
     per = 4 * _ceil_log2(b) + (7 if is_monotone(ctx, G) else 10)
     return (2 ** d - 1) * per
 

@@ -506,9 +506,11 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     return out
 
 
-def check_payoff_monotone(S: SetColoringGame, cap: int = 12) -> bool:
+def check_payoff_monotone(S: SetColoringGame,
+                          cap: int = DEFAULT_EVAL_CAP) -> bool:
     """Exhaustively verify the payoff respects the coloring order, on its
-    compiled table.
+    compiled table.  The default cap is eval_board's, so every board it
+    evaluates can be checked.
 
     It is enough to compare colorings across single white-to-black flips;
     those generate the pointwise order.

@@ -28,9 +28,7 @@ from scgames.games import (
     UnknownAtom,
     atomic,
     bot,
-    branching,
     composite,
-    depth,
     dual,
     equiv,
     is_passable,
@@ -63,7 +61,7 @@ def test_sum_interleaves_options(ctx):
     g = parse("{top|bot}")
     s = sum_games(ctx, g, g)
     assert len(s.left) == 2 and len(s.right) == 2
-    assert depth(s) == 2
+    assert s.depth == 2
 
 
 def test_sum_crosses_posets(ctx):
@@ -106,8 +104,8 @@ def test_map_preserves_shape(ctx):
     for _ in range(20):
         g = random_game(rng, f.domain, max_depth=3, max_branch=2)
         m = map_game(ctx, f, g)
-        assert depth(m) == depth(g)
-        assert branching(m) <= branching(g)
+        assert m.depth == g.depth
+        assert m.branching <= g.branching
 
 
 def test_map_memo_is_keyed_by_the_function_object():
@@ -137,16 +135,17 @@ def test_chain_of_600_levels_through_the_rebuild_walkers(ctx):
 
 
 def test_chain_of_600_levels_through_printing_branching_and_sum(ctx):
-    # to_notation, branching and sum_games loop over options rather than
-    # recurse through comprehensions: one Python frame per level
+    # to_notation and sum_games loop over options rather than recurse
+    # through comprehensions: one Python frame per level; depth and
+    # branching are set at interning
     assert sys.getrecursionlimit() <= 1000
     a, b = atomic("a", P4), atomic("b", P4)
     g = bot(P4)
     for _ in range(600):
         g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
-    assert branching(g) == 2
+    assert g.branching == 2
     assert to_notation(g).count("{") == 600
-    assert depth(sum_games(ctx, g, a)) == 600
+    assert sum_games(ctx, g, a).depth == 600
 
 
 def test_map_rejects_wrong_domain(ctx):

@@ -76,19 +76,19 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
     assert json.loads(proc.stderr) == {
         "eval_dead": 10, "eval_residuals": 9, "interned": 8,
-        "memo": {"leq": 6, "masks": 8, "simp": 8, "tri": 1}}
+        "memo": {"leq": 6, "simp": 8, "tri": 1}}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
     # a false predicate keeps its exit code, and the line is still printed;
     # two atoms are compared through their masks, not the pair memos
     code, out, err = run(capsys, "--stats", "leq", "top", "a")
     assert (code, out.strip()) == (1, "false")
-    assert json.loads(err)["memo"] == {"leq": 0, "tri": 0, "masks": 1,
-                                       "simp": 0}
-    # a composite pair is memoized, and its atom queries read masks
+    assert json.loads(err)["memo"] == {"leq": 0, "tri": 0, "simp": 0}
+    # a composite pair is memoized, and its atomic options (a on the left,
+    # b on the right) are read from the other game's masks, adding no entry
     code, out, err = run(capsys, "--stats", "leq", "{a|bot}", "{top|b}")
     memo = json.loads(err)["memo"]
-    assert code == 0 and memo["leq"] >= 1 and memo["masks"] >= 2
+    assert code == 0 and memo == {"leq": 1, "tri": 0, "simp": 0}
     # interned counts the games the verb added to the process-wide table:
     # a nine-level game no other test builds adds at least its eight outer
     # composites, and the same verb again adds none

@@ -21,13 +21,10 @@ from scgames.games import (
     PosetMismatch,
     UnknownAtom,
     SolverContext,
-    atom_masks,
     atom_signature,
     atomic,
     bot,
-    branching,
     composite,
-    depth,
     dual,
     equiv,
     is_good_left,
@@ -236,7 +233,7 @@ def test_atom_masks_match_reference(poset, max_depth):
                        for _ in range(40)]
     sigs = []
     for g in samples:
-        masks = atom_masks(ctx, g)
+        masks = g.masks
         below = above = 0
         for i, a in enumerate(atoms):
             want = (ref_leq(g, a), ref_tri(g, a), ref_leq(a, g),
@@ -279,10 +276,16 @@ def test_pair_memos_hold_composite_pairs_only():
                       _composite_passable(ctx, rng))
         assert s.poset is product(P4, P4)
         simplify(ctx, s)
+        # queries with an atomic side read the masks and add no entry
+        size = len(ctx.leq) + len(ctx.tri)
+        for e in s.poset.elements:
+            x = atomic(e, s.poset)
+            leq(ctx, s, x), tri(ctx, s, x), leq(ctx, x, s), tri(ctx, x, s)
+        assert len(ctx.leq) + len(ctx.tri) == size
     atomic_uids = {g.uid for g in list(games_mod._GAMES.values())
                    if g.atom is not None}
     keys = list(ctx.leq) + list(ctx.tri)
-    assert keys and ctx.masks
+    assert keys
     low = UID_LIMIT - 1
     assert not [k for k in keys
                 if k >> 32 in atomic_uids or k & low in atomic_uids]
@@ -314,7 +317,7 @@ def test_chain_of_400_levels_through_the_order_kernel():
     # query gets a fresh context, so no memo answers it from another's
     # recursion, and the answers match the reference on a shallow chain
     assert sys.getrecursionlimit() <= 1000
-    a, b = atomic("a", P4), atomic("b", P4)
+    t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
 
     def chain(n):
         g = bot(P4)
@@ -322,14 +325,22 @@ def test_chain_of_400_levels_through_the_order_kernel():
             g = composite([a, b], [g])      # {a,b|...{a,b|bot}...}
         return g
 
+    def monotone_chain(n):
+        g = a
+        for _ in range(n):
+            g = composite([t], [g])         # {top|...{top|a}...}
+        return g
+
     g, h = chain(4), chain(3)
     assert (ref_leq(g, h), ref_leq(h, g), ref_equiv(g, h),
             ref_is_passable(g)) == (False, True, False, True)
+    assert ref_is_monotone(monotone_chain(4))
     g, h = chain(400), chain(399)
     assert (leq(SolverContext(), g, h), leq(SolverContext(), h, g),
             equiv(SolverContext(), g, h),
             is_passable(SolverContext(), g)) == (False, True, False, True)
     assert simplify(SolverContext(), g) is g
+    assert is_monotone(SolverContext(), monotone_chain(400))
 
 
 def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
@@ -351,15 +362,26 @@ def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
     assert atom_signature(ctx, kept) is not None
 
 
-def test_chain_of_450_levels_through_depth_and_size_bound(ctx):
-    # depth takes one Python frame per level, so size_bound gets through
+def test_chain_of_2000_levels_through_depth_branching_and_masks(ctx):
+    # masks, depth and branching are set when a game is interned, from its
+    # options' fields, so reading them walks nothing, however deep the
+    # game; the masks settle at the second level, where the reference
+    # checks them, and size_bound gets as deep as is_passable
     from scgames.realize import size_bound
     assert sys.getrecursionlimit() <= 1000
     a, b = atomic("a", P4), atomic("b", P4)
-    g = bot(P4)
-    for _ in range(450):
-        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
-    assert depth(g) == 450 and branching(g) == 2
+    atoms = [atomic(e, P4) for e in P4.elements]
+    chain = [bot(P4)]
+    for _ in range(2000):
+        chain.append(composite([a, b], [chain[-1]]))   # {a,b|...{a,b|bot}...}
+    g, shallow = chain[2000], chain[2]
+    assert g.depth == 2000 and g.branching == 2
+    for i, x in enumerate(atoms):
+        assert tuple(m >> i & 1 == 1 for m in shallow.masks) == (
+            ref_leq(shallow, x), ref_tri(shallow, x), ref_leq(x, shallow),
+            ref_tri(x, shallow))
+    assert g.masks == shallow.masks
+    g = chain[450]
     per = 4 + (7 if is_monotone(ctx, g) else 10)
     assert size_bound(ctx, g) == (2 ** 450 - 1) * per
 
@@ -535,21 +557,25 @@ def test_prune_in_one_call_equals_the_stepwise_rule(poset, max_depth):
 # -- structural metrics -------------------------------------------------------
 
 def test_depth_branching_positions(ctx):
-    assert depth(parse("a")) == 0
-    assert branching(parse("a")) == 0
+    assert parse("a").depth == 0
+    assert parse("a").branching == 0
     g0 = parse("{top|bot}")
-    assert depth(g0) == 1 and branching(g0) == 1
+    assert g0.depth == 1 and g0.branching == 1
     assert len(positions(g0)) == 3
     k = parse(COUPLING_TEXT)
-    assert depth(k) == 2
-    assert branching(k) == 2
+    assert k.depth == 2
+    assert k.branching == 2
+    # the widest position sits in a left option, then in a right one
+    for text in ("{{a,b,top|bot}|bot}", "{top|{top|a,b,bot}}"):
+        g = parse(text)
+        assert (g.depth, g.branching) == (2, 3)
     assert len(positions(k)) == 7
     assert positions(k)[0] is k
 
 
 def test_depth_of_nested_chain():
     g = parse("{{{top|bot}|bot}|bot}")
-    assert depth(g) == 3
+    assert g.depth == 3
 
 
 # -- symmetries ---------------------------------------------------------------

@@ -42,6 +42,7 @@ from scgames.setcolor import (
     BoardFormatError,
     CarrierTooLarge,
     Compose,
+    DEFAULT_EVAL_CAP,
     Const,
     SetColoringGame,
     Threshold,
@@ -845,6 +846,22 @@ def test_payoff_monotonicity_check_reads_the_order():
     down = SetColoringGame(BOOL, ("c",), _TablePayoff(BOOL, (1, 0)))
     assert check_payoff_monotone(up)
     assert not check_payoff_monotone(down)
+
+
+def test_payoff_monotonicity_check_reaches_the_eval_cap():
+    # the default cap is eval_board's: a board on that many cells is
+    # checked in full, down to a flip at the last coloring that lowers the
+    # score, and one cell more is refused
+    n = DEFAULT_EVAL_CAP
+    cells = tuple(f"c{i}" for i in range(n + 1))
+    majority = tuple(int(2 * m.bit_count() >= n) for m in range(1 << n))
+    dip = majority[:-1] + (0,)
+    for table, want in ((majority, True), (dip, False)):
+        S = SetColoringGame(BOOL, cells[:n], _TablePayoff(BOOL, table))
+        assert check_payoff_monotone(S) is want
+    S = SetColoringGame(BOOL, cells, _TablePayoff(BOOL, (0,) * (2 << n)))
+    with pytest.raises(CarrierTooLarge):
+        check_payoff_monotone(S)
 
 
 def test_random_threshold_boards_are_monotone():
