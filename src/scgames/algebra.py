@@ -54,7 +54,7 @@ class GadgetKind(enum.Enum):
 
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     """Disjunctive sum over the product poset."""
-    memo = ctx.cache("sum")
+    memo = ctx.sum
     hit = memo.get(pair_key(G, H))
     if hit is not None:
         return hit
@@ -91,10 +91,9 @@ def map_game(ctx: SolverContext, f: MonotoneFn, G: Game) -> Game:
     if f.domain is not G.poset:
         raise PosetMismatch("function domain differs from the game's poset")
     # one memo per function object, which the table keeps alive
-    memos = ctx.cache("map")
-    memo = memos.get(f)
+    memo = ctx.map.get(f)
     if memo is None:
-        memo = memos[f] = {}
+        memo = ctx.map[f] = {}
     table, cod = f.table, f.codomain
     return rebuild(G, lambda a: atomic(table[a], cod), cod, False, memo)
 

@@ -10,10 +10,10 @@ out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded or
 negative, input nested deeper than the interpreter's recursion limit
 allows).  With ``--stats`` (before the verb), the counters of the verb's
-SolverContext, the sizes of its ``leq``, ``tri`` and ``simp`` memos (under
-``memo``; atom masks are fields of the games, not a memo) and the number
-of games the verb added to the intern table (``interned``) are printed as
-one JSON line on stderr; stdout and the exit code stay as they are.
+SolverContext, the size of every table it holds (under ``memo``, from
+``memo_sizes()``) and the number of games the verb added to the intern
+table (``interned``) are printed as one JSON line on stderr; stdout and
+the exit code stay as they are.
 """
 
 from __future__ import annotations

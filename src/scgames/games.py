@@ -108,10 +108,12 @@ class Game:
     ``atom`` is None for composites; ``left``/``right`` are () for leaves
     and uid-sorted tuples of Games otherwise.  ``masks``, ``depth`` and
     ``branching`` are fixed at interning; see the module docstring.
+    ``passable`` and ``monotone`` stay None until :func:`is_passable` and
+    :func:`is_monotone` first answer them.
     """
 
     __slots__ = ("poset", "atom", "left", "right", "uid", "masks", "depth",
-                 "branching")
+                 "branching", "passable", "monotone")
 
     def __init__(self, poset: AtomPoset, atom: Optional[str],
                  left: tuple["Game", ...], right: tuple["Game", ...],
@@ -125,6 +127,8 @@ class Game:
         self.masks = masks
         self.depth = depth
         self.branching = branching
+        self.passable: Optional[bool] = None
+        self.monotone: Optional[bool] = None
 
     @property
     def is_atomic(self) -> bool:
@@ -232,38 +236,36 @@ def bot(poset: AtomPoset) -> Game:
 
 
 class SolverContext:
-    """Memo tables for the recursive relations, confined to one thread.
+    """The memo tables of one run, confined to one thread.
 
-    What depends on one game alone (its atom masks, depth and branching)
-    is a field of the game, not a memo here.  ``cache(name)`` hands out
-    extra per-context dicts so the other modules (sum, map, realization)
-    share this object's lifetime without this module knowing their key
-    shapes.
+    What depends on one game alone (its atom masks, depth, branching,
+    passability and monotonicity) is a field of the game, not a memo
+    here.  Every table is a named attribute, and ``memo_sizes`` reports
+    them all.
     """
 
-    __slots__ = ("leq", "tri", "simp", "passable", "monotone", "stats",
-                 "_extra")
+    __slots__ = ("leq", "tri", "simp", "sum", "map", "realize",
+                 "realize_good", "stats")
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
         self.tri: dict[int, bool] = {}
         self.simp: dict[int, Game] = {}
-        self.passable: dict[int, bool] = {}
-        self.monotone: dict[int, bool] = {}
+        self.sum: dict[int, Game] = {}      # by pair_key
+        self.map: dict = {}                 # MonotoneFn -> {uid: image}
+        self.realize: dict = {}             # uid -> SetColoringGame
+        self.realize_good: dict = {}        # uid -> (side, index) of a good
+                                            # option a gift horse came from
         self.stats = defaultdict(int)
-        self._extra: dict[str, dict] = {}
-
-    def cache(self, name: str) -> dict:
-        d = self._extra.get(name)
-        if d is None:
-            d = self._extra[name] = {}
-        return d
 
     def memo_sizes(self) -> dict[str, int]:
-        """Entries in the pair memos of the order and in the
-        simplification memo."""
+        """Entries in every table of the context; ``map`` counts the
+        entries of all its per-function memos."""
         return {"leq": len(self.leq), "tri": len(self.tri),
-                "simp": len(self.simp)}
+                "simp": len(self.simp), "sum": len(self.sum),
+                "map": sum(len(m) for m in self.map.values()),
+                "realize": len(self.realize),
+                "realize_good": len(self.realize_good)}
 
 
 def pair_key(G: Game, H: Game) -> int:
@@ -417,8 +419,8 @@ def local_class(ctx: SolverContext, G: Game) -> str:
 
 
 def is_passable(ctx: SolverContext, G: Game) -> bool:
-    """Every position has a good option (or is atomic)."""
-    hit = ctx.passable.get(G.uid)
+    """Every position has a good option (or is atomic); kept on the game."""
+    hit = G.passable
     if hit is not None:
         return hit
     # local passability is exactly tri(G, G); a plain loop keeps it to one
@@ -429,7 +431,7 @@ def is_passable(ctx: SolverContext, G: Game) -> bool:
             if not is_passable(ctx, x):
                 res = False
                 break
-    ctx.passable[G.uid] = res
+    G.passable = res
     return res
 
 
@@ -449,8 +451,8 @@ def atom_signature(ctx: SolverContext, G: Game) -> Optional[tuple[int, int]]:
 
 
 def is_monotone(ctx: SolverContext, G: Game) -> bool:
-    """Every option of every position is good."""
-    hit = ctx.monotone.get(G.uid)
+    """Every option of every position is good; kept on the game."""
+    hit = G.monotone
     if hit is not None:
         return hit
     # a plain loop keeps it to one Python frame per level, like is_passable
@@ -460,7 +462,7 @@ def is_monotone(ctx: SolverContext, G: Game) -> bool:
             if not is_monotone(ctx, x):
                 res = False
                 break
-    ctx.monotone[G.uid] = res
+    G.monotone = res
     return res
 
 

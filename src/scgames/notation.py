@@ -27,9 +27,10 @@ class GameSyntaxError(ValueError):
 
 _PUNCT = frozenset("{}|,")
 
-# Brace nesting the parser accepts.  The parser and the order (leq/tri)
-# take two stack frames per level, printing and simplify one, so much
-# deeper input would exhaust Python's recursion limit.
+# Brace nesting the parser accepts.  Parsing, printing, simplify and the
+# predicates take one stack frame per level; the order (leq/tri) takes
+# two, and that alone is why much deeper input would exhaust Python's
+# recursion limit.
 MAX_NESTING = 100
 
 
@@ -95,36 +96,30 @@ class _Parser:
             raise GameSyntaxError(f"expected {value!r}", at)
 
     def game(self) -> Game:
-        kind, val, at = self.peek()
+        # both option lists are read here, so a level of nesting costs one
+        # Python frame
+        kind, val, at = self.take()
         if kind == "atom":
-            self.take()
             return self.atom(val, at)
-        if kind == "punct" and val == "{":
-            self.take()
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
-                raise GameSyntaxError(
-                    f"nesting too deep (more than {MAX_NESTING} levels)", at)
-            lefts = self.option_list("|")
-            self.expect("|")
-            rights = self.option_list("}")
-            self.expect("}")
-            self.nesting -= 1
-            return composite(lefts, rights, self.poset)
-        raise GameSyntaxError("expected a game", at)
-
-    def option_list(self, stop: str) -> list[Game]:
-        kind, val, at = self.peek()
-        if kind == "punct" and val == stop:
-            raise GameSyntaxError("empty option list", at)
-        out = [self.game()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "punct" and val == ",":
+        if kind != "punct" or val != "{":
+            raise GameSyntaxError("expected a game", at)
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise GameSyntaxError(
+                f"nesting too deep (more than {MAX_NESTING} levels)", at)
+        sides = []
+        for stop in "|}":
+            kind, val, at = self.peek()
+            if kind == "punct" and val == stop:
+                raise GameSyntaxError("empty option list", at)
+            options = [self.game()]
+            while self.peek()[:2] == ("punct", ","):
                 self.take()
-                out.append(self.game())
-            else:
-                return out
+                options.append(self.game())
+            self.expect(stop)
+            sides.append(options)
+        self.nesting -= 1
+        return composite(sides[0], sides[1], self.poset)
 
     def atom(self, name: str, at: int) -> Game:
         p = self.poset

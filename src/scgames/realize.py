@@ -113,8 +113,10 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
     bound, how the result was verified (by brute force under the cap; no
     check runs above it, labelled compositional, or when disabled), and
     which good option manufactured a gift horse at each node that needed
-    one.
+    one.  A negative ``verify_cap`` raises ValueError.
     """
+    if verify_cap < 0:
+        raise ValueError(f"verify_cap must be 0 or more, not {verify_cap}")
     bound = size_bound(ctx, G)
     board = _realize(ctx, G)
     assert board.size <= bound, "size bound violated"
@@ -127,7 +129,7 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
         how = VerifiedHow.BRUTE_FORCE
     else:
         how = VerifiedHow.COMPOSITIONAL
-    log = ctx.cache("realize_good")
+    log = ctx.realize_good
     used = {g.uid: log[g.uid] for g in positions(G) if g.uid in log}
     return RealizationReport(input=G, board=board, carrier_size=board.size,
                              bound=bound, verified=how,
@@ -135,12 +137,11 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
 
 
 def _realize(ctx: SolverContext, G: Game) -> SetColoringGame:
-    memo = ctx.cache("realize")
-    hit = memo.get(G.uid)
+    hit = ctx.realize.get(G.uid)
     if hit is not None:
         return hit
     board = _synthesize(ctx, G)
-    memo[G.uid] = board
+    ctx.realize[G.uid] = board
     return board
 
 
@@ -192,5 +193,5 @@ def _semi_monotonize(ctx: SolverContext, G: Game) -> Game:
             and any(leq(ctx, y, K) for y in K.right)):
         raise VerificationFailed(
             f"gift horse did not make {to_notation(G)} semi-monotone")
-    ctx.cache("realize_good")[G.uid] = record
+    ctx.realize_good[G.uid] = record
     return K

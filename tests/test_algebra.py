@@ -34,6 +34,7 @@ from scgames.games import (
     is_passable,
     leq,
     local_class,
+    positions,
     swap_ab,
     to_notation,
     top,
@@ -118,6 +119,18 @@ def test_map_memo_is_keyed_by_the_function_object():
     for i in range(200):
         table, want = ((swapped, parse("{b|a}")) if i % 2 else (same, g))
         assert map_game(ctx, MonotoneFn(P4, P4, table), g) is want
+
+
+def test_memo_sizes_count_the_sum_and_map_tables(ctx):
+    # a sum reaches every pair of positions once, and the map memo holds
+    # one image per position of the sum it collapses
+    X, G = gadget_game(GadgetKind.LEFT_FORCE), parse("{a,{top|b}|b}")
+    s = sum_games(ctx, X, G)
+    gadget_apply(ctx, X, G)
+    sizes = ctx.memo_sizes()
+    assert sizes["sum"] == len(positions(X)) * len(positions(G))
+    assert sizes["map"] == len(positions(s))
+    assert (sizes["realize"], sizes["realize_good"]) == (0, 0)
 
 
 def test_chain_of_600_levels_through_the_rebuild_walkers(ctx):

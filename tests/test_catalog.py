@@ -154,6 +154,12 @@ def test_orbit_representatives_are_the_naive_orbit_minima(n):
     assert len(reps) == (4, 9, 26, 125, 1990)[n]
 
 
+def test_five_cell_orbit_count():
+    # the count README gives; the naive orbit minima above stop at 4
+    # cells, since at 5 they would scan all 57,471,561 boards
+    assert sum(1 for _ in orbit_representatives(5)) == 558_801
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_orbit_build_matches_full_scan(n):
     # every board of every layer filed in board_at order, as before orbits

@@ -66,6 +66,11 @@ def test_eval_shipped_hex(capsys):
     assert code == 0 and out.strip() == "{top|bot}"
 
 
+# memo_sizes() of a context that filled no table
+NO_MEMO = {"leq": 0, "map": 0, "realize": 0, "realize_good": 0, "simp": 0,
+           "sum": 0, "tri": 0}
+
+
 def test_stats_flag_prints_counters_on_stderr(capsys):
     # a fresh interpreter, since `interned` counts against the process-wide
     # table; the line is the one README prints, byte for byte
@@ -76,19 +81,25 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
     assert json.loads(proc.stderr) == {
         "eval_dead": 10, "eval_residuals": 9, "interned": 8,
-        "memo": {"leq": 6, "simp": 8, "tri": 1}}
+        "memo": dict(NO_MEMO, leq=6, simp=8, tri=1)}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
     # a false predicate keeps its exit code, and the line is still printed;
     # two atoms are compared through their masks, not the pair memos
     code, out, err = run(capsys, "--stats", "leq", "top", "a")
     assert (code, out.strip()) == (1, "false")
-    assert json.loads(err)["memo"] == {"leq": 0, "tri": 0, "simp": 0}
+    assert json.loads(err)["memo"] == NO_MEMO
     # a composite pair is memoized, and its atomic options (a on the left,
     # b on the right) are read from the other game's masks, adding no entry
     code, out, err = run(capsys, "--stats", "leq", "{a|bot}", "{top|b}")
     memo = json.loads(err)["memo"]
-    assert code == 0 and memo == {"leq": 1, "tri": 0, "simp": 0}
+    assert code == 0 and memo == dict(NO_MEMO, leq=1)
+    # realize fills its own tables: a board for the root, for a and b, and
+    # for the gift horse {top|a} made from the good right option a, which
+    # the gift-horse log records
+    code, out, err = run(capsys, "--stats", "realize", "{a,b|a}")
+    memo = json.loads(err)["memo"]
+    assert code == 0 and (memo["realize"], memo["realize_good"]) == (4, 1)
     # interned counts the games the verb added to the process-wide table:
     # a nine-level game no other test builds adds at least its eight outer
     # composites, and the same verb again adds none

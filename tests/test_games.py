@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +45,7 @@ from scgames.games import (
     UID_LIMIT,
     UidOverflow,
 )
-from scgames.notation import GameSyntaxError, parse_game
+from scgames.notation import MAX_NESTING, GameSyntaxError, parse_game
 from scgames.poset import make_poset, product
 from scgames.sampling import random_game, random_passable_game
 
@@ -165,6 +168,24 @@ def test_global_predicates(ctx):
     assert is_monotone(ctx, parse("{top|bot}"))
     assert is_passable(ctx, parse(COUPLING_TEXT))
     assert not is_monotone(ctx, parse(COUPLING_TEXT))
+
+
+def test_predicates_are_kept_on_the_game():
+    # both answers depend on the game alone: once one context has given
+    # them, a fresh context reads them off the game and fills no pair memo.
+    # Posets are interned too, so this diamond gets element names no other
+    # test uses, and none of its games has been asked before.
+    diamond = make_poset(["lo", "a", "b", "hi"],
+                         [("lo", "a"), ("lo", "b"), ("a", "hi"), ("b", "hi")])
+    g = parse(COUPLING_TEXT, diamond)
+    assert (g.passable, g.monotone) == (None, None)
+    first = SolverContext()
+    assert (is_passable(first, g), is_monotone(first, g)) == (True, False)
+    assert first.leq and first.tri
+    assert (g.passable, g.monotone) == (True, False)
+    again = SolverContext()
+    assert (is_passable(again, g), is_monotone(again, g)) == (True, False)
+    assert again.leq == {} and again.tri == {}
 
 
 def test_memoized_relations_match_reference_on_random_pairs(ctx):
@@ -315,7 +336,9 @@ def test_chain_of_400_levels_through_the_order_kernel():
     # leq and tri alternate two Python frames per level, so 400 levels fit
     # the default recursion limit in every entry that reaches them; each
     # query gets a fresh context, so no memo answers it from another's
-    # recursion, and the answers match the reference on a shallow chain
+    # recursion, and the answers match the reference on a shallow chain.
+    # Games keep their predicates, so the deep-chain tests here each ask
+    # them of a chain no other test asks them of.
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
 
@@ -349,10 +372,10 @@ def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
     from scgames.catalog import dedupe_values
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
-    lost, kept = a, bot(P4)
+    lost, kept = a, t
     for _ in range(450):
         lost = composite([lost], [t])       # {...{a|top}...|top}
-        kept = composite([a, b], [kept])    # {a,b|...{a,b|bot}...}
+        kept = composite([kept], [a, b])    # {...{top|a,b}...|a,b}
     assert not is_passable(ctx, lost) and is_passable(ctx, kept)
     for g in (lost, kept):
         s = simplify(ctx, g)
@@ -371,9 +394,9 @@ def test_chain_of_2000_levels_through_depth_branching_and_masks(ctx):
     assert sys.getrecursionlimit() <= 1000
     a, b = atomic("a", P4), atomic("b", P4)
     atoms = [atomic(e, P4) for e in P4.elements]
-    chain = [bot(P4)]
+    chain = [a]
     for _ in range(2000):
-        chain.append(composite([a, b], [chain[-1]]))   # {a,b|...{a,b|bot}...}
+        chain.append(composite([a, b], [chain[-1]]))   # {a,b|...{a,b|a}...}
     g, shallow = chain[2000], chain[2]
     assert g.depth == 2000 and g.branching == 2
     for i, x in enumerate(atoms):
@@ -648,6 +671,22 @@ def test_parse_errors():
     except GameSyntaxError as e:
         err = e
     assert err is not None and err.position == 3
+
+
+def test_parser_takes_one_frame_per_level():
+    # a fresh interpreter whose recursion limit leaves 60 frames beside
+    # the MAX_NESTING levels, which fit only at one frame a level
+    code = ("import sys\n"
+            "from scgames.notation import MAX_NESTING, parse_game\n"
+            "from scgames.poset import builtin\n"
+            "text = '{' * MAX_NESTING + 'a' + '|b}' * MAX_NESTING\n"
+            "sys.setrecursionlimit(MAX_NESTING + 60)\n"
+            "print(parse_game(text, builtin('P4')).depth)\n")
+    src = str(Path(games_mod.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(MAX_NESTING)
 
 
 def test_parse_product_atom_names():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from scgames.catalog import build_catalog
 from scgames.games import (
     SolverContext,
     atomic,
@@ -11,6 +12,7 @@ from scgames.games import (
     is_monotone,
     is_passable,
     local_class,
+    to_notation,
 )
 from scgames.poset import antichain_poset, builtin
 from scgames.realize import (
@@ -129,6 +131,12 @@ def test_realize_rejects_non_passable(ctx):
         realize(ctx, parse("{bot|a}"))
 
 
+def test_realize_rejects_a_negative_verify_cap(ctx):
+    # a negative cap would label the board compositional with no check run
+    with pytest.raises(ValueError, match="verify_cap"):
+        realize(ctx, parse("{a,b|bot}"), verify_cap=-1)
+
+
 # -- verification plumbing -----------------------------------------------------
 
 def test_verify_negative_control(ctx):
@@ -220,3 +228,27 @@ def test_round_trip_equivalence_spot_check(mctx):
         r = realize(mctx, g, verify_value=False)
         if r.carrier_size <= 13:
             assert equiv(mctx, eval_board(mctx, r.board, max_cells=13), g)
+
+
+def test_census_values_round_trip_at_four_cells():
+    # every value of the 4-cell census: the size bound holds on all 50,
+    # the 46 boards of at most 14 cells are brute-forced, and the four
+    # above the cap rest on the construction
+    ctx = SolverContext()
+    cat = build_catalog(ctx, 4)
+    above = {}
+    for v in cat.values():
+        r = realize(ctx, v, verify_cap=14)
+        assert r.carrier_size <= r.bound
+        if r.carrier_size <= 14:
+            assert r.verified is VerifiedHow.BRUTE_FORCE
+        else:
+            assert r.verified is VerifiedHow.COMPOSITIONAL
+            above[to_notation(v)] = r.carrier_size
+    assert len(cat) == 50
+    assert above == {
+        "{top|{{{top|a},{top|b}|{a|bot},{b|bot}}|bot}}": 15,
+        "{{top|{{top|a},{top|b}|{a|bot},{b|bot}}}|bot}": 15,
+        "{{top|a},{top|b}|{a,b|bot}}": 16,
+        "{{top|a,b}|{a|bot},{b|bot}}": 16,
+    }
