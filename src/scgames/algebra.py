@@ -224,17 +224,11 @@ def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
     binary = X.poset is builtin("P4")
     if not binary and X.poset is not builtin("P3"):
         raise PosetMismatch("gadget candidates live over P3 or P4")
+    apply = gadget_apply2 if binary else gadget_apply
     for _ in range(trials):
-        g = random_passable_game(ctx, rng, target, 2, 2)
-        if binary:
-            h = random_passable_game(ctx, rng, target, 2, 2)
-            lhs = gadget_apply2(ctx, X, g, h)
-            rhs = substitute_atoms(X, {"a": g, "b": h}, target)
-            if not equiv(ctx, lhs, rhs):
-                return (g, h)
-        else:
-            lhs = gadget_apply(ctx, X, g)
-            rhs = substitute_atoms(X, {"a": g}, target)
-            if not equiv(ctx, lhs, rhs):
-                return (g,)
+        args = tuple(random_passable_game(ctx, rng, target, 2, 2)
+                     for _ in range(1 + binary))
+        if not equiv(ctx, apply(ctx, X, *args),
+                     substitute_atoms(X, dict(zip("ab", args)), target)):
+            return args
     return None

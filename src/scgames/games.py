@@ -62,7 +62,7 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
-from .poset import AtomPoset
+from .poset import AtomPoset, MonotoneFn
 
 
 class UnknownAtom(ValueError):
@@ -634,10 +634,7 @@ def swap_ab(G: Game) -> Game:
         raise ValueError("poset has no a/b exchange symmetry")
     m = {e: e for e in p.elements}
     m["a"], m["b"] = "b", "a"
-    for x in p.elements:
-        for y in p.elements:
-            if p.le(x, y) != p.le(m[x], m[y]):
-                raise ValueError("a/b exchange is not an order automorphism")
+    MonotoneFn(p, p, m)   # a monotone involution is an order automorphism
     return rebuild(G, lambda a: atomic(m[a], p), p, False, _SWAP)
 
 

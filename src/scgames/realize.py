@@ -21,13 +21,14 @@ from .algebra import add_gift_horse, force_left, force_right
 from .games import (
     Game,
     SolverContext,
-    composite,
+    bot,
     equiv,
     is_monotone,
     is_passable,
     leq,
     positions,
     to_notation,
+    top,
 )
 from .setcolor import (
     SetColoringGame,
@@ -149,13 +150,9 @@ def _synthesize(ctx: SolverContext, G: Game) -> SetColoringGame:
     poset = G.poset
     if G.is_atomic:
         return sc_const(G.atom, poset)
-    top_only = len(G.left) == 1 and G.left[0].is_atomic \
-        and G.left[0].atom == poset.top
-    bot_only = len(G.right) == 1 and G.right[0].is_atomic \
-        and G.right[0].atom == poset.bot
-    if bot_only:
+    if G.right == (bot(poset),):
         return sc_one_sided_choice([_realize(ctx, x) for x in G.left])
-    if top_only:
+    if G.left == (top(poset),):
         return sc_one_sided_choice_dual([_realize(ctx, x) for x in G.right])
     K = _semi_monotonize(ctx, G)
     left_core = sc_one_sided_choice([_realize(ctx, x) for x in K.left])

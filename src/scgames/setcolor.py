@@ -441,13 +441,12 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     p = normalize_position(position)
     if len(p) != n:
         raise ValueError("position length differs from carrier size")
-    empty = sum(1 << i for i, c in enumerate(p) if c == ".")
-    black = sum(1 << i for i, c in enumerate(p) if c == "1")
     pay = S.payoff.compiled(n)
     for i in reversed(range(n)):
-        if not empty >> i & 1:
+        if p[i] != ".":
             block = 1 << i
-            pay = [v for j in range(black & block, len(pay), 2 * block)
+            pay = [v for j in range(block if p[i] == "1" else 0, len(pay),
+                                    2 * block)
                    for v in pay[j:j + block]]
     poset = S.poset
     width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
@@ -458,7 +457,7 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     table = b"".join([v.to_bytes(width, "big") for v in pay])
 
     plans = {width << k: _split_plan(width << k, width)
-             for k in range(empty.bit_count() + 1)}
+             for k in range(p.count(".") + 1)}
     join = b"".join
     dead = 0
 
@@ -482,15 +481,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
             halves.append((black, white))
         lefts, rights = [], []
         for black, white in halves:
-            g = known(black)
-            if g is None:
-                g = rec(black)
-            lefts.append(g)
-            if white != black:     # a dead cell leaves one table either way
-                g = known(white)
-                if g is None:
-                    g = rec(white)
-            rights.append(g)
+            lefts.append(known(black) or rec(black))
+            rights.append(known(white) or rec(white))
         g = composite(lefts, rights, poset)
         if simplify:
             g = simplify_game(ctx, g)

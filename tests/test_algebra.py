@@ -187,6 +187,8 @@ def test_gadget_apply_requires_gadget_poset(ctx):
         gadget_apply(ctx, top(P4), top(P4))
     with pytest.raises(PosetMismatch):
         gadget_apply2(ctx, top(P3), top(P4), top(P4))
+    with pytest.raises(PosetMismatch, match="share a poset"):
+        gadget_apply2(ctx, top(P4), top(P4), top(P3))
 
 
 def _samples(rng, n, **kw):
@@ -256,10 +258,21 @@ def test_non_gadget_still_acts_as_identity(ctx):
 
 
 def test_falsify_finds_nothing_for_real_gadgets(ctx):
-    for kind in (GadgetKind.LEFT_FORCE, GadgetKind.RIGHT_FORCE):
+    for kind in (GadgetKind.LEFT_FORCE, GadgetKind.RIGHT_FORCE,
+                 GadgetKind.CHOICE, GadgetKind.COUPLING):
         x = gadget_game(kind)
         assert falsify_gadget_game(ctx, x, trials=50,
                                    rng=random.Random(2010)) is None
+
+
+def test_falsify_refutes_a_binary_non_gadget(ctx):
+    # the binary search draws G then H and substitutes them for a and b
+    x = parse("{{top|a}|a}", P4)
+    found = falsify_gadget_game(ctx, x, trials=50, rng=random.Random(2015))
+    assert found is not None
+    g, h = found
+    assert not equiv(ctx, gadget_apply2(ctx, x, g, h),
+                     substitute_atoms(x, {"a": g, "b": h}, P4))
 
 
 def test_passability_closure_is_exact(ctx):

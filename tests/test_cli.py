@@ -337,6 +337,8 @@ def _one_cell_table(a, b):
         {"cells": 1, "entries": [{"value": "{b|bot}", "a": a, "b": b}]}]}
 
 
+_CONST_A = {"payoff": {"const": "a"}, "cells": []}
+
 MALFORMED = [
     ("board", _board([], {"compose": 5})),
     ("board", _board(["c"], {"compose": {"fn": "projector_f",
@@ -352,6 +354,28 @@ MALFORMED = [
         "children": [{"payoff": {"const": "a"}, "cells": []}]}})),
     ("poset", {"builtin": {}}),
     ("board", {"cells": [], "payoff": {"const": "a"}}),
+    # a payoff with two keys
+    ("board", _board([], {"const": "a", "dual": {"const": "a"}})),
+    # a compose without a children list
+    ("board", _board(["c"], {"compose": {"fn": "projector_f"}})),
+    # a function table that lands in P3 on a P4 board
+    ("board", _board([], {"compose": {
+        "fn": {"domains": [{"builtin": "P3"}], "codomain": {"builtin": "P3"},
+               "table": {"bot": "bot", "a": "a", "top": "top"}},
+        "children": [_CONST_A]}})),
+    ("board", _board([], {"compose": {"fn": "projector_h",
+                                      "children": [_CONST_A]}})),
+    ("board", _board([], {"compose": {"fn": "projector_f",
+                                      "children": [_CONST_A] * 3}})),
+    ("board", _board([], {"const": "z"})),
+    ("board", _board(["c"], {"threshold": {"z": ["1"]}})),
+    # a nested compose whose child reads cell 5 of an empty embedding
+    ("board", _board([], {"compose": {"fn": "projector_f", "children": [
+        _CONST_A,
+        {"payoff": {"compose": {"fn": "projector_f", "children": [
+            _CONST_A, {"payoff": {"const": "a"}, "cells": [5]}]}},
+         "cells": []}]}})),
+    ("notation", ("value", "(a")),
 ]
 
 

@@ -637,6 +637,12 @@ def test_swap_ab():
     assert swap_ab(parse(COUPLING_TEXT)) is parse("{b,{top|a}|{b|bot},a}")
     with pytest.raises(ValueError):
         swap_ab(top(P3))
+    # a and b are incomparable, but only a has an element between it and top
+    lopsided = make_poset(["bot", "a", "b", "c", "top"],
+                          [("bot", "a"), ("a", "c"), ("c", "top"),
+                           ("bot", "b"), ("b", "top")])
+    with pytest.raises(ValueError, match="not monotone"):
+        swap_ab(top(lopsided))
 
 
 # -- notation -----------------------------------------------------------------
