@@ -3,8 +3,10 @@
 Posets are interned: building the same poset twice (same element order, same
 order relation) returns the same object, so ``is`` is a valid "same poset"
 test everywhere else in the package.  Element order is part of the identity.
-Instances are immutable after construction; the intern table relies on the
-GIL for consistency, which is fine for CPython.
+A poset's elements and order never change.  Two fields fill in later: the
+dual map on first use, and the factors, which :func:`product` attaches to a
+poset that was already interned without them (resetting the dual map).  The
+intern table relies on the GIL for consistency, which is fine for CPython.
 """
 
 from __future__ import annotations
@@ -49,33 +51,20 @@ class AtomPoset:
     or :func:`product` to build instances; the constructor is internal.
     """
 
-    __slots__ = (
-        "elements",
-        "top",
-        "bot",
-        "_index",
-        "_up",
-        "_components",
-        "_pair",
-        "_split",
-        "_dual",
-        "_lattice",
-        "_joins",
-    )
+    __slots__ = ("elements", "top", "bot", "_index", "_up", "_row_index",
+                 "_components", "_dual")
 
     def __init__(self, elements: tuple[str, ...], up: tuple[int, ...],
                  top: str, bot: str):
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
         self._up = up
+        # up-rows are distinct, since the order is antisymmetric
+        self._row_index = {row: i for i, row in enumerate(up)}
         self.top = top
         self.bot = bot
         self._components = None
-        self._pair = None
-        self._split = None
         self._dual = _UNSET
-        self._lattice = None
-        self._joins: dict[tuple[str, str], Optional[str]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -94,33 +83,20 @@ class AtomPoset:
         return bool(self._up[self._index[x]] >> self._index[y] & 1)
 
     def join2(self, x: str, y: str) -> str:
-        """Least upper bound of x and y, memoized per poset (None when
-        there is none, which raises on every call)."""
-        j = self._joins.get((x, y), _UNSET)
-        if j is _UNSET:
-            j = self._joins[(x, y)] = self._scan_join(x, y)
-        if j is None:
+        """Least upper bound of x and y.
+
+        Their upper bounds are the AND of their up-rows, and that set has a
+        least element exactly when it is that element's up-row.
+        """
+        up, index = self._up, self._index
+        i = self._row_index.get(up[index[x]] & up[index[y]])
+        if i is None:
             raise SupremumUndefined(f"join of {x!r} and {y!r} does not exist")
-        return j
-
-    def _scan_join(self, x: str, y: str) -> Optional[str]:
-        ub = self._up[self._index[x]] & self._up[self._index[y]]
-        minimal = [i for i in _bits(ub)
-                   if all(not (self._up[j] >> i & 1) for j in _bits(ub) if j != i)]
-        return self.elements[minimal[0]] if len(minimal) == 1 else None
-
-    def join(self, names: Iterable[str]) -> str:
-        """Least upper bound of a (possibly empty) set of elements."""
-        acc = self.bot
-        for x in names:
-            acc = self.join2(acc, x)
-        return acc
+        return self.elements[i]
 
     def is_lattice(self) -> bool:
-        if self._lattice is None:
-            self._lattice = all(self._scan_join(x, y) is not None
-                                for x in self.elements for y in self.elements)
-        return self._lattice
+        rows = self._row_index
+        return all(a & b in rows for a in self._up for b in self._up)
 
     @property
     def components(self) -> Optional[tuple["AtomPoset", "AtomPoset"]]:
@@ -129,14 +105,17 @@ class AtomPoset:
 
     def pair(self, x: str, y: str) -> str:
         """Element name of (x, y) in a product poset."""
-        if self._pair is None:
+        if self._components is None:
             raise ValueError("not a product poset")
-        return self._pair[(x, y)]
+        a, b = self._components
+        return self.elements[a._index[x] * len(b) + b._index[y]]
 
     def split(self, name: str) -> tuple[str, str]:
-        if self._split is None:
+        if self._components is None:
             raise ValueError("not a product poset")
-        return self._split[name]
+        a, b = self._components
+        i, j = divmod(self._index[name], len(b))
+        return a.elements[i], b.elements[j]
 
     def dual_atom_map(self) -> Optional[dict[str, str]]:
         """An order-reversing involution, or None if the search fails.
@@ -156,7 +135,7 @@ class AtomPoset:
             da, db = a.dual_atom_map(), b.dual_atom_map()
             if da is None or db is None:
                 return None
-            return {self._pair[(x, y)]: self._pair[(da[x], db[y])]
+            return {self.pair(x, y): self.pair(da[x], db[y])
                     for x in a.elements for y in b.elements}
         cand = {e: e for e in self.elements}
         cand[self.top] = self.bot
@@ -244,32 +223,27 @@ def antichain_poset(n: int, prefix: str = "a") -> AtomPoset:
 
 @cache
 def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
-    """Componentwise product, with elements named "(x,y)"; cached on the
-    pair of factors."""
-    elements = []
-    pair = {}
-    for x in a.elements:
-        for y in b.elements:
-            name = f"({x},{y})"
-            pair[(x, y)] = name
-            elements.append(name)
+    """Componentwise product, cached on the pair of factors.
+
+    Element (x, y) is named "(x,y)" and numbered x-major, at index
+    i * len(b) + j for x = a.elements[i] and y = b.elements[j]; ``pair``,
+    ``split`` and compiled payoff tables read that order.
+    """
+    elements = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
     nb = len(b.elements)
     up = []
-    for i, x in enumerate(a.elements):
-        arow = a._up[i]
-        for j in range(nb):
-            brow = b._up[j]
+    for arow in a._up:
+        for brow in b._up:
             row = 0
             for i2 in _bits(arow):
                 base = i2 * nb
                 row |= sum(1 << (base + j2) for j2 in _bits(brow))
             up.append(row)
-    p = _intern(tuple(elements), tuple(up),
-                pair[(a.top, b.top)], pair[(a.bot, b.bot)])
-    if p._pair is None:
+    p = _intern(elements, tuple(up),
+                f"({a.top},{b.top})", f"({a.bot},{b.bot})")
+    if p._components is None:
         p._components = (a, b)
-        p._pair = pair
-        p._split = {v: k for k, v in pair.items()}
+        p._dual = _UNSET
     return p
 
 
@@ -277,6 +251,8 @@ def poset_to_json(p: AtomPoset) -> dict:
     name = builtin_name(p)
     if name is not None:
         return {"builtin": name}
+    if p.components is not None:
+        return {"product": [poset_to_json(f) for f in p.components]}
     le = []
     for i, x in enumerate(p.elements):
         for j in _bits(p._up[i]):
@@ -290,8 +266,14 @@ def poset_from_json(obj) -> AtomPoset:
         raise ValueError("poset must be a JSON object")
     if "builtin" in obj:
         return builtin(obj["builtin"])
+    if "product" in obj:
+        factors = obj["product"]
+        if not (isinstance(factors, list) and len(factors) == 2):
+            raise ValueError("poset 'product' must be a list of two posets")
+        return product(*map(poset_from_json, factors))
     if "elements" not in obj:
-        raise ValueError("poset object needs 'builtin' or 'elements'")
+        raise ValueError(
+            "poset object needs 'builtin', 'product' or 'elements'")
     elements, le = obj["elements"], obj.get("le", [])
     if not (isinstance(elements, list)
             and all(isinstance(e, str) for e in elements)):

@@ -20,9 +20,10 @@ from scgames.algebra import GadgetKind
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
 from scgames.notation import MAX_NESTING
-from scgames.poset import builtin, projector_f
-from scgames.setcolor import (board_to_json, eval_board, load_board, sc_base,
-                              sc_dual, sc_force_left, sc_map, sc_sum)
+from scgames.poset import builtin, product, projector_f
+from scgames.setcolor import (Dual, SetColoringGame, Threshold, board_to_json,
+                              eval_board, load_board, sc_base, sc_dual,
+                              sc_force_left, sc_map, sc_sum)
 
 from conftest import P4, parse
 
@@ -320,6 +321,23 @@ def test_python_m_scgames_runs_the_cli():
     assert proc.stdout.strip() == "{top|bot}"
 
 
+def test_product_board_reads_back_in_a_fresh_process(tmp_path):
+    # the dual payoff needs the factors of the product poset, which a
+    # process that never built the product learns only from the file
+    pr = product(builtin("Bool"), builtin("P3"))
+    S = SetColoringGame(pr, ("c0", "c1"), Dual(Threshold(
+        pr, 2, {"(top,a)": ("10",), "(bot,top)": ("01",)})))
+    want = "{{top|(bot,a)},{top|(top,bot)}|{(bot,a)|bot},{(top,bot)|bot}}"
+    assert games.to_notation(eval_board(SolverContext(), S)) == want
+    path = tmp_path / "product.scg"
+    path.write_text(json.dumps(board_to_json(S)))
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "scgames", "eval", str(path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"
@@ -340,42 +358,61 @@ def _one_cell_table(a, b):
 _CONST_A = {"payoff": {"const": "a"}, "cells": []}
 
 MALFORMED = [
-    ("board", _board([], {"compose": 5})),
+    ("board", _board([], {"compose": 5}), "compose body must be an object"),
     ("board", _board(["c"], {"compose": {"fn": "projector_f",
-                                         "children": [1, 2]}})),
-    ("fixture", {"poset": "P4", "sections": 5}),
-    ("poset", {"elements": 5}),
-    ("fixture", _one_cell_table("1", [])),
-    ("fixture", _one_cell_table([], {"1": 0})),
-    ("board", _board("ab", {"threshold": {"a": ["10"]}})),
-    ("board", _board([1, 2], {"threshold": {"a": ["10"]}})),
+                                         "children": [1, 2]}}),
+     "a compose child is an object whose cells are a list of cell indices"),
+    ("fixture", {"poset": "P4", "sections": 5}, "sections must be a list"),
+    ("poset", {"elements": 5}, "poset elements must be a list of strings"),
+    ("fixture", _one_cell_table("1", []),
+     "section 1, '{b|bot}': patterns must be a list of strings, not '1'"),
+    ("fixture", _one_cell_table([], {"1": 0}),
+     "section 1, '{b|bot}': patterns must be a list of strings, "
+     "not {'1': 0}"),
+    ("board", _board("ab", {"threshold": {"a": ["10"]}}),
+     "board cells must be a list of strings"),
+    ("board", _board([1, 2], {"threshold": {"a": ["10"]}}),
+     "board cells must be a list of strings"),
     ("board", _board(["c"], {"compose": {
         "fn": {"codomain": {"builtin": "P4"}, "table": {}},
-        "children": [{"payoff": {"const": "a"}, "cells": []}]}})),
-    ("poset", {"builtin": {}}),
-    ("board", {"cells": [], "payoff": {"const": "a"}}),
+        "children": [{"payoff": {"const": "a"}, "cells": []}]}}),
+     "function table needs a domains list"),
+    ("poset", {"builtin": {}}, "unknown builtin poset {}"),
+    ("board", {"cells": [], "payoff": {"const": "a"}},
+     "bad board JSON: missing key 'poset'"),
     # a payoff with two keys
-    ("board", _board([], {"const": "a", "dual": {"const": "a"}})),
+    ("board", _board([], {"const": "a", "dual": {"const": "a"}}),
+     "payoff must be a one-key object"),
     # a compose without a children list
-    ("board", _board(["c"], {"compose": {"fn": "projector_f"}})),
+    ("board", _board(["c"], {"compose": {"fn": "projector_f"}}),
+     "compose needs a children list"),
     # a function table that lands in P3 on a P4 board
     ("board", _board([], {"compose": {
         "fn": {"domains": [{"builtin": "P3"}], "codomain": {"builtin": "P3"},
                "table": {"bot": "bot", "a": "a", "top": "top"}},
-        "children": [_CONST_A]}})),
+        "children": [_CONST_A]}}),
+     "composed payoff lands in the wrong poset"),
     ("board", _board([], {"compose": {"fn": "projector_h",
-                                      "children": [_CONST_A]}})),
+                                      "children": [_CONST_A]}}),
+     "unknown function spec 'projector_h'"),
     ("board", _board([], {"compose": {"fn": "projector_f",
-                                      "children": [_CONST_A] * 3}})),
-    ("board", _board([], {"const": "z"})),
-    ("board", _board(["c"], {"threshold": {"z": ["1"]}})),
+                                      "children": [_CONST_A] * 3}}),
+     "expected 2 children, got 3"),
+    ("board", _board([], {"const": "z"}),
+     "bad board JSON: atom 'z' not in poset"),
+    ("board", _board(["c"], {"threshold": {"z": ["1"]}}),
+     "bad board JSON: atom 'z' not in poset"),
     # a nested compose whose child reads cell 5 of an empty embedding
     ("board", _board([], {"compose": {"fn": "projector_f", "children": [
         _CONST_A,
         {"payoff": {"compose": {"fn": "projector_f", "children": [
             _CONST_A, {"payoff": {"const": "a"}, "cells": [5]}]}},
-         "cells": []}]}})),
-    ("notation", ("value", "(a")),
+         "cells": []}]}}),
+     "bad board JSON: child payoff does not fit its embedding"),
+    ("notation", ("value", "(a"), "unbalanced parenthesis (at position 0)"),
+    ("poset", {"product": 5}, "poset 'product' must be a list of two posets"),
+    ("poset", {"product": [{"builtin": "P4"}]},
+     "poset 'product' must be a list of two posets"),
 ]
 
 
@@ -404,13 +441,11 @@ def run_case(directory, kind, payload):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("kind,payload", MALFORMED)
-def test_malformed_input_exits_2(fuzz_dir, kind, payload):
-    code, err = run_case(fuzz_dir, kind, payload)
-    assert code == 2
-    assert err.startswith("error:") and err.count("\n") == 1
-    if kind == "board" and "poset" not in payload:
-        assert err == "error: bad board JSON: missing key 'poset'\n"
+@pytest.mark.parametrize("kind,payload,message", MALFORMED, ids=[
+    f"{kind}-payload{i}" for i, (kind, _, _) in enumerate(MALFORMED)])
+def test_malformed_input_exits_2(fuzz_dir, kind, payload, message):
+    # each input is pinned to the message of the check that rejects it
+    assert run_case(fuzz_dir, kind, payload) == (2, f"error: {message}\n")
 
 
 _TEMPLATES = {
@@ -423,7 +458,8 @@ _TEMPLATES = {
     )],
     "poset": [{"builtin": "P3"},
               {"elements": ["bot", "x", "top"],
-               "le": [["bot", "x"], ["x", "top"]]}],
+               "le": [["bot", "x"], ["x", "top"]]},
+              {"product": [{"builtin": "Bool"}, {"builtin": "P3"}]}],
     "fixture": [_one_cell_table([], ["1"])],
 }
 
@@ -501,5 +537,6 @@ def test_cli_fuzz_exit_codes(fuzz_dir, case):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-for _case in MALFORMED:    # every run also tries the known bad inputs
-    test_cli_fuzz_exit_codes = example(case=_case)(test_cli_fuzz_exit_codes)
+for _kind, _payload, _ in MALFORMED:    # every run also tries them
+    test_cli_fuzz_exit_codes = example(case=(_kind, _payload))(
+        test_cli_fuzz_exit_codes)

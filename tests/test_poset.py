@@ -22,6 +22,8 @@ from scgames.poset import (
     projector_g,
 )
 
+from conftest import BOWTIE6, CHAIN4
+
 
 def test_builtin_bool():
     b = builtin("Bool")
@@ -201,8 +203,6 @@ def test_join_examples():
     p = builtin("P4")
     assert p.join2("a", "b") == "top"
     assert p.join2("bot", "a") == "a"
-    assert p.join([]) == "bot"
-    assert p.join(["a", "b", "bot"]) == "top"
     assert p.is_lattice()
 
 
@@ -215,25 +215,47 @@ def test_join_undefined():
     ubs = [u for u in p.elements if p.le("x", u) and p.le("y", u)]
     assert [u for u in ubs if not any(p.le(v, u) and v != u for v in ubs)] \
         == ["z", "w"]
-    for _ in range(3):      # memoized, and still raising every time
-        with pytest.raises(SupremumUndefined):
-            p.join2("x", "y")
+    with pytest.raises(SupremumUndefined):
+        p.join2("x", "y")
     assert not p.is_lattice()
 
 
-@pytest.mark.parametrize("name", ["Bool", "P3", "P4", "P4xP4"])
-def test_join2_memo_matches_scan(name):
-    p = (product(builtin("P4"), builtin("P4")) if name == "P4xP4"
-         else builtin(name))
+BRUTE_FORCE_POSETS = {
+    "Bool": builtin("Bool"), "P3": builtin("P3"), "P4": builtin("P4"),
+    "P4xP4": product(builtin("P4"), builtin("P4")),
+    "CHAIN4": CHAIN4, "BOWTIE6": BOWTIE6, "antichain3": antichain_poset(3),
+    "BOWTIE6xBool": product(BOWTIE6, builtin("Bool")),
+}
+
+
+@pytest.mark.parametrize("name", list(BRUTE_FORCE_POSETS))
+def test_joins_pair_and_split_match_brute_force(name):
+    p = BRUTE_FORCE_POSETS[name]
+    every_pair_joins = True
     for x in p.elements:
         for y in p.elements:
             ubs = [z for z in p.elements if p.le(x, z) and p.le(y, z)]
             least = [z for z in ubs if all(p.le(z, u) for u in ubs)]
-            assert [p._scan_join(x, y)] == least
-            for _ in range(2):      # the first call may fill the memo
+            if least:
                 assert p.join2(x, y) == least[0]
-    # every pair has exactly one least upper bound, so a lattice
-    assert p.is_lattice()
+            else:
+                every_pair_joins = False
+                with pytest.raises(SupremumUndefined):
+                    p.join2(x, y)
+    assert p.is_lattice() == every_pair_joins
+    if p.components is None:
+        with pytest.raises(ValueError, match="not a product"):
+            p.split(p.top)
+        return
+    a, b = p.components
+    assert [p.pair(*p.split(e)) for e in p.elements] == list(p.elements)
+    for x in a.elements:
+        for y in b.elements:
+            assert p.split(p.pair(x, y)) == (x, y)
+            for u in a.elements:
+                for v in b.elements:
+                    assert p.le(p.pair(x, y), p.pair(u, v)) == (
+                        a.le(x, u) and b.le(y, v))
 
 
 def test_antichain_poset():
@@ -251,8 +273,28 @@ def test_json_round_trip():
     assert poset_from_json(poset_to_json(pr)) is pr
     ac = antichain_poset(3)
     assert poset_from_json(poset_to_json(ac)) is ac
+    assert poset_to_json(pr) == {"product": [{"builtin": "P3"},
+                                             {"builtin": "P4"}]}
     with pytest.raises(ValueError):
         poset_from_json({"le": []})
+
+
+def test_product_attaches_factors_to_a_poset_read_as_elements():
+    # the elements/le spelling of a product interns a poset without
+    # factors, whose dual map search gives up; product() then attaches the
+    # factors and drops that stale answer
+    a, b = antichain_poset(2, prefix="dj"), builtin("P3")
+    names = {(x, y): f"({x},{y})" for x in a.elements for y in b.elements}
+    spelled = make_poset(names.values(), [
+        (names[x, y], names[u, v]) for x, y in names for u, v in names
+        if a.le(x, u) and b.le(y, v)])
+    assert spelled.components is None and spelled.dual_atom_map() is None
+    pr = product(a, b)
+    assert pr is spelled and pr.components == (a, b)
+    d = pr.dual_atom_map()
+    assert d is not None and d[pr.pair("dj1", "a")] == pr.pair("dj1", "a")
+    assert all(pr.le(x, y) == pr.le(d[y], d[x])
+               for x in pr.elements for y in pr.elements)
 
 
 def test_builtin_name():

@@ -1,0 +1,25 @@
+"""Checks on the program's source text."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import scgames
+
+MODULES = sorted(p.name for p in Path(scgames.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = ast.parse((Path(scgames.__file__).parent / module).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert {n: line for n, line in imported.items() if n not in used} == {}
