@@ -207,16 +207,19 @@ def substitute_atoms(X: Game, subst: dict[str, Game],
     return rebuild(X, leaf, poset, False, {})
 
 
-def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
+_FALSIFY_TRIALS = 50
+
+
+def falsify_gadget_game(ctx: SolverContext, X: Game,
                         rng: Optional[random.Random] = None):
     """Search for a witness that X does not act by substitution.
 
     Random passable games of depth and branching at most 2 over the diamond
-    poset are thrown at X; the first G (and H, when X is binary over P4)
-    with gadget application inequivalent to literal substitution is
-    returned, else None.  Only passable candidates are fair: non-passable
-    ones refute even the four true gadgets.  A None cannot certify
-    gadget-hood, only fail to refute it.
+    poset are thrown at X, _FALSIFY_TRIALS times; the first G (and H, when
+    X is binary over P4) with gadget application inequivalent to literal
+    substitution is returned, else None.  Only passable candidates are
+    fair: non-passable ones refute even the four true gadgets.  A None
+    cannot certify gadget-hood, only fail to refute it.
     """
     if rng is None:
         rng = random.Random(0)
@@ -225,7 +228,7 @@ def falsify_gadget_game(ctx: SolverContext, X: Game, trials: int = 50,
     if not binary and X.poset is not builtin("P3"):
         raise PosetMismatch("gadget candidates live over P3 or P4")
     apply = gadget_apply2 if binary else gadget_apply
-    for _ in range(trials):
+    for _ in range(_FALSIFY_TRIALS):
         args = tuple(random_passable_game(ctx, rng, target, 2, 2)
                      for _ in range(1 + binary))
         if not equiv(ctx, apply(ctx, X, *args),

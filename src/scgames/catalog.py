@@ -24,10 +24,10 @@ representatives by their atom signature, so a value is checked with equiv
 only against the representatives it could be equivalent to.  The shipped
 table (data/appendix_p4.json) lists the values through five cells the way
 a printed table would: explicit entries per cell count, with the forced
-forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit;
-its patterns are read by setcolor.pattern_masks.
-expand_fixture rebuilds the full value set from it; verify_appendix
-re-evaluates every printed board against its claimed value.
+forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit.
+The table is P4-only, and each entry loads once, as its board and its
+parsed value: expand_fixture rebuilds the full value set from the values,
+and verify_appendix re-evaluates every board against its value.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .algebra import force_left, force_right
-from .games import (Game, PosetMismatch, SolverContext, UnknownAtom,
-                    atom_signature, atomic, composite, dual, equiv, simplify,
-                    swap_ab, to_notation)
-from .notation import GameSyntaxError, parse_game
-from .poset import AtomPoset, UnknownPoset, builtin, poset_to_json
+from .games import (Game, PosetMismatch, SolverContext, atom_signature,
+                    atomic, composite, dual, equiv, simplify, swap_ab,
+                    to_notation)
+from .notation import parse_game
+from .poset import builtin, poset_to_json
 from .setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
-                       board_to_json, eval_board, mask_pattern, pattern_masks)
+                       board_to_json, eval_board, mask_pattern)
 
 
 class FixtureParseError(ValueError):
@@ -56,6 +56,9 @@ class FixtureParseError(ValueError):
 
 # Antichain counts of the n-cube for n = 0..5; the census goes this far.
 DEDEKIND = (2, 3, 6, 20, 168, 7581)
+
+# The one poset of the census, the value table and every board here.
+P4 = builtin("P4")
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -86,16 +89,20 @@ def _patterns(n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(mask_pattern(m, n) for m in ac) for ac in antichains(n))
 
 
+def _threshold_board(n: int, a, b) -> SetColoringGame:
+    """The P4 threshold board on cells c0..c(n-1) with these a- and
+    b-patterns; Threshold refuses patterns that do not fit."""
+    return SetColoringGame(P4, tuple(f"c{i}" for i in range(n)),
+                           Threshold(P4, n, {"a": a, "b": b}))
+
+
 def board_at(n: int, index: int) -> SetColoringGame:
     """The n-cell board at this index: M(n)^2 boards, ordered by the
     a-antichain, then the b-antichain, each in the order of antichains(n).
     """
     pats = _patterns(n)
     pa, pb = divmod(index, len(pats))
-    poset = builtin("P4")
-    return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
-                           Threshold(poset, n, {"a": pats[pa],
-                                                "b": pats[pb]}))
+    return _threshold_board(n, pats[pa], pats[pb])
 
 
 # -- the restriction DP --------------------------------------------------------
@@ -141,13 +148,12 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
     board_at index order.  This is the value eval_board gives, interned
     object included.  The 0-cell boards are atoms and need no ``below``.
     """
-    poset = builtin("P4")
     count = len(antichains(n))
     if indices is None:
         indices = range(count * count)
     if n == 0:
         for idx in indices:
-            yield atomic(board_at(0, idx).payoff.value_at(0, 0), poset)
+            yield atomic(board_at(0, idx).payoff.value_at(0, 0), P4)
         return
     rows = _restrictions(n)
     stride = len(antichains(n - 1))
@@ -156,7 +162,7 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
         pairs = tuple(zip(rows[pa], rows[pb]))
         lefts = [below[a * stride + b] for (a, _), (b, _) in pairs]
         rights = [below[a * stride + b] for (_, a), (_, b) in pairs]
-        yield simplify(ctx, composite(lefts, rights, poset))
+        yield simplify(ctx, composite(lefts, rights, P4))
 
 
 def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
@@ -219,7 +225,6 @@ class CatalogEntry:
 @dataclass(frozen=True)
 class ValueCatalog:
     """Pairwise-inequivalent values with their smallest witness boards."""
-    poset: AtomPoset
     entries: tuple[CatalogEntry, ...]
 
     def values(self) -> list[Game]:
@@ -302,7 +307,7 @@ def build_catalog(ctx: SolverContext, n: int) -> ValueCatalog:
         below = values
     reps, todo = tee(orbit_representatives(n))
     file(n, reps, layer_values(ctx, n, below, todo))
-    return ValueCatalog(builtin("P4"), tuple(entries))
+    return ValueCatalog(tuple(entries))
 
 
 def dedupe_values(ctx: SolverContext, games) -> list[Game]:
@@ -315,7 +320,7 @@ def dedupe_values(ctx: SolverContext, games) -> list[Game]:
 
 def catalog_to_json(cat: ValueCatalog) -> dict:
     return {
-        "poset": poset_to_json(cat.poset),
+        "poset": poset_to_json(P4),
         "entries": [{"value": to_notation(e.value),
                      "cells": e.cells,
                      "board": board_to_json(e.board)} for e in cat.entries],
@@ -326,9 +331,9 @@ def catalog_to_json(cat: ValueCatalog) -> dict:
 
 @dataclass(frozen=True)
 class FixtureEntry:
-    value: str                # notation of the claimed value
-    a: tuple[str, ...]        # required-black patterns for the a condition
-    b: tuple[str, ...]
+    value: str                # the claimed value's notation, as listed
+    game: Game                # that value, parsed
+    board: SetColoringGame    # the listed board
 
 
 @dataclass(frozen=True)
@@ -340,25 +345,15 @@ class FixtureSection:
 
 @dataclass(frozen=True)
 class AppendixFixture:
-    poset: AtomPoset
     sections: tuple[FixtureSection, ...]    # consecutive cell counts from 0
-
-
-def _check_patterns(pats, cells: int, where: str) -> tuple[str, ...]:
-    try:
-        pattern_masks(pats, cells)
-    except ValueError as e:
-        raise FixtureParseError(f"{where}: {e}") from None
-    return tuple(pats)
 
 
 def fixture_from_json(obj) -> AppendixFixture:
     if not isinstance(obj, dict) or "poset" not in obj or "sections" not in obj:
         raise FixtureParseError("expected an object with poset and sections")
-    try:
-        poset = builtin(obj["poset"])
-    except UnknownPoset:
-        raise FixtureParseError(f"unknown poset {obj['poset']!r}") from None
+    if obj["poset"] != "P4":
+        raise FixtureParseError(f"the table's poset must be 'P4', not "
+                                f"{obj['poset']!r}")
     if not isinstance(obj["sections"], list):
         raise FixtureParseError("sections must be a list")
     sections = []
@@ -379,16 +374,14 @@ def fixture_from_json(obj) -> AppendixFixture:
             if not isinstance(e["value"], str):
                 raise FixtureParseError(f"{where}: value must be notation")
             try:
-                parse_game(e["value"], poset)
-            except (GameSyntaxError, UnknownAtom) as err:
+                entries.append(FixtureEntry(
+                    e["value"], parse_game(e["value"], P4),
+                    _threshold_board(idx, e["a"], e["b"])))
+            except ValueError as err:   # GameSyntaxError is one
                 raise FixtureParseError(f"{where}: {err}") from None
-            entries.append(FixtureEntry(
-                e["value"],
-                _check_patterns(e["a"], idx, where),
-                _check_patterns(e["b"], idx, where)))
         sections.append(FixtureSection(idx, bool(sec.get("closure_forms")),
                                        tuple(entries)))
-    return AppendixFixture(poset, tuple(sections))
+    return AppendixFixture(tuple(sections))
 
 
 def load_fixture(path=None) -> AppendixFixture:
@@ -432,7 +425,7 @@ def expand_fixture(fixture: AppendixFixture, n: int,
                 add(force_left(g))
                 add(force_right(g))
         for e in sec.entries:
-            add(parse_game(e.value, fixture.poset))
+            add(e.game)
     return set(index.values)
 
 
@@ -463,13 +456,8 @@ def verify_appendix(ctx: SolverContext,
     """Evaluate every explicit board in the table against its listed value."""
     checks = []
     for sec in fixture.sections:
-        cells = tuple(f"c{i}" for i in range(sec.cells))
         for e in sec.entries:
-            claimed = parse_game(e.value, fixture.poset)
-            S = SetColoringGame(
-                fixture.poset, cells,
-                Threshold(fixture.poset, sec.cells, {"a": e.a, "b": e.b}))
-            got = eval_board(ctx, S)
+            got = eval_board(ctx, e.board)
             checks.append(AppendixCheck(sec.cells, e.value, to_notation(got),
-                                        equiv(ctx, got, claimed)))
+                                        equiv(ctx, got, e.game)))
     return AppendixReport(tuple(checks))

@@ -213,9 +213,9 @@ def builtin_name(poset: AtomPoset) -> Optional[str]:
     return None
 
 
-def antichain_poset(n: int, prefix: str = "a") -> AtomPoset:
+def antichain_poset(n: int) -> AtomPoset:
     """Top, bottom, and n pairwise incomparable atoms a1..an."""
-    atoms = [f"{prefix}{i}" for i in range(1, n + 1)]
+    atoms = [f"a{i}" for i in range(1, n + 1)]
     le = [("bot", x) for x in atoms] + [(x, "top") for x in atoms]
     le.append(("bot", "top"))
     return make_poset(["bot", *atoms, "top"], le)
@@ -233,18 +233,30 @@ def product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
     nb = len(b.elements)
     up = []
     for arow in a._up:
-        for brow in b._up:
-            row = 0
-            for i2 in _bits(arow):
-                base = i2 * nb
-                row |= sum(1 << (base + j2) for j2 in _bits(brow))
-            up.append(row)
+        # the row of (x, y) is brow shifted to the block of each element of
+        # x's up-set; blocks are nb bits wide, so one product places them all
+        spread = sum(1 << i * nb for i in _bits(arow))
+        up.extend(brow * spread for brow in b._up)
     p = _intern(elements, tuple(up),
                 f"({a.top},{b.top})", f"({a.bot},{b.bot})")
     if p._components is None:
         p._components = (a, b)
         p._dual = _UNSET
     return p
+
+
+# A few bytes of nested products ask for exponentially many elements, so a
+# product read from a file is capped (at P4^6) before it is built.
+MAX_READ_PRODUCT = 4096
+
+
+def read_product(a: AtomPoset, b: AtomPoset) -> AtomPoset:
+    """product(a, b) for a poset read from a file; ValueError past the cap."""
+    size = len(a) * len(b)
+    if size > MAX_READ_PRODUCT:
+        raise ValueError(f"a product of {size} elements exceeds the cap of "
+                         f"{MAX_READ_PRODUCT} for a poset read from a file")
+    return product(a, b)
 
 
 def poset_to_json(p: AtomPoset) -> dict:
@@ -270,7 +282,7 @@ def poset_from_json(obj) -> AtomPoset:
         factors = obj["product"]
         if not (isinstance(factors, list) and len(factors) == 2):
             raise ValueError("poset 'product' must be a list of two posets")
-        return product(*map(poset_from_json, factors))
+        return read_product(*map(poset_from_json, factors))
     if "elements" not in obj:
         raise ValueError(
             "poset object needs 'builtin', 'product' or 'elements'")

@@ -13,19 +13,20 @@ from .poset import AtomPoset
 
 
 _MAX_TRIES = 100000     # guards random_passable_game against hostile sizes
+_P_ATOMIC = 0.35        # chance that a node above the depth bound is an atom
 
 
 def random_game(rng: random.Random, poset: AtomPoset, max_depth: int,
-                max_branch: int, p_atomic: float = 0.35) -> Game:
+                max_branch: int) -> Game:
     """A random game tree within hard depth and branching bounds."""
-    if max_depth <= 0 or rng.random() < p_atomic:
+    if max_depth <= 0 or rng.random() < _P_ATOMIC:
         return atomic(rng.choice(poset.elements), poset)
     nl = rng.randint(1, max_branch)
     nr = rng.randint(1, max_branch)
     return composite(
-        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic)
+        [random_game(rng, poset, max_depth - 1, max_branch)
          for _ in range(nl)],
-        [random_game(rng, poset, max_depth - 1, max_branch, p_atomic)
+        [random_game(rng, poset, max_depth - 1, max_branch)
          for _ in range(nr)],
         poset)
 

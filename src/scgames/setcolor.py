@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -47,6 +48,7 @@ from .poset import (
     product,
     projector_f,
     projector_g,
+    read_product,
 )
 
 
@@ -78,13 +80,6 @@ def normalize_position(text: str) -> str:
 
 
 # -- payoff expressions -------------------------------------------------------
-
-def _fold_domain(posets: Sequence[AtomPoset]) -> AtomPoset:
-    dom = posets[0]
-    for p in posets[1:]:
-        dom = product(dom, p)
-    return dom
-
 
 @dataclass(frozen=True)
 class Const:
@@ -201,7 +196,7 @@ class Compose:
         if not self.children:
             raise ValueError("composition needs at least one child")
         doms = [child.poset for child, _ in self.children]
-        if _fold_domain(doms) is not self.fn.domain:
+        if reduce(product, doms) is not self.fn.domain:
             raise PosetMismatch(
                 "function domain is not the product of the children")
         for child, emb in self.children:
@@ -779,7 +774,7 @@ def payoff_from_json(obj, poset: AtomPoset, n: int) -> PayoffExpr:
                 raise BoardFormatError("function table needs a domains list")
             child_posets = [poset_from_json(p) for p in domains]
             codomain = poset_from_json(fn_spec["codomain"])
-            fn = MonotoneFn(_fold_domain(child_posets), codomain,
+            fn = MonotoneFn(reduce(read_product, child_posets), codomain,
                             fn_spec["table"])
             if codomain is not poset:
                 raise BoardFormatError("composed payoff lands in the "

@@ -249,8 +249,7 @@ def test_non_gadget_still_acts_as_identity(ctx):
     for _ in range(20):
         g = random_passable_game(ctx, rng, P4, 2, 2)
         assert equiv(ctx, gadget_apply(ctx, x, g), g)
-    found = falsify_gadget_game(ctx, x, trials=50,
-                                rng=random.Random(2009))
+    found = falsify_gadget_game(ctx, x, rng=random.Random(2009))
     assert found is not None
     (g,) = found
     assert not equiv(ctx, gadget_apply(ctx, x, g),
@@ -261,14 +260,14 @@ def test_falsify_finds_nothing_for_real_gadgets(ctx):
     for kind in (GadgetKind.LEFT_FORCE, GadgetKind.RIGHT_FORCE,
                  GadgetKind.CHOICE, GadgetKind.COUPLING):
         x = gadget_game(kind)
-        assert falsify_gadget_game(ctx, x, trials=50,
+        assert falsify_gadget_game(ctx, x,
                                    rng=random.Random(2010)) is None
 
 
 def test_falsify_refutes_a_binary_non_gadget(ctx):
     # the binary search draws G then H and substitutes them for a and b
     x = parse("{{top|a}|a}", P4)
-    found = falsify_gadget_game(ctx, x, trials=50, rng=random.Random(2015))
+    found = falsify_gadget_game(ctx, x, rng=random.Random(2015))
     assert found is not None
     g, h = found
     assert not equiv(ctx, gadget_apply2(ctx, x, g, h),

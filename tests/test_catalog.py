@@ -16,7 +16,8 @@ from scgames.games import (SolverContext, atom_signature, bot, composite,
                            equiv, is_passable, simplify, to_notation, top)
 from scgames.poset import product
 from scgames.sampling import random_passable_game
-from scgames.setcolor import CarrierTooLarge, board_to_json, eval_board
+from scgames.setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
+                              board_to_json, eval_board)
 
 from conftest import P4, parse
 from reference import ref_count_antichains, ref_orbit_minima
@@ -315,7 +316,8 @@ def test_value_index_matches_plain_loop_on_sums():
 # -- the shipped value table -----------------------------------------------------
 
 def test_fixture_shape(fixture):
-    assert fixture.poset is P4
+    assert all(e.game.poset is P4 and e.board.poset is P4
+               for sec in fixture.sections for e in sec.entries)
     assert [s.cells for s in fixture.sections] == [0, 1, 2, 3, 4, 5]
     assert [s.closure_forms for s in fixture.sections] == \
         [False, False, True, True, True, True]
@@ -349,11 +351,13 @@ def test_verify_appendix_flags_corruption(mctx, fixture):
     sections = list(fixture.sections)
     sec1 = sections[1]
     # claim {top|a} for the board that always pays top
-    bad = FixtureEntry(sec1.entries[0].value, ("0",), ("0",))
+    first = sec1.entries[0]
+    top_board = SetColoringGame(P4, ("c0",),
+                                Threshold(P4, 1, {"a": ("0",), "b": ("0",)}))
+    bad = FixtureEntry(first.value, first.game, top_board)
     sections[1] = FixtureSection(1, sec1.closure_forms,
                                  (bad,) + sec1.entries[1:])
-    report = verify_appendix(mctx, AppendixFixture(fixture.poset,
-                                                   tuple(sections)))
+    report = verify_appendix(mctx, AppendixFixture(tuple(sections)))
     assert not report.ok
     assert len(report.failures()) == 1
     fail = report.failures()[0]
@@ -405,4 +409,13 @@ def test_fixture_parse_errors(tmp_path):
 def test_fixture_pattern_lengths(fixture):
     for sec in fixture.sections:
         for e in sec.entries:
-            assert all(len(s) == sec.cells for s in e.a + e.b)
+            sets = e.board.payoff.sets
+            assert e.board.size == sec.cells
+            assert all(len(s) == sec.cells for s in sets["a"] + sets["b"])
+
+
+def test_fixture_values_are_parsed_once_at_load(monkeypatch, mctx):
+    fixture = load_fixture()
+    monkeypatch.setattr(catalog_mod, "parse_game", None)
+    assert verify_appendix(mctx, fixture).ok
+    assert len(expand_fixture(fixture, 5, mctx)) == 178

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -338,6 +339,49 @@ def test_product_board_reads_back_in_a_fresh_process(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
 
+def _nested_product(factor, k):
+    obj = factor
+    for _ in range(k - 1):
+        obj = {"product": [obj, factor]}
+    return obj
+
+
+_BOOL = {"builtin": "Bool"}
+_CAPPED = ("a product of 8192 elements exceeds the cap of 4096 for a poset "
+           "read from a file")
+
+
+@pytest.mark.parametrize("name,payload,verb,want", [
+    ("bool13.json", _nested_product(_BOOL, 13), "poset",
+     (2, "", f"error: {_CAPPED}\n")),
+    ("dom13.scg", {"poset": _BOOL, "cells": [], "payoff": {"compose": {
+        "fn": {"domains": [_BOOL] * 13, "codomain": _BOOL, "table": {}},
+        "children": [{"payoff": {"const": "top"}, "cells": []}] * 13}}},
+     "board", (2, "", f"error: bad board JSON: {_CAPPED}\n")),
+    ("p4x6.json", _nested_product({"builtin": "P4"}, 6), "poset",
+     (0, "{top|bot}\n", "")),
+], ids=["13-bool-poset", "13-domain-table", "p4-to-the-6th-poset"])
+def test_file_products_are_capped_before_they_are_built(tmp_path, name,
+                                                        payload, verb, want):
+    # a few hundred bytes of nested products ask for 2^13 elements; the cap
+    # refuses them before product runs, in a fresh process and well under
+    # a second of CPU, while P4^6 (4,096 elements) still loads
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    argv = {"poset": ["value", "--poset", str(path), "{top|bot}"],
+            "board": ["eval", str(path)]}[verb]
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "scgames", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    cpu = (after.ru_utime + after.ru_stime
+           - before.ru_utime - before.ru_stime)
+    assert cpu < 1.0
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"
@@ -365,10 +409,11 @@ MALFORMED = [
     ("fixture", {"poset": "P4", "sections": 5}, "sections must be a list"),
     ("poset", {"elements": 5}, "poset elements must be a list of strings"),
     ("fixture", _one_cell_table("1", []),
-     "section 1, '{b|bot}': patterns must be a list of strings, not '1'"),
+     "section 1, '{b|bot}': patterns for 'a': patterns must be a list of "
+     "strings, not '1'"),
     ("fixture", _one_cell_table([], {"1": 0}),
-     "section 1, '{b|bot}': patterns must be a list of strings, "
-     "not {'1': 0}"),
+     "section 1, '{b|bot}': patterns for 'b': patterns must be a list of "
+     "strings, not {'1': 0}"),
     ("board", _board("ab", {"threshold": {"a": ["10"]}}),
      "board cells must be a list of strings"),
     ("board", _board([1, 2], {"threshold": {"a": ["10"]}}),
@@ -413,6 +458,8 @@ MALFORMED = [
     ("poset", {"product": 5}, "poset 'product' must be a list of two posets"),
     ("poset", {"product": [{"builtin": "P4"}]},
      "poset 'product' must be a list of two posets"),
+    ("fixture", {"poset": "P3", "sections": []},
+     "the table's poset must be 'P4', not 'P3'"),
 ]
 
 

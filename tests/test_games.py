@@ -456,7 +456,7 @@ def test_monotone_implies_passable_sampled(ctx):
     rng = random.Random(1005)
     hits = 0
     for _ in range(500):
-        g = random_game(rng, P4, max_depth=2, max_branch=2, p_atomic=0.5)
+        g = random_game(rng, P4, max_depth=2, max_branch=2)
         if is_monotone(ctx, g):
             hits += 1
             assert is_passable(ctx, g)

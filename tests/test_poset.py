@@ -158,7 +158,7 @@ def test_product_cardinality_and_order():
 
 
 def test_product_memo_keeps_factor_order_and_names():
-    a, b = antichain_poset(3, prefix="m"), builtin("P3")
+    a, b = antichain_poset(3), builtin("P3")
     pr = product(a, b)
     pairs = {(x, y): pr.pair(x, y) for x in a.elements for y in b.elements}
     splits = {name: pr.split(name) for name in pr.elements}
@@ -282,8 +282,12 @@ def test_json_round_trip():
 def test_product_attaches_factors_to_a_poset_read_as_elements():
     # the elements/le spelling of a product interns a poset without
     # factors, whose dual map search gives up; product() then attaches the
-    # factors and drops that stale answer
-    a, b = antichain_poset(2, prefix="dj"), builtin("P3")
+    # factors and drops that stale answer; the atoms are named apart from
+    # antichain_poset's, so no other test has built this product first
+    a = make_poset(["bot", "dj1", "dj2", "top"],
+                   [("bot", "dj1"), ("bot", "dj2"), ("dj1", "top"),
+                    ("dj2", "top")])
+    b = builtin("P3")
     names = {(x, y): f"({x},{y})" for x in a.elements for y in b.elements}
     spelled = make_poset(names.values(), [
         (names[x, y], names[u, v]) for x, y in names for u, v in names
