@@ -86,23 +86,20 @@ def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     return rec(G, H)
 
 
-def map_game(ctx: SolverContext, f: MonotoneFn, G: Game) -> Game:
-    """Apply a monotone function to every leaf."""
+def map_game(f: MonotoneFn, G: Game) -> Game:
+    """G with every leaf ``x`` replaced by ``f(x)``, over f's codomain;
+    the image is rebuilt on each call and kept in no memo."""
     if f.domain is not G.poset:
         raise PosetMismatch("function domain differs from the game's poset")
-    # one memo per function object, which the table keeps alive
-    memo = ctx.map.get(f)
-    if memo is None:
-        memo = ctx.map[f] = {}
     table, cod = f.table, f.codomain
-    return rebuild(G, lambda a: atomic(table[a], cod), cod, False, memo)
+    return rebuild(G, lambda a: atomic(table[a], cod), cod, False, {})
 
 
 def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
     """X + G collapsed back to G's poset through the P3 projector."""
     if X.poset is not builtin("P3"):
         raise PosetMismatch("gadget must live over P3")
-    return map_game(ctx, projector_f(G.poset), sum_games(ctx, X, G))
+    return map_game(projector_f(G.poset), sum_games(ctx, X, G))
 
 
 def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
@@ -111,7 +108,7 @@ def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
         raise PosetMismatch("gadget must live over P4")
     if G.poset is not H.poset:
         raise PosetMismatch("the two argument games must share a poset")
-    return map_game(ctx, projector_g(G.poset),
+    return map_game(projector_g(G.poset),
                     sum_games(ctx, sum_games(ctx, X, G), H))
 
 

@@ -415,7 +415,8 @@ def expand_fixture(fixture: AppendixFixture, n: int,
 
     def add(g: Game) -> None:
         g = simplify(ctx, g)
-        for img in (g, dual(g), swap_ab(g), swap_ab(dual(g))):
+        d = dual(g)
+        for img in (g, d, swap_ab(g), swap_ab(d)):
             index.add(simplify(ctx, img))
 
     for k in range(n + 1):

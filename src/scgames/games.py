@@ -97,10 +97,6 @@ _GAMES: dict[tuple, "Game"] = {}
 _NEXT_UID = [0]
 UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
 
-# symmetry images, global because games are interned globally
-_DUAL: dict[int, "Game"] = {}
-_SWAP: dict[int, "Game"] = {}
-
 
 class Game:
     """Interned game node.  Build via :func:`atomic` / :func:`composite`.
@@ -241,29 +237,27 @@ class SolverContext:
     What depends on one game alone (its atom masks, depth, branching,
     passability and monotonicity) is a field of the game, not a memo
     here.  Every table is a named attribute, and ``memo_sizes`` reports
-    them all.
+    them all.  Images of a game (``dual``, ``swap_ab``, ``map_game``) are
+    rebuilt per call and kept in no table.
     """
 
-    __slots__ = ("leq", "tri", "simp", "sum", "map", "realize",
-                 "realize_good", "stats")
+    __slots__ = ("leq", "tri", "simp", "sum", "realize", "realize_good",
+                 "stats")
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
         self.tri: dict[int, bool] = {}
         self.simp: dict[int, Game] = {}
         self.sum: dict[int, Game] = {}      # by pair_key
-        self.map: dict = {}                 # MonotoneFn -> {uid: image}
         self.realize: dict = {}             # uid -> SetColoringGame
         self.realize_good: dict = {}        # uid -> (side, index) of a good
                                             # option a gift horse came from
         self.stats = defaultdict(int)
 
     def memo_sizes(self) -> dict[str, int]:
-        """Entries in every table of the context; ``map`` counts the
-        entries of all its per-function memos."""
+        """Entries in every table of the context."""
         return {"leq": len(self.leq), "tri": len(self.tri),
                 "simp": len(self.simp), "sum": len(self.sum),
-                "map": sum(len(m) for m in self.map.values()),
                 "realize": len(self.realize),
                 "realize_good": len(self.realize_good)}
 
@@ -624,7 +618,7 @@ def dual(G: Game) -> Game:
     dm = p.dual_atom_map()
     if dm is None:
         raise NoDualityMap("poset has no order-reversing self-map")
-    return rebuild(G, lambda a: atomic(dm[a], p), p, True, _DUAL)
+    return rebuild(G, lambda a: atomic(dm[a], p), p, True, {})
 
 
 def swap_ab(G: Game) -> Game:
@@ -635,7 +629,7 @@ def swap_ab(G: Game) -> Game:
     m = {e: e for e in p.elements}
     m["a"], m["b"] = "b", "a"
     MonotoneFn(p, p, m)   # a monotone involution is an order automorphism
-    return rebuild(G, lambda a: atomic(m[a], p), p, False, _SWAP)
+    return rebuild(G, lambda a: atomic(m[a], p), p, False, {})
 
 
 def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
@@ -644,7 +638,8 @@ def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
 
     Composites are re-interned over ``poset``, with left and right options
     exchanged when ``swap_sides``.  ``memo`` maps uids of G's positions to
-    their images and must belong to this one (leaf, poset, swap_sides).
+    their images and must belong to this one (leaf, poset, swap_sides);
+    every caller passes a fresh ``{}``, which dies with the call.
     Positions are interned in post-order, left options before right, and a
     level of nesting costs one Python frame.
     """

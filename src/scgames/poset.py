@@ -95,6 +95,8 @@ class AtomPoset:
         return self.elements[i]
 
     def is_lattice(self) -> bool:
+        if self._components is not None:   # joins are taken componentwise
+            return all(f.is_lattice() for f in self._components)
         rows = self._row_index
         return all(a & b in rows for a in self._up for b in self._up)
 

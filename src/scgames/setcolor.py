@@ -712,15 +712,15 @@ def payoff_to_json(expr: PayoffExpr) -> dict:
     if isinstance(expr, Dual):
         return {"dual": payoff_to_json(expr.child)}
     if isinstance(expr, Compose):
-        # the named forms abbreviate exactly the gadget shape; anything
-        # else (e.g. a mapped board, whose single child spans the whole
-        # product domain) must spell its function out
+        # the named forms abbreviate exactly the gadget shape, tested before
+        # any projector is built; anything else (e.g. a mapped board, whose
+        # single child spans the whole product domain) spells its function out
         cod = expr.fn.codomain
         kids = [c.poset for c, _ in expr.children]
-        if expr.fn is projector_f(cod) and kids == [builtin("P3"), cod]:
+        if kids == [builtin("P3"), cod] and expr.fn is projector_f(cod):
             fn = "projector_f"
-        elif (expr.fn is projector_g(cod)
-              and kids == [builtin("P4"), cod, cod]):
+        elif (kids == [builtin("P4"), cod, cod]
+              and expr.fn is projector_g(cod)):
             fn = "projector_g"
         else:
             fn = {
@@ -762,12 +762,15 @@ def payoff_from_json(obj, poset: AtomPoset, n: int) -> PayoffExpr:
         kids = body.get("children")
         if not isinstance(kids, list) or not kids:
             raise BoardFormatError("compose needs a children list")
+        # a named form's domain passes the file cap before it is built
         if fn_spec == "projector_f":
-            fn = projector_f(poset)
             child_posets = [builtin("P3"), poset]
+            reduce(read_product, child_posets)
+            fn = projector_f(poset)
         elif fn_spec == "projector_g":
-            fn = projector_g(poset)
             child_posets = [builtin("P4"), poset, poset]
+            reduce(read_product, child_posets)
+            fn = projector_g(poset)
         elif isinstance(fn_spec, dict):
             domains = fn_spec.get("domains")
             if not isinstance(domains, list) or not domains:

@@ -186,7 +186,7 @@ def test_criterion_9_property_suites(ctx):
             is sum_games(ctx, raw_s, raw_t)
         both = sc_sum(T, S)
         assert eval_board(ctx, sc_map(f, both), simplify=False) \
-            is map_game(ctx, f, eval_board(ctx, both, simplify=False))
+            is map_game(f, eval_board(ctx, both, simplify=False))
 
     # sums respect equivalence of passable summands
     nontrivial = 0

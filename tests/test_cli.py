@@ -69,8 +69,8 @@ def test_eval_shipped_hex(capsys):
 
 
 # memo_sizes() of a context that filled no table
-NO_MEMO = {"leq": 0, "map": 0, "realize": 0, "realize_good": 0, "simp": 0,
-           "sum": 0, "tri": 0}
+NO_MEMO = {"leq": 0, "realize": 0, "realize_good": 0, "simp": 0, "sum": 0,
+           "tri": 0}
 
 
 def test_stats_flag_prints_counters_on_stderr(capsys):
@@ -347,25 +347,38 @@ def _nested_product(factor, k):
 
 
 _BOOL = {"builtin": "Bool"}
-_CAPPED = ("a product of 8192 elements exceeds the cap of 4096 for a poset "
+_P4 = {"builtin": "P4"}
+_CAPPED = ("a product of {} elements exceeds the cap of 4096 for a poset "
            "read from a file")
 
 
 @pytest.mark.parametrize("name,payload,verb,want", [
     ("bool13.json", _nested_product(_BOOL, 13), "poset",
-     (2, "", f"error: {_CAPPED}\n")),
+     (2, "", "error: " + _CAPPED.format(8192) + "\n")),
     ("dom13.scg", {"poset": _BOOL, "cells": [], "payoff": {"compose": {
         "fn": {"domains": [_BOOL] * 13, "codomain": _BOOL, "table": {}},
         "children": [{"payoff": {"const": "top"}, "cells": []}] * 13}}},
-     "board", (2, "", f"error: bad board JSON: {_CAPPED}\n")),
-    ("p4x6.json", _nested_product({"builtin": "P4"}, 6), "poset",
-     (0, "{top|bot}\n", "")),
-], ids=["13-bool-poset", "13-domain-table", "p4-to-the-6th-poset"])
+     "board", (2, "", "error: bad board JSON: " + _CAPPED.format(8192)
+               + "\n")),
+    ("p4x6.json", _nested_product(_P4, 6), "poset", (0, "{top|bot}\n", "")),
+    ("named3.scg", {"poset": _nested_product(_P4, 3), "cells": [],
+                    "payoff": {"compose": {"fn": "projector_g", "children": [
+                        {"payoff": {"const": "top"}, "cells": []}] * 3}}},
+     "board", (2, "", "error: bad board JSON: " + _CAPPED.format(16384)
+               + "\n")),
+    ("threshold6.scg", {"poset": _nested_product(_P4, 6), "cells": ["c"],
+                        "payoff": {"threshold": {
+                            "(((((a,a),a),a),a),a)": ["1"]}}},
+     "board", (0, "{(((((a,a),a),a),a),a)|bot}\n", "")),
+], ids=["13-bool-poset", "13-domain-table", "p4-to-the-6th-poset",
+        "p4-cubed-named-projector", "p4-to-the-6th-threshold-board"])
 def test_file_products_are_capped_before_they_are_built(tmp_path, name,
                                                         payload, verb, want):
-    # a few hundred bytes of nested products ask for 2^13 elements; the cap
-    # refuses them before product runs, in a fresh process and well under
-    # a second of CPU, while P4^6 (4,096 elements) still loads
+    # a few hundred bytes of nested products ask for 2^13 elements, or a
+    # named projector form asks for (P4 x P4^3) x P4^3; the cap refuses
+    # them before product runs, in a fresh process and well under a second
+    # of CPU, while P4^6 (4,096 elements) still loads, and a threshold board
+    # over it evaluates
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     argv = {"poset": ["value", "--poset", str(path), "{top|bot}"],

@@ -7,11 +7,18 @@ independent arithmetic, not against themselves.
 
 import gc
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+
+import scgames
 
 from scgames.algebra import (
     GadgetKind,
@@ -622,8 +629,7 @@ def test_map_board_is_structurally_the_map(ctx):
         board = sc_map(f, sc_sum(S, T))
         assert board.size == S.size + T.size
         got = eval_board(ctx, board, simplify=False)
-        want = map_game(ctx, f, eval_board(ctx, sc_sum(S, T),
-                                           simplify=False))
+        want = map_game(f, eval_board(ctx, sc_sum(S, T), simplify=False))
         assert got is want
 
 
@@ -893,6 +899,35 @@ def test_board_json_round_trip_values(ctx, tmp_path):
         assert T.cells == S.cells
         assert T.poset is S.poset
         assert eval_board(ctx, T) is eval_board(ctx, S)
+
+
+_SAVE_SUM_OF_THREE = """
+import json
+from scgames.games import SolverContext
+from scgames.setcolor import (GadgetKind, board_from_json, board_to_json,
+                              eval_board, sc_base, sc_sum)
+S = sc_base(GadgetKind.CHOICE)
+B = sc_sum(sc_sum(S, S), S)
+T = board_from_json(json.loads(json.dumps(board_to_json(B))))
+ctx = SolverContext()
+print(T.poset is B.poset and eval_board(ctx, T) is eval_board(ctx, B))
+"""
+
+
+def test_saving_a_sum_builds_no_projector_to_compare_with():
+    # three 2-cell boards over P4 sum to 6 cells over P4^3; a projector over
+    # that codomain would check a 16,384-element domain, so a fresh process
+    # that saves the sum and reads it back stays well under a second of CPU
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-c", _SAVE_SUM_OF_THREE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    cpu = (after.ru_utime + after.ru_stime
+           - before.ru_utime - before.ru_stime)
+    assert cpu < 1.0
 
 
 def test_board_json_is_plain_data():
