@@ -19,6 +19,9 @@ value.  build_catalog therefore fills the layers below n in full and
 values only the smallest board of each orbit in the top layer (558,801
 of the 57,471,561 five-cell boards), keeping one representative per
 value class together with the first witness board at the minimal count.
+Only the n-1 swaps of neighbouring cells are imaged from the masks; the
+table of any other cell permutation, including each cyclic shift that
+brings a cell to the top for the restriction tables, composes swap tables.
 Every dedupe by equivalence goes through ValueIndex, which buckets
 representatives by their atom signature, so a value is checked with equiv
 only against the representatives it could be equivalent to.  The shipped
@@ -36,7 +39,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, permutations, tee
+from itertools import chain, tee
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -105,6 +108,21 @@ def board_at(n: int, index: int) -> SetColoringGame:
     return _threshold_board(n, pats[pa], pats[pb])
 
 
+@lru_cache(maxsize=None)
+def _neighbour_swaps(n: int) -> tuple[list[int], ...]:
+    """For each i < n-1, the antichains(n) index of the image of each
+    antichain when cells i and i+1 swap, imaged from the masks."""
+    acs = antichains(n)
+    index = {ac: j for j, ac in enumerate(acs)}
+    swaps = []
+    for i in range(n - 1):
+        # a mask whose bits i and i+1 differ has both flipped
+        image = [m ^ (m >> i ^ m >> i + 1) % 2 * (3 << i)
+                 for m in range(1 << n)].__getitem__
+        swaps.append([index[tuple(sorted(map(image, ac)))] for ac in acs])
+    return tuple(swaps)
+
+
 # -- the restriction DP --------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -116,25 +134,24 @@ def _restrictions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     With i black a required set is met once its other cells are, so bit i
     drops from every mask and only the minimal masks remain; with i white
     the masks that need i can no longer be met.  Either way bit i is then
-    squeezed out, so cell j > i becomes cell j-1.
+    squeezed out, so cell j > i becomes cell j-1.  That is the top cell's
+    restriction of the image under the cyclic shift that moves cell i to
+    the top, so only the top cell is restricted here.
     """
     index = {ac: j for j, ac in enumerate(antichains(n - 1))}
-    rows = []
+    low = (1 << n - 1) - 1
+    top = []
     for ac in antichains(n):
-        row = []
-        for i in range(n):
-            low = (1 << i) - 1
-
-            def squeeze(m: int) -> int:
-                return m & low | m >> (i + 1) << i
-            met = {squeeze(m) for m in ac}
-            black = tuple(sorted(m for m in met
-                                 if not any(o != m and o & m == o
-                                            for o in met)))
-            white = tuple(squeeze(m) for m in ac if not m >> i & 1)
-            row.append((index[black], index[white]))
-        rows.append(tuple(row))
-    return tuple(rows)
+        met = {m & low for m in ac}
+        black = tuple(sorted(m for m in met
+                             if not any(o != m and o & m == o for o in met)))
+        top.append((index[black], index[tuple(m for m in ac if m <= low)]))
+    # shift i is the swap of cells i and i+1 followed by shift i+1
+    shift, columns = range(len(top)), [top]
+    for swap in reversed(_neighbour_swaps(n)):
+        shift = list(map(shift.__getitem__, swap))
+        columns.append(list(map(top.__getitem__, shift)))
+    return tuple(zip(*reversed(columns)))
 
 
 def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
@@ -175,17 +192,22 @@ def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
     return layers
 
 
-def _cell_permutations(n: int) -> list[list[int]]:
-    """For each permutation of the n cells, the antichains(n) index of
-    the image of each antichain."""
-    acs = antichains(n)
-    index = {ac: j for j, ac in enumerate(acs)}
-    tables = []
-    for perm in permutations(range(n)):
-        image = [sum(1 << perm[c] for c in range(n) if m >> c & 1)
-                 for m in range(1 << n)]
-        tables.append([index[tuple(sorted(image[m] for m in ac))]
-                       for ac in acs])
+def _cell_permutations(n: int) -> dict[tuple[int, ...], list[int]]:
+    """For each permutation p of the n cells, keyed by (p(0), ..., p(n-1)),
+    the antichains(n) index of the image of each antichain.
+
+    A breadth-first walk from the identity reaches each permutation as a
+    neighbour swap followed by one already built, whose table is then the
+    two tables composed by one C-level map.
+    """
+    walk = [tuple(range(n))]
+    tables = {walk[0]: list(range(len(antichains(n))))}
+    for p in walk:
+        for i, swap in enumerate(_neighbour_swaps(n)):
+            q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+            if q not in tables:
+                tables[q] = list(map(tables[p].__getitem__, swap))
+                walk.append(q)
     return tables
 
 
@@ -198,7 +220,7 @@ def orbit_representatives(n: int) -> Iterator[int]:
     under the permutations that fix pa.  Those stabilizer orbits are
     marked as the b-antichains are walked in order.
     """
-    tables = _cell_permutations(n)
+    tables = list(_cell_permutations(n).values())
     count = len(antichains(n))
     for pa in range(count):
         if any(t[pa] < pa for t in tables):

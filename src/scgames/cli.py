@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 from . import games
@@ -29,7 +30,7 @@ from .catalog import build_catalog, catalog_to_json, load_fixture, \
 from .games import SolverContext, is_monotone, is_passable, leq, equiv, \
     simplify, to_notation
 from .notation import parse_game
-from .poset import UnknownPoset, builtin, poset_from_json
+from .poset import UnknownPoset, builtin, poset_from_json, read_product
 from .realize import DEFAULT_VERIFY_CAP, NotPassable, VerificationFailed, \
     realize
 from .setcolor import DEFAULT_EVAL_CAP, eval_board, load_board, save_board
@@ -86,8 +87,12 @@ def cmd_eval(args, ctx: SolverContext) -> int:
 
 
 def cmd_realize(args, ctx: SolverContext) -> int:
-    report = realize(ctx, _parse(args, args.game),
-                     verify_value=args.verify, verify_cap=args.max_cells)
+    G = _parse(args, args.game)
+    # synthesis builds projector_g over (P4 x A) x A, so a poset A read
+    # from a file must keep that domain under the file cap
+    reduce(read_product, (builtin("P4"), G.poset, G.poset))
+    report = realize(ctx, G, verify_value=args.verify,
+                     verify_cap=args.max_cells)
     if args.out:
         save_board(report.board, args.out)
         print(f"board -> {args.out}", file=sys.stderr)

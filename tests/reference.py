@@ -105,3 +105,45 @@ def ref_orbit_minima(n):
               for perm in permutations(range(n))]
     return {min(index[img[s["a"]], img[s["b"]]] for img in images)
             for s in boards}
+
+
+def ref_cell_permutations(n):
+    """For each permutation of the n cells, the antichains(n) index of the
+    image of each antichain, every image built from the masks."""
+    from itertools import permutations
+    from scgames.catalog import antichains
+
+    acs = antichains(n)
+    index = {ac: j for j, ac in enumerate(acs)}
+    tables = []
+    for perm in permutations(range(n)):
+        image = [sum(1 << perm[c] for c in range(n) if m >> c & 1)
+                 for m in range(1 << n)]
+        tables.append([index[tuple(sorted(image[m] for m in ac))]
+                       for ac in acs])
+    return tables
+
+
+def ref_restrictions(n):
+    """For each n-cell antichain and each cell i, the (n-1)-cell antichain
+    indices of the condition with i black and with i white, every cell
+    restricted and squeezed out directly."""
+    from scgames.catalog import antichains
+
+    index = {ac: j for j, ac in enumerate(antichains(n - 1))}
+    rows = []
+    for ac in antichains(n):
+        row = []
+        for i in range(n):
+            low = (1 << i) - 1
+
+            def squeeze(m):
+                return m & low | m >> (i + 1) << i
+            met = {squeeze(m) for m in ac}
+            black = tuple(sorted(m for m in met
+                                 if not any(o != m and o & m == o
+                                            for o in met)))
+            white = tuple(squeeze(m) for m in ac if not m >> i & 1)
+            row.append((index[black], index[white]))
+        rows.append(tuple(row))
+    return tuple(rows)

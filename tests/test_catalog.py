@@ -1,14 +1,17 @@
 """Census, value table expansion, and the printed-board checks."""
 
+import hashlib
+import json
 import random
+from itertools import permutations
 
 import pytest
 
 from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
-                             board_at, build_catalog, census_layers,
-                             dedupe_values, expand_fixture, ValueIndex,
-                             fixture_from_json, load_fixture,
+                             board_at, build_catalog, catalog_to_json,
+                             census_layers, dedupe_values, expand_fixture,
+                             ValueIndex, fixture_from_json, load_fixture,
                              orbit_representatives, verify_appendix)
 from scgames import catalog as catalog_mod
 from scgames.algebra import sum_games
@@ -20,7 +23,8 @@ from scgames.setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
                               board_to_json, eval_board)
 
 from conftest import P4, parse
-from reference import ref_count_antichains, ref_orbit_minima
+from reference import (ref_cell_permutations, ref_count_antichains,
+                       ref_orbit_minima, ref_restrictions)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,29 @@ def test_antichain_stream_is_duplicate_free_and_valid():
             for y in ac[i + 1:]:
                 assert x & y != x and x & y != y
     assert len(seen) == DEDEKIND[4]
+
+
+# -- restriction and permutation tables ----------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_restrictions_match_per_cell_restriction(n):
+    assert catalog_mod._restrictions(n) == ref_restrictions(n)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_composed_permutation_tables_match_the_mask_images(n):
+    # keyed by the permutation, in the reference's permutations() order
+    got, want = catalog_mod._cell_permutations(n), ref_cell_permutations(n)
+    assert len(got) == len(want)
+    assert [got[p] for p in permutations(range(n))] == want
+
+
+def test_five_cell_permutation_tables_are_distinct_permutations():
+    # the reference would image all 120 permutations from the masks here
+    tables = catalog_mod._cell_permutations(5)
+    assert len({tuple(t) for t in tables.values()}) == len(tables) == 120
+    assert all(sorted(t) == list(range(DEDEKIND[5]))
+               for t in tables.values())
 
 
 # -- catalogs ------------------------------------------------------------------
@@ -186,6 +213,13 @@ def test_catalog_matches_expanded_table_at_five(five, fixture):
     ex = expand_fixture(fixture, 5, ctx)
     same_values_mod_equiv(ctx, five.values(), ex)
     assert len(five) == len(ex) == 178
+
+
+def test_five_cell_catalog_text_is_pinned(five):
+    # the exact bytes `scgames catalog -n 5 -o` writes
+    text = json.dumps(catalog_to_json(five), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6604f564edd6677966762be821ca09e07f06d6b5f5ae4bc56ac60c892456ea64"
 
 
 def test_five_cell_witnesses_reevaluate_fresh(five):

@@ -395,6 +395,23 @@ def test_file_products_are_capped_before_they_are_built(tmp_path, name,
     assert cpu < 1.0
 
 
+def test_realize_caps_the_projector_over_a_file_poset(capsys, tmp_path):
+    # a shared choice builds projector_g over (P4 x A) x A: 1,024 elements
+    # for A = P4 x P4 realize, 16,384 for A = P4^3 are refused up front
+    square = tmp_path / "p4x2.json"
+    square.write_text(json.dumps(_nested_product(_P4, 2)))
+    code, out, _ = run(capsys, "realize", "--verify", "--poset", str(square),
+                       "{(a,a),(b,b)|bot}")
+    assert code == 0
+    assert json.loads(out)["verified"] == "brute_force"
+    cube = tmp_path / "p4x3.json"
+    cube.write_text(json.dumps(_nested_product(_P4, 3)))
+    code, out, err = run(capsys, "realize", "--poset", str(cube),
+                         "{((a,a),a),((b,b),b)|bot}")
+    assert (code, out) == (2, "")
+    assert err == "error: " + _CAPPED.format(16384) + "\n"
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "value", "a")
     assert code == 0 and out.strip() == "a"
