@@ -16,16 +16,18 @@ The order is a pair of mutually recursive relations.  ``leq(G, H)`` holds
 iff every left option of G is ``tri``-below H, G is ``tri``-below every
 right option of H, and additionally ``tri(G, H)`` whenever G or H is
 atomic.  ``tri(G, H)`` holds iff some right option of G is leq-below H, or
-G is leq-below some left option of H, or both are atomic with comparable
-atoms.  Equivalence is leq both ways.  leq is reflexive on all games;
-whether it is transitive on non-passable games is an open question we test
-empirically but never rely on (see simplify).
+G is leq-below some left option of H, or both are atomic and G's atom is
+below H's in the poset.  Equivalence is leq both ways.  leq is reflexive
+on all games.  Transitivity through an atom (L1, L2 and S1 below) is
+proven for all games, passable or not; transitivity through a composite
+game is known on passable games only, and off them the code never relies
+on it (see simplify).
 
-A query with an atomic side reads one bit of the other game's atom masks
-(``G.masks``): four bitmasks over the poset's elements, bit i for the atom
-a_i, holding ``leq(G, a_i)``, ``tri(G, a_i)``, ``leq(a_i, G)`` and
-``tri(a_i, G)``.  An atom's masks are its up-row twice, then its down-row
-twice.  Unfolding the clauses above against an atom gives, for composite G,
+Every game carries four atom masks (``G.masks``): bitmasks over the
+poset's elements, bit i for the atom a_i, holding ``leq(G, a_i)``,
+``tri(G, a_i)``, ``leq(a_i, G)`` and ``tri(a_i, G)``.  An atom's masks are
+its up-row twice, then its down-row twice.  Unfolding the clauses above
+against an atom gives, for composite G,
 
     tri(G, .) = OR over right options gr of leq(gr, .)
     leq(G, .) = tri(G, .) AND the AND over left options gl of tri(gl, .)
@@ -36,13 +38,72 @@ so a game's masks come from its options' in one pass.  They depend on the
 game alone, so every game gets them when it is interned, together with
 its ``depth`` (the longest run of moves to an atom) and its ``branching``
 (the most options on either side of any position, 0 for an atom), each
-also read off its options' fields.  The pair memos
-(``ctx.leq``, ``ctx.tri``) therefore hold composite pairs only, and a
-composite pair costs one lookup in them: a miss goes to the relation's
-cold path, which evaluates the clauses.  There an atomic option is read
-from the other game's masks, and a composite option costs one lookup in
-the other relation's memo, whose miss goes straight to that relation's
-cold path.
+also read off its options' fields.
+
+For all games G and H, over any poset, and every atom a:
+
+    L1  leq(a, G) and leq(G, H)  imply  leq(a, H)
+    L2  leq(G, H) and leq(H, a)  imply  leq(G, a)
+    L3  leq(a, G) and tri(G, H)  imply  tri(a, H)
+    L4  tri(G, H) and leq(H, a)  imply  tri(G, a)
+    S1  leq(G, a) and leq(a, H)  imply  leq(G, H)
+    S2  leq(G, a) and tri(a, H)  imply  tri(G, H)
+    S3  tri(G, a) and leq(a, H)  imply  tri(G, H)
+
+Proof, by induction on depth(G) + depth(H), for all atoms a at once.
+Three readings of the clauses are used, for atoms c, d and composite K:
+leq(c, d) and tri(c, d) both mean c <= d; leq(c, H) implies tri(c, H)
+and tri(c, hr) for every right option hr of H; tri(c, K) means
+leq(c, kl) for some left option kl of K.
+
+L1 and L3 together.  L1: each tri(a, hr) follows from leq(G, H)'s
+tri(G, hr) by L3 at (G, hr).  For tri(a, H): if G is composite, leq(a, G)
+gives a left option gl with leq(a, gl), leq(G, H) gives tri(gl, H), and
+L3 at (gl, H) gives tri(a, H).  If G is an atom c, then a <= c and
+tri(c, H): for atomic H that is a <= c <= H, and otherwise some left
+option hl has leq(c, hl), so L1 at (c, hl) gives leq(a, hl).
+L3: if G and H are atoms, a <= G <= H.  If leq(G, hl) for a left option
+hl of H, L1 at (G, hl) gives leq(a, hl), so tri(a, H).  If leq(gr, H)
+for a right option gr of G, leq(a, G) gives tri(a, gr).  For composite gr
+that is leq(a, x) for a left option x of gr; leq(gr, H) gives tri(x, H),
+and L3 at (x, H) gives tri(a, H).  For an atom gr, a <= gr, so L1 at
+(gr, H) gives leq(a, H), hence tri(a, H).
+
+L2 and L4 are L1 and L3 over the opposite poset, for the dual games
+(sides swapped throughout): leq(G, H) iff leq(H*, G*) and tri(G, H) iff
+tri(H*, G*), by induction on the clauses.
+
+S1, S2 and S3 together, with L1 and L2 already proven; at each pair S2
+and S3 come first, since they use S1 on smaller pairs only.  S3: if G is
+composite, leq(gr, a) for some right option gr, S1 at (gr, H) gives
+leq(gr, H), hence tri(G, H); if G is an atom c, then c <= a, L1 gives
+leq(c, H), hence tri(c, H).  S2: if H is composite, leq(a, hl) for some
+left option hl, S1 at (G, hl) gives leq(G, hl), hence tri(G, H); if H is
+an atom d, then a <= d, L2 gives leq(G, d), hence tri(G, d).  S1: each
+tri(gl, a) gives tri(gl, H) by S3 at (gl, H), each tri(a, hr) gives
+tri(G, hr) by S2 at (G, hr), and when G or H is atomic, leq(G, a) holds
+tri(G, a), so S3 at (G, H) gives tri(G, H).  No step assumes
+transitivity between composite games.
+
+Taken with atom a_i and read from the masks g of G and h of H, the
+lemmas decide a pair without looking at its options:
+
+    leq(G, H) is False if g[2] & ~h[2] (L1) or h[0] & ~g[0] (L2),
+              is True  if g[0] & h[2] (S1);
+    tri(G, H) is False if g[2] & ~h[3] (L3) or h[0] & ~g[1] (L4),
+              is True  if g[0] & h[3] (S2) or g[1] & h[2] (S3).
+
+When G is the atom a_i, bit i is set in g[0] and in g[2], so the rules
+answer leq by bit i of h[2] and tri by bit i of h[3]; when H is a_i,
+likewise by bit i of g[0] or g[1].  A pair with an atomic side is thus
+always decided, by the one bit that holds its answer.
+``_leq`` and ``_tri`` apply the rules first, and only a pair they
+leave open, always a composite pair, costs one lookup in the pair memo
+(``ctx.leq``, ``ctx.tri``); a miss goes to the relation's cold path,
+which evaluates the clauses.  There each option is first put to the
+same rules, and an open one costs one lookup in the other relation's
+memo, whose miss goes straight to that relation's cold path.  So the
+pair memos hold only pairs the masks leave open.
 
 :func:`composite` sorts, deduplicates and checks its options, then hands
 them to ``_intern``, the one place a composite node is made.
@@ -245,8 +306,8 @@ class SolverContext:
                  "stats")
 
     def __init__(self):
-        self.leq: dict[int, bool] = {}      # composite pairs, by pair_key
-        self.tri: dict[int, bool] = {}
+        self.leq: dict[int, bool] = {}      # pairs the masks leave open,
+        self.tri: dict[int, bool] = {}      # by pair_key
         self.simp: dict[int, Game] = {}
         self.sum: dict[int, Game] = {}      # by pair_key
         self.realize: dict = {}             # uid -> SetColoringGame
@@ -285,13 +346,14 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
-    # An atomic side is answered from the other game's masks, a composite
-    # pair by one lookup in ctx.leq; only a miss goes to the clauses.
-    # Keys are pair_key, spelled out to save a call per lookup.
-    if G.atom is not None:
-        return H.masks[2] >> G.poset._index[G.atom] & 1 == 1
-    if H.atom is not None:
-        return G.masks[0] >> H.poset._index[H.atom] & 1 == 1
+    # The masks decide the pair when they can (module docstring), an open
+    # pair costs one lookup in ctx.leq, and only a miss goes to the
+    # clauses.  Keys are pair_key, spelled out to save a call per lookup.
+    g, h = G.masks, H.masks
+    if g[2] & ~h[2] or h[0] & ~g[0]:
+        return False
+    if g[0] & h[2]:
+        return True
     hit = ctx.leq.get(G.uid << 32 | H.uid)
     if hit is None:
         hit = _leq_cold(ctx, G, H)
@@ -299,10 +361,11 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
-    if G.atom is not None:
-        return H.masks[3] >> G.poset._index[G.atom] & 1 == 1
-    if H.atom is not None:
-        return G.masks[1] >> H.poset._index[H.atom] & 1 == 1
+    g, h = G.masks, H.masks
+    if g[2] & ~h[3] or h[0] & ~g[1]:
+        return False
+    if g[0] & h[3] or g[1] & h[2]:
+        return True
     hit = ctx.tri.get(G.uid << 32 | H.uid)
     if hit is None:
         hit = _tri_cold(ctx, G, H)
@@ -310,36 +373,43 @@ def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """leq of two composites whose pair is not in ctx.leq, by its clauses.
+    """leq of a pair the masks leave open and ctx.leq lacks, by its clauses.
 
-    An atomic option is read from the other game's masks; a composite one
-    costs one tri lookup, and a miss goes straight to _tri_cold.  Plain
-    loops rather than all()/any() over generators: one Python frame per
-    relation call.
+    Each option's tri is decided by the mask rules when they can; an open
+    one costs one tri lookup, and a miss goes straight to _tri_cold.
+    Plain loops rather than all()/any() over generators: one Python frame
+    per relation call.
     """
     tri_memo = ctx.tri
-    index = G.poset._index
+    g0, g1, g2, _ = G.masks
+    h0, _, h2, h3 = H.masks
     res = True
     hu = H.uid
     for gl in G.left:
-        if gl.atom is not None:
-            t = H.masks[3] >> index[gl.atom] & 1
-        else:
-            t = tri_memo.get(gl.uid << 32 | hu)
-            if t is None:
-                t = _tri_cold(ctx, gl, H)
+        x0, x1, x2, _ = gl.masks
+        if x2 & ~h3 or h0 & ~x1:
+            res = False
+            break
+        if x0 & h3 or x1 & h2:
+            continue
+        t = tri_memo.get(gl.uid << 32 | hu)
+        if t is None:
+            t = _tri_cold(ctx, gl, H)
         if not t:
             res = False
             break
     else:
         gu = G.uid << 32
         for hr in H.right:
-            if hr.atom is not None:
-                t = G.masks[1] >> index[hr.atom] & 1
-            else:
-                t = tri_memo.get(gu | hr.uid)
-                if t is None:
-                    t = _tri_cold(ctx, G, hr)
+            y0, _, y2, y3 = hr.masks
+            if g2 & ~y3 or y0 & ~g1:
+                res = False
+                break
+            if g0 & y3 or g1 & y2:
+                continue
+            t = tri_memo.get(gu | hr.uid)
+            if t is None:
+                t = _tri_cold(ctx, G, hr)
             if not t:
                 res = False
                 break
@@ -348,30 +418,37 @@ def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _tri_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """tri of two composites whose pair is not in ctx.tri; see _leq_cold."""
+    """tri of a pair the masks leave open and ctx.tri lacks; see _leq_cold."""
     leq_memo = ctx.leq
-    index = G.poset._index
+    g0, _, g2, _ = G.masks
+    h0, _, h2, _ = H.masks
     res = False
     hu = H.uid
     for gr in G.right:
-        if gr.atom is not None:
-            t = H.masks[2] >> index[gr.atom] & 1
-        else:
-            t = leq_memo.get(gr.uid << 32 | hu)
-            if t is None:
-                t = _leq_cold(ctx, gr, H)
+        x0, _, x2, _ = gr.masks
+        if x2 & ~h2 or h0 & ~x0:
+            continue
+        if x0 & h2:
+            res = True
+            break
+        t = leq_memo.get(gr.uid << 32 | hu)
+        if t is None:
+            t = _leq_cold(ctx, gr, H)
         if t:
             res = True
             break
     else:
         gu = G.uid << 32
         for hl in H.left:
-            if hl.atom is not None:
-                t = G.masks[0] >> index[hl.atom] & 1
-            else:
-                t = leq_memo.get(gu | hl.uid)
-                if t is None:
-                    t = _leq_cold(ctx, G, hl)
+            y0, _, y2, _ = hl.masks
+            if g2 & ~y2 or y0 & ~g0:
+                continue
+            if g0 & y2:
+                res = True
+                break
+            t = leq_memo.get(gu | hl.uid)
+            if t is None:
+                t = _leq_cold(ctx, G, hl)
             if t:
                 res = True
                 break

@@ -83,7 +83,7 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
     assert json.loads(proc.stderr) == {
         "eval_dead": 10, "eval_residuals": 9, "interned": 8,
-        "memo": dict(NO_MEMO, leq=6, simp=8, tri=1)}
+        "memo": dict(NO_MEMO, leq=6, simp=8)}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
     # a false predicate keeps its exit code, and the line is still printed;
@@ -91,8 +91,9 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
     code, out, err = run(capsys, "--stats", "leq", "top", "a")
     assert (code, out.strip()) == (1, "false")
     assert json.loads(err)["memo"] == NO_MEMO
-    # a composite pair is memoized, and its atomic options (a on the left,
-    # b on the right) are read from the other game's masks, adding no entry
+    # a composite pair the masks leave open is memoized, and its atomic
+    # options (a on the left, b on the right) are decided by the masks,
+    # adding no entry
     code, out, err = run(capsys, "--stats", "leq", "{a|bot}", "{top|b}")
     memo = json.loads(err)["memo"]
     assert code == 0 and memo == dict(NO_MEMO, leq=1)

@@ -188,13 +188,62 @@ def test_predicates_are_kept_on_the_game():
     assert again.leq == {} and again.tri == {}
 
 
-def test_memoized_relations_match_reference_on_random_pairs(ctx):
-    rng = random.Random(1001)
-    for _ in range(200):
-        g = random_game(rng, P4, max_depth=3, max_branch=2)
-        h = random_game(rng, P4, max_depth=3, max_branch=2)
-        assert leq(ctx, g, h) == ref_leq(g, h)
-        assert tri(ctx, g, h) == ref_tri(g, h)
+MASK_POSETS = [(P4, 3), (product(P4, P4), 2), (CHAIN4, 3), (BOWTIE6, 3)]
+MASK_IDS = ["P4", "P4xP4", "chain4", "bowtie6"]
+
+
+def _masks_decide_leq(g, h):
+    # the mask rules of the games module docstring, restated
+    g, h = g.masks, h.masks
+    return bool(g[2] & ~h[2] or h[0] & ~g[0] or g[0] & h[2])
+
+
+def _masks_decide_tri(g, h):
+    g, h = g.masks, h.masks
+    return bool(g[2] & ~h[3] or h[0] & ~g[1] or g[0] & h[3] or g[1] & h[2])
+
+
+@pytest.mark.parametrize("poset, max_depth", MASK_POSETS, ids=MASK_IDS)
+def test_transitivity_through_an_atom_by_the_oracle(poset, max_depth):
+    # the lemmas behind the order kernel's mask rules (games module
+    # docstring), checked with the reference relations alone on samples
+    # not filtered for passability, atoms among them
+    rng = random.Random(1017)
+    atoms = [atomic(e, poset) for e in poset.elements]
+    sample = atoms + [random_game(rng, poset, max_depth, 2)
+                      for _ in range(60)]
+    le = {(g, h): ref_leq(g, h) for g in sample for h in sample}
+    tr = {(g, h): ref_tri(g, h) for g in sample for h in sample}
+    fired = dict.fromkeys(["L1", "L2", "L3", "L4", "S1", "S2", "S3"], 0)
+    for g in sample:
+        for h in sample:
+            for a in atoms:
+                laws = (("L1", le[a, g] and le[g, h], le[a, h]),
+                        ("L2", le[g, h] and le[h, a], le[g, a]),
+                        ("L3", le[a, g] and tr[g, h], tr[a, h]),
+                        ("L4", tr[g, h] and le[h, a], tr[g, a]),
+                        ("S1", le[g, a] and le[a, h], le[g, h]),
+                        ("S2", le[g, a] and tr[a, h], tr[g, h]),
+                        ("S3", tr[g, a] and le[a, h], tr[g, h]))
+                for name, premise, conclusion in laws:
+                    if premise:
+                        assert conclusion, (name, g, h, a)
+                        fired[name] += g.atom is None and h.atom is None
+    # every lemma was put to work on pairs of composite games
+    assert min(fired.values()) > 0, fired
+
+
+def test_memoized_relations_match_reference_on_random_pairs():
+    # unfiltered pairs over every mask poset, one fresh context a poset
+    for poset, max_depth in MASK_POSETS:
+        ctx = SolverContext()
+        rng = random.Random(1001)
+        for _ in range(200):
+            g = random_game(rng, poset, max_depth, 2)
+            h = random_game(rng, poset, max_depth, 2)
+            assert leq(ctx, g, h) == ref_leq(g, h)
+            assert tri(ctx, g, h) == ref_tri(g, h)
+        assert ctx.leq and ctx.tri
 
 
 def _composite_passable(ctx, rng):
@@ -219,7 +268,7 @@ def test_relations_match_reference_on_sums_in_one_context(ctx):
 
 
 def test_cold_paths_match_reference_at_atomic_options(ctx):
-    # the order kernel reads an atomic option from the other game's masks:
+    # the order kernel decides an atomic option by the mask rules:
     # sampled pairs of positions, each with atomic options on both sides,
     # of sums of composite passable games, one fresh context a sum
     rng = random.Random(1016)
@@ -238,10 +287,6 @@ def test_cold_paths_match_reference_at_atomic_options(ctx):
             seen.add(got)
         assert ref_equiv(simplify(local, s), s)
     assert len(seen) == 4       # every consistent outcome occurs
-
-
-MASK_POSETS = [(P4, 3), (product(P4, P4), 2), (CHAIN4, 3), (BOWTIE6, 3)]
-MASK_IDS = ["P4", "P4xP4", "chain4", "bowtie6"]
 
 
 @pytest.mark.parametrize("poset, max_depth", MASK_POSETS, ids=MASK_IDS)
@@ -303,33 +348,44 @@ def test_pair_memos_hold_composite_pairs_only():
             x = atomic(e, s.poset)
             leq(ctx, s, x), tri(ctx, s, x), leq(ctx, x, s), tri(ctx, x, s)
         assert len(ctx.leq) + len(ctx.tri) == size
-    atomic_uids = {g.uid for g in list(games_mod._GAMES.values())
-                   if g.atom is not None}
+    by_uid = {g.uid: g for g in list(games_mod._GAMES.values())}
     keys = list(ctx.leq) + list(ctx.tri)
     assert keys
     low = UID_LIMIT - 1
-    assert not [k for k in keys
-                if k >> 32 in atomic_uids or k & low in atomic_uids]
+    assert not [k for k in keys if by_uid[k >> 32].atom is not None
+                or by_uid[k & low].atom is not None]
+    # nor any pair the mask rules decide, composite or not
+    assert not [k for k in ctx.leq
+                if _masks_decide_leq(by_uid[k >> 32], by_uid[k & low])]
+    assert not [k for k in ctx.tri
+                if _masks_decide_tri(by_uid[k >> 32], by_uid[k & low])]
 
 
-def test_leq_decides_chain_of_300_levels(ctx):
+def test_leq_decides_chain_of_300_levels():
     # two Python frames per level of the recursion, so 300 levels fit
-    # the default recursion limit
+    # the default recursion limit; the masks leave every level of these
+    # chains open, so each query, in a fresh context, memoizes at least
+    # one pair a level
     assert sys.getrecursionlimit() <= 1000
-    t = top(P4)
+    a, b = atomic("a", P4), atomic("b", P4)
 
     def chain(n, base):
         g = atomic(base, P4)
         for _ in range(n):
-            g = composite([g], [t])
+            g = composite([g], [a, b])      # {...{base|a,b}...|a,b}
         return g
 
     for n in (3, 300):
         lo, hi = chain(n, "bot"), chain(n, "top")
-        got = (leq(ctx, lo, hi), leq(ctx, hi, lo), tri(ctx, hi, lo))
+        got, grown = [], []
+        for rel, g, h in ((leq, lo, hi), (leq, hi, lo), (tri, hi, lo)):
+            local = SolverContext()
+            got.append(rel(local, g, h))
+            grown.append(len(local.leq) + len(local.tri))
         if n == 3:
-            assert got == (ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo))
-        assert got == (True, False, False)
+            assert got == [ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo)]
+        assert got == [True, False, False]
+        assert min(grown) >= n
 
 
 def test_chain_of_400_levels_through_the_order_kernel():
@@ -337,8 +393,10 @@ def test_chain_of_400_levels_through_the_order_kernel():
     # the default recursion limit in every entry that reaches them; each
     # query gets a fresh context, so no memo answers it from another's
     # recursion, and the answers match the reference on a shallow chain.
-    # Games keep their predicates, so the deep-chain tests here each ask
-    # them of a chain no other test asks them of.
+    # The masks leave every level of the {a,b|...} chains open, so each
+    # order query memoizes at least one pair a level.  Games keep their
+    # predicates, so the deep-chain tests here each ask them of a chain no
+    # other test asks them of.
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
 
@@ -359,9 +417,14 @@ def test_chain_of_400_levels_through_the_order_kernel():
             ref_is_passable(g)) == (False, True, False, True)
     assert ref_is_monotone(monotone_chain(4))
     g, h = chain(400), chain(399)
-    assert (leq(SolverContext(), g, h), leq(SolverContext(), h, g),
-            equiv(SolverContext(), g, h),
-            is_passable(SolverContext(), g)) == (False, True, False, True)
+    got, grown = [], []
+    for query in (lambda c: leq(c, g, h), lambda c: leq(c, h, g),
+                  lambda c: equiv(c, g, h), lambda c: is_passable(c, g)):
+        local = SolverContext()
+        got.append(query(local))
+        grown.append(len(local.leq) + len(local.tri))
+    assert got == [False, True, False, True]
+    assert min(grown) >= 400
     assert simplify(SolverContext(), g) is g
     assert is_monotone(SolverContext(), monotone_chain(400))
 
