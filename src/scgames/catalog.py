@@ -12,7 +12,12 @@ Coloring one cell of a threshold board leaves a threshold board on the
 other cells, so the census is a dynamic program over cell counts:
 layer_values takes each n-cell board's value from the values of its 2n
 one-cell restrictions in the (n-1)-cell layer, found through per-antichain
-restriction tables, with no payoff table or position sweep.  Permuting
+restriction tables, with no payoff table or position sweep.  Most boards
+repeat an earlier board's pair of option sets (717 distinct pairs among
+the 2,435 boards valued through 4 cells), so a memo that lives for one
+layer_values call values each pair once.  New pairs are met in board
+order, so the games interned, and the order they are interned in, are
+those of valuing every board on its own.  Permuting
 the cells of a board permutes its restrictions, so by induction every
 board of an orbit under the cell permutations has the same interned
 value.  build_catalog therefore fills the layers below n in full and
@@ -23,8 +28,9 @@ Only the n-1 swaps of neighbouring cells are imaged from the masks; the
 table of any other cell permutation, including each cyclic shift that
 brings a cell to the top for the restriction tables, composes swap tables.
 Every dedupe by equivalence goes through ValueIndex, which buckets
-representatives by their atom signature, so a value is checked with equiv
-only against the representatives it could be equivalent to.  The shipped
+representatives by their atom signature (the atoms below and above them,
+shared by equivalent games), so a value is checked with equiv only
+against the representatives it could be equivalent to.  The shipped
 table (data/appendix_p4.json) lists the values through five cells the way
 a printed table would: explicit entries per cell count, with the forced
 forms <top|G> and <G|bot> and the dual / a-b-swap images left implicit.
@@ -36,17 +42,17 @@ and verify_appendix re-evaluates every board against its value.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, tee
+from itertools import tee
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .algebra import force_left, force_right
-from .games import (Game, PosetMismatch, SolverContext, atom_signature,
-                    atomic, composite, dual, equiv, simplify, swap_ab,
-                    to_notation)
+from .games import (Game, PosetMismatch, SolverContext, atomic, composite,
+                    dual, equiv, simplify, swap_ab, to_notation)
 from .notation import parse_game
 from .poset import builtin, poset_to_json
 from .setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
@@ -164,6 +170,17 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
     in ``below``, the values of the whole (n-1)-cell layer in
     board_at index order.  This is the value eval_board gives, interned
     object included.  The 0-cell boards are atoms and need no ``below``.
+
+    Most boards repeat an earlier board's pair of option sets, so the
+    distinct objects of ``below`` are numbered, a board's left and right
+    options become two bitmasks over those numbers, and a memo that lives
+    for this call maps the pair to its value.  Only a new pair builds its
+    composite and simplifies it.  A repeat would have found its composite
+    already interned and its simplified form in ctx.simp, so skipping it
+    interns nothing, and new pairs are met in board order: every uid and
+    every value is what the per-board composite gives.  ctx.stats counts
+    the boards valued here in "layer_boards" and the pairs simplified in
+    "layer_pairs".
     """
     count = len(antichains(n))
     if indices is None:
@@ -174,12 +191,38 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
         return
     rows = _restrictions(n)
     stride = len(antichains(n - 1))
+    # games hash by identity; grid[a][b] is the bit of below[a * stride + b]
+    distinct = list(dict.fromkeys(below))
+    bit = {v: 1 << i for i, v in enumerate(distinct)}
+    grid = [[bit[v] for v in below[i:i + stride]]
+            for i in range(0, len(below), stride)]
+    width = len(distinct)
+    memo: dict[int, Game] = {}
+    stats = ctx.stats
     for idx in indices:
         pa, pb = divmod(idx, count)
-        pairs = tuple(zip(rows[pa], rows[pb]))
-        lefts = [below[a * stride + b] for (a, _), (b, _) in pairs]
-        rights = [below[a * stride + b] for (_, a), (_, b) in pairs]
-        yield simplify(ctx, composite(lefts, rights, P4))
+        left = right = 0
+        for (la, ra), (lb, rb) in zip(rows[pa], rows[pb]):
+            left |= grid[la][lb]
+            right |= grid[ra][rb]
+        key = left << width | right     # right keeps the low width bits
+        value = memo.get(key)
+        if value is None:
+            stats["layer_pairs"] += 1
+            value = memo[key] = simplify(ctx, composite(
+                _members(left, distinct), _members(right, distinct), P4))
+        stats["layer_boards"] += 1
+        yield value
+
+
+def _members(mask: int, values: list[Game]) -> list[Game]:
+    """The values whose bits are set in mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(values[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:
@@ -218,9 +261,11 @@ def orbit_representatives(n: int) -> Iterator[int]:
     An index pa * M + pb is the smallest of its orbit exactly when pa is
     the smallest of its antichain orbit and pb the smallest of its orbit
     under the permutations that fix pa.  Those stabilizer orbits are
-    marked as the b-antichains are walked in order.
+    marked as the b-antichains are walked in order.  The tables are held
+    as 16-bit arrays while the caller values the boards: at 5 cells that
+    is 1.8 MB where lists would hold 7.3 MB of slots.
     """
-    tables = list(_cell_permutations(n).values())
+    tables = [array("H", t) for t in _cell_permutations(n).values()]
     count = len(antichains(n))
     for pa in range(count):
         if any(t[pa] < pa for t in tables):
@@ -260,10 +305,10 @@ class ValueIndex:
     """One representative per equivalence class, in the order filed.
 
     A value whose uid was seen before is filed already.  Any other is
-    checked with equiv against the representatives it can be equivalent
-    to: when it is passable, those of its atom signature (equivalent
-    passable games share a signature), then the non-passable ones;
-    otherwise all of them.  So ``add`` answers as a scan over every
+    checked with equiv only against the representatives with its atom
+    signature ``(masks[2], masks[0])``, the atoms below it and the atoms
+    above it: by L1 and L2 of the games module, equivalent games share
+    them, passable or not.  So ``add`` answers as a scan over every
     representative would, with no more equiv calls, and counts them in
     ctx.stats["index_equiv"].  The first value of a class stays its
     representative, so callers feed values in witness order.  All values
@@ -274,7 +319,6 @@ class ValueIndex:
         self.ctx = ctx
         self.values: list[Game] = []
         self._seen: set[int] = set()
-        self._loose: list[Game] = []    # the non-passable representatives
         self._buckets: dict[tuple[int, int], list[Game]] = {}
 
     def add(self, value: Game) -> bool:
@@ -284,15 +328,11 @@ class ValueIndex:
         if self.values and value.poset is not self.values[0].poset:
             raise PosetMismatch("index values live over different posets")
         self._seen.add(value.uid)
+        m = value.masks
+        bucket = self._buckets.setdefault((m[2], m[0]), [])
         ctx = self.ctx
-        sig = atom_signature(ctx, value)
-        if sig is None:
-            scan, bucket = self.values, self._loose
-        else:
-            bucket = self._buckets.setdefault(sig, [])
-            scan = chain(bucket, self._loose)
         stats = ctx.stats
-        for v in scan:
+        for v in bucket:
             stats["index_equiv"] += 1
             if equiv(ctx, value, v):
                 return False

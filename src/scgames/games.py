@@ -112,9 +112,10 @@ duplicates, non-empty and over one poset, calls ``_intern`` directly.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
-The global predicates quantify the local ones over all positions.  On
-passable games leq is transitive, so the atoms below and above a passable
-game (its atom signature) are shared by every game equivalent to it.
+The global predicates quantify the local ones over all positions.  The
+atoms below and above a game, ``(masks[2], masks[0])``, are its atom
+signature; by L1 and L2 every game equivalent to it shares them, passable
+or not.
 """
 
 from __future__ import annotations
@@ -504,21 +505,6 @@ def is_passable(ctx: SolverContext, G: Game) -> bool:
                 break
     G.passable = res
     return res
-
-
-def atom_signature(ctx: SolverContext, G: Game) -> Optional[tuple[int, int]]:
-    """The atoms below G and the atoms above G, or None when G is not passable.
-
-    The pair holds two bitmasks over the poset's elements: bit i of the
-    first is set when atom i is leq G, bit i of the second when G is leq
-    atom i.  leq is transitive on passable games, so equivalent passable
-    games share a signature; off that class transitivity is open, and no
-    signature is given.
-    """
-    if not is_passable(ctx, G):
-        return None
-    m = G.masks
-    return m[2], m[0]
 
 
 def is_monotone(ctx: SolverContext, G: Game) -> bool:

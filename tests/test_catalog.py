@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -11,12 +12,13 @@ from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
                              FixtureParseError, FixtureSection, antichains,
                              board_at, build_catalog, catalog_to_json,
                              census_layers, dedupe_values, expand_fixture,
-                             ValueIndex, fixture_from_json, load_fixture,
-                             orbit_representatives, verify_appendix)
+                             layer_values, ValueIndex, fixture_from_json,
+                             load_fixture, orbit_representatives,
+                             verify_appendix)
 from scgames import catalog as catalog_mod
 from scgames.algebra import sum_games
-from scgames.games import (SolverContext, atom_signature, bot, composite,
-                           equiv, is_passable, simplify, to_notation, top)
+from scgames.games import (SolverContext, bot, composite, equiv, is_passable,
+                           simplify, to_notation, top)
 from scgames.poset import product
 from scgames.sampling import random_passable_game
 from scgames.setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
@@ -97,6 +99,53 @@ def test_layer_values_match_eval_board():
             assert values[idx] is eval_board(fresh, S), (n, idx)
             checked += 1
     assert checked == 449 + (28224 + 22) // 23
+
+
+@lru_cache(maxsize=None)
+def ref_rows(n):
+    return ref_restrictions(n)
+
+
+def per_board_options(n, below, idx):
+    """The left and right options of board idx of n cells, looked up one
+    restriction at a time in the values below."""
+    rows, stride = ref_rows(n), DEDEKIND[n - 1]
+    pairs = list(zip(*(rows[i] for i in divmod(idx, DEDEKIND[n]))))
+    return ([below[a * stride + b] for (a, _), (b, _) in pairs],
+            [below[a * stride + b] for (_, a), (_, b) in pairs])
+
+
+def test_layer_values_are_the_per_board_composites():
+    # every board of 1 to 4 cells, not only the orbit representatives:
+    # the value looked up by the board's pair of option sets is the very
+    # object the per-board simplify(composite(lefts, rights)) gives
+    ctx = SolverContext()
+    layers = census_layers(ctx, 4)
+    option_sets = set()
+    for n in range(1, 5):
+        for idx, value in enumerate(layers[n]):
+            lefts, rights = per_board_options(n, layers[n - 1], idx)
+            assert value is simplify(ctx, composite(lefts, rights, P4)), \
+                (n, idx)
+            option_sets.add((n, frozenset(lefts), frozenset(rights)))
+    # each distinct pair of option sets went to simplify once
+    assert ctx.stats["layer_boards"] == 9 + 36 + 400 + 28224
+    assert ctx.stats["layer_pairs"] == len(option_sets) < 1000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_values_are_the_per_board_composites_over_any_layer(seed):
+    # a layer below drawn from six values repeats option sets in every
+    # combination, so two boards whose option sets differ in one value on
+    # one side, the left or the right, are met often and must still get
+    # their own values
+    ctx = SolverContext()
+    rng = random.Random(seed)
+    pool = rng.sample(list(dict.fromkeys(census_layers(ctx, 2)[2])), 6)
+    below = [rng.choice(pool) for _ in range(DEDEKIND[2] ** 2)]
+    for idx, value in enumerate(layer_values(ctx, 3, below)):
+        lefts, rights = per_board_options(3, below, idx)
+        assert value is simplify(ctx, composite(lefts, rights, P4)), idx
 
 
 def test_catalog_zero_cells(mctx):
@@ -286,14 +335,15 @@ def test_value_index_scans_like_a_plain_loop(mctx, monkeypatch):
     assert 0 < len(calls) <= want_calls
     assert mctx.stats["index_equiv"] - before == len(calls)
     for g, r in calls:
-        sg, sr = atom_signature(mctx, g), atom_signature(mctx, r)
-        assert sg is None or sr is None or sg == sr
+        # one bucket per atom signature, non-passable values included
+        assert (g.masks[2], g.masks[0]) == (r.masks[2], r.masks[0])
         assert r in reps
-    assert any(atom_signature(mctx, g) is None for g, _ in calls)
+    assert any(not is_passable(mctx, g) for g, _ in calls)
 
 
 def test_census_classes_share_one_signature():
-    # equivalent passable games have the same atoms below and above them
+    # equivalent games have the same atoms below and above them; every
+    # census value is passable
     ctx = SolverContext()
     classes: list[list] = []
     for layer in census_layers(ctx, 4):
@@ -309,8 +359,8 @@ def test_census_classes_share_one_signature():
     assert sum(map(len, classes)) > 50    # some classes hold several uids
     sigs = set()
     for cls in classes:
-        got = {atom_signature(ctx, v) for v in cls}
-        assert len(got) == 1 and None not in got
+        got = {(v.masks[2], v.masks[0]) for v in cls}
+        assert len(got) == 1 and all(is_passable(ctx, v) for v in cls)
         sigs |= got
     assert len(sigs) == 11
 

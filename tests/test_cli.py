@@ -117,6 +117,23 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
         assert interned >= 8 if fresh else interned == 0
 
 
+def test_stats_of_catalog_count_boards_and_option_set_pairs():
+    # a fresh interpreter, since the simplified forms, and so the
+    # distinct values of a layer, follow the process-wide interning
+    # order: 445 boards of 1 to 3 cells and the 1,990 four-cell orbit
+    # representatives are valued from their restrictions, and only their
+    # 717 distinct pairs of option sets reach simplify
+    src = str(Path(scgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "scgames", "--stats",
+                           "catalog", "-n", "4"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["entries"]) == 50
+    stats = json.loads(proc.stderr)
+    assert (stats["layer_boards"], stats["layer_pairs"]) == (2435, 717)
+
+
 def test_leq_exit_codes(capsys):
     code, out, _ = run(capsys, "leq", "a", "top")
     assert (code, out.strip()) == (0, "true")

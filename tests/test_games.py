@@ -24,7 +24,6 @@ from scgames.games import (
     PosetMismatch,
     UnknownAtom,
     SolverContext,
-    atom_signature,
     atomic,
     bot,
     composite,
@@ -297,22 +296,34 @@ def test_atom_masks_match_reference(poset, max_depth):
     atoms = [atomic(e, poset) for e in poset.elements]
     samples = atoms + [random_game(rng, poset, max_depth, 2)
                        for _ in range(40)]
-    sigs = []
     for g in samples:
         masks = g.masks
-        below = above = 0
         for i, a in enumerate(atoms):
             want = (ref_leq(g, a), ref_tri(g, a), ref_leq(a, g),
                     ref_tri(a, g))
             assert tuple(m >> i & 1 == 1 for m in masks) == want
             assert (leq(ctx, g, a), tri(ctx, g, a), leq(ctx, a, g),
                     tri(ctx, a, g)) == want
-            below |= want[2] << i
-            above |= want[0] << i
-        sigs.append((below, above) if ref_is_passable(g) else None)
     # every query had an atomic side, so none reached the pair memos
     assert not ctx.leq and not ctx.tri
-    assert [atom_signature(ctx, g) for g in samples] == sigs
+
+
+def test_equivalent_games_share_their_atom_signature():
+    # L1 and L2: the atoms below and above a game, (masks[2], masks[0]),
+    # are the same for any two equivalent games, passable or not; the
+    # equivalence index relies on it
+    rng = random.Random(5)
+    gs = list({g.uid: g for g in (random_game(rng, P4, 2, 2)
+                                  for _ in range(150))
+               if not g.is_atomic}.values())
+    pairs = loose = 0
+    for i, g in enumerate(gs):
+        for h in gs[i + 1:]:
+            if ref_equiv(g, h):
+                pairs += 1
+                loose += not (ref_is_passable(g) and ref_is_passable(h))
+                assert (g.masks[2], g.masks[0]) == (h.masks[2], h.masks[0])
+    assert pairs > 50 and loose > 20
 
 
 @pytest.mark.parametrize("poset, max_depth", MASK_POSETS, ids=MASK_IDS)
@@ -444,8 +455,8 @@ def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
         s = simplify(ctx, g)
         assert s is g or equiv(ctx, s, g)
         assert dedupe_values(ctx, [g, s, t]) == [s, t]
-    assert atom_signature(ctx, lost) is None
-    assert atom_signature(ctx, kept) is not None
+        # the index buckets on the atom signature, non-passable games too
+        assert (s.masks[2], s.masks[0]) == (g.masks[2], g.masks[0])
 
 
 def test_chain_of_2000_levels_through_depth_branching_and_masks(ctx):
