@@ -53,7 +53,11 @@ class GadgetKind(enum.Enum):
 
 
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
-    """Disjunctive sum over the product poset."""
+    """Disjunctive sum over the product poset.
+
+    Its walk stays recursive: it runs over pairs of positions, not over
+    one game's DAG, so games.fold does not carry it.
+    """
     memo = ctx.sum
     hit = memo.get(pair_key(G, H))
     if hit is not None:
@@ -92,7 +96,7 @@ def map_game(f: MonotoneFn, G: Game) -> Game:
     if f.domain is not G.poset:
         raise PosetMismatch("function domain differs from the game's poset")
     table, cod = f.table, f.codomain
-    return rebuild(G, lambda a: atomic(table[a], cod), cod, False, {})
+    return rebuild(G, lambda a: atomic(table[a], cod), cod, False)
 
 
 def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
@@ -201,7 +205,7 @@ def substitute_atoms(X: Game, subst: dict[str, Game],
             return subst[a]
         raise UnknownAtom(f"no substitution image for {a!r}")
 
-    return rebuild(X, leaf, poset, False, {})
+    return rebuild(X, leaf, poset, False)
 
 
 _FALSIFY_TRIALS = 50

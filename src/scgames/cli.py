@@ -9,11 +9,14 @@ Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded or
 negative, input nested deeper than the interpreter's recursion limit
-allows).  With ``--stats`` (before the verb), the counters of the verb's
-SolverContext, the size of every table it holds (under ``memo``, from
-``memo_sizes()``) and the number of games the verb added to the intern
-table (``interned``) are printed as one JSON line on stderr; stdout and
-the exit code stay as they are.
+allows: the order kernel takes two frames a level, is_passable,
+is_monotone, sum_games and the board-file reader recurse too, while
+printing and simplify walk on games.fold's own stack).  With ``--stats``
+(before the verb), the counters of the verb's SolverContext, the size of
+every table it holds (under ``memo``, from ``memo_sizes()``) and the
+number of games the verb added to the intern table (``interned``) are
+printed as one JSON line on stderr; stdout and the exit code stay as
+they are.
 """
 
 from __future__ import annotations

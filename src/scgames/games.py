@@ -110,6 +110,12 @@ them to ``_intern``, the one place a composite node is made.
 :func:`simplify`, whose option tuples are already uid-sorted, free of
 duplicates, non-empty and over one poset, calls ``_intern`` directly.
 
+:func:`fold` walks positions in post-order on its own stack, at any
+depth: simplify, rebuild (so dual, swap_ab, map_game, substitute_atoms),
+to_notation and positions use it.  Still recursive, in Python frames a
+level: the order kernel, two; is_passable and is_monotone, one plus the
+kernel's; algebra.sum_games, one; realize._realize, three.
+
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
 The global predicates quantify the local ones over all positions.  The
@@ -285,6 +291,40 @@ def _dedup(games: Iterable[Game]) -> tuple[Game, ...]:
     return tuple(sorted(set(games), key=_uid))
 
 
+def fold(G: Game, memo: dict, build: Callable[[Game], object],
+         settle: Optional[Callable[[Game], object]] = None):
+    """``memo[G.uid]``, filled by a post-order walk of G's positions.
+
+    A position in ``memo`` is done; else ``settle(g)``, if given, may
+    answer it (None leaves it open); else its left, then right options
+    are walked in stored order, each once, and then ``build(g)`` answers
+    it.  That is a recursion's order, so games interned on the way get
+    the same uids, but on the walk's own stack: no Python frame a level.
+    """
+    stack = []
+    g = G
+    while True:
+        if g is None:           # the options of the game below are done
+            g = stack.pop()
+            memo[g.uid] = build(g)
+        elif g.uid not in memo:
+            v = None if settle is None else settle(g)
+            if v is not None:
+                memo[g.uid] = v
+            else:
+                options = g.left + g.right
+                for x in options:
+                    if x.uid not in memo:
+                        stack += (g, None)
+                        stack += reversed(options)
+                        break
+                else:
+                    memo[g.uid] = build(g)
+        if not stack:
+            return memo[G.uid]
+        g = stack.pop()
+
+
 def top(poset: AtomPoset) -> Game:
     return atomic(poset.top, poset)
 
@@ -379,7 +419,7 @@ def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
     Each option's tri is decided by the mask rules when they can; an open
     one costs one tri lookup, and a miss goes straight to _tri_cold.
     Plain loops rather than all()/any() over generators: one Python frame
-    per relation call.
+    per relation call.  It walks pairs, so games.fold cannot carry it.
     """
     tri_memo = ctx.tri
     g0, g1, g2, _ = G.masks
@@ -476,7 +516,10 @@ def is_good_right(ctx: SolverContext, G: Game, option: Game) -> bool:
 
 
 def local_class(ctx: SolverContext, G: Game) -> str:
-    """Strongest local label: atomic, monotone, semi_monotone, passable, none."""
+    """Strongest local label: atomic, monotone, semi_monotone, passable, none.
+
+    Its only recursion is the order kernel's, two frames a level.
+    """
     if G.is_atomic:
         return "atomic"
     good_l = [_leq(ctx, G, x) for x in G.left]
@@ -491,12 +534,15 @@ def local_class(ctx: SolverContext, G: Game) -> str:
 
 
 def is_passable(ctx: SolverContext, G: Game) -> bool:
-    """Every position has a good option (or is atomic); kept on the game."""
+    """Every position has a good option (or is atomic); kept on the game.
+
+    Local passability is tri(G, G), which takes the order kernel's two
+    frames a level, so a fold would lift no depth limit; this recursion
+    stops at the first failing position, where a fold would visit all.
+    """
     hit = G.passable
     if hit is not None:
         return hit
-    # local passability is exactly tri(G, G); a plain loop keeps it to one
-    # Python frame per level, like leq
     res = _tri(ctx, G, G)
     if res:
         for x in G.left + G.right:
@@ -508,11 +554,13 @@ def is_passable(ctx: SolverContext, G: Game) -> bool:
 
 
 def is_monotone(ctx: SolverContext, G: Game) -> bool:
-    """Every option of every position is good; kept on the game."""
+    """Every option of every position is good; kept on the game.
+
+    Recursive for the reasons is_passable is.
+    """
     hit = G.monotone
     if hit is not None:
         return hit
-    # a plain loop keeps it to one Python frame per level, like is_passable
     res = local_class(ctx, G) in ("atomic", "monotone")
     if res:
         for x in G.left + G.right:
@@ -531,8 +579,9 @@ _SIMPLIFY_PASS_CAP = 1000
 def simplify(ctx: SolverContext, G: Game) -> Game:
     """An equivalent, usually smaller game.
 
-    Bottom-up over positions; at each node, a composite equivalent to a
-    single atom becomes that atom, and otherwise we iterate to a fixpoint
+    A :func:`fold` into ``ctx.simp``.  A composite equivalent to a single
+    atom becomes that atom before its options are simplified (_collapse),
+    and otherwise, over its simplified options, we iterate to a fixpoint
     of (1) removing dominated options, which is unconditionally sound by
     the gift-horse argument, and (2) bypassing reversible options whose
     reversing target is composite.  The order relation is not known to be
@@ -548,53 +597,54 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     the loop prunes both sides and tries one bypass, and the pass cap
     counts those rounds.
     """
-    hit = ctx.simp.get(G.uid)
-    if hit is not None:
-        return hit
-    if G.is_atomic:
-        ctx.simp[G.uid] = G
-        return G
-    m = G.masks
-    both = m[0] & m[2]
-    if both:
-        # the first atom, in element order, equivalent to G
-        p = G.poset
-        cand = atomic(p.elements[(both & -both).bit_length() - 1], p)
-        ctx.simp[G.uid] = cand
-        return cand
-    # plain loops, so a level of nesting costs one Python frame
     simp = ctx.simp
-    ls, rs = [], []
-    for x in G.left:
-        s = simp.get(x.uid)
-        ls.append(simplify(ctx, x) if s is None else s)
-    for x in G.right:
-        s = simp.get(x.uid)
-        rs.append(simplify(ctx, x) if s is None else s)
-    ls, rs = _dedup(ls), _dedup(rs)
-    passes = 0
-    while True:
-        passes += 1
-        if passes > _SIMPLIFY_PASS_CAP:
-            raise SimplificationDiverged(f"no fixpoint after {passes} passes")
-        ls = _prune_dominated(ctx, ls, keep_large=True)
-        rs = _prune_dominated(ctx, rs, keep_large=False)
-        cur = _intern(G.poset, ls, rs)
-        new_ls = _bypass(ctx, cur, ls, left_side=True)
-        if new_ls is not None:
-            ls = new_ls
-            continue
-        new_rs = _bypass(ctx, cur, rs, left_side=False)
-        if new_rs is not None:
-            rs = new_rs
-            continue
-        break
-    if cur is not G and not equiv(ctx, cur, G):
-        # only reachable through a transitivity failure; keep the input
-        ctx.stats["simplify_fallback"] += 1
-        cur = G
-    ctx.simp[G.uid] = cur
-    return cur
+    hit = simp.get(G.uid)
+    if hit is not None:     # most calls are hits: no fold to set up
+        return hit
+
+    def build(g):
+        ls, rs = [], []
+        for x in g.left:
+            ls.append(simp[x.uid])
+        for x in g.right:
+            rs.append(simp[x.uid])
+        ls, rs = _dedup(ls), _dedup(rs)
+        passes = 0
+        while True:
+            passes += 1
+            if passes > _SIMPLIFY_PASS_CAP:
+                raise SimplificationDiverged(
+                    f"no fixpoint after {passes} passes")
+            ls = _prune_dominated(ctx, ls, keep_large=True)
+            rs = _prune_dominated(ctx, rs, keep_large=False)
+            cur = _intern(g.poset, ls, rs)
+            new_ls = _bypass(ctx, cur, ls, left_side=True)
+            if new_ls is not None:
+                ls = new_ls
+                continue
+            new_rs = _bypass(ctx, cur, rs, left_side=False)
+            if new_rs is not None:
+                rs = new_rs
+                continue
+            break
+        if cur is not g and not equiv(ctx, cur, g):
+            # only reachable through a transitivity failure; keep the input
+            ctx.stats["simplify_fallback"] += 1
+            cur = g
+        return cur
+
+    return fold(G, simp, build, _collapse)
+
+
+def _collapse(g: Game) -> Optional[Game]:
+    """g if atomic, else the first atom equivalent to g, else None."""
+    if g.atom is not None:
+        return g
+    both = g.masks[0] & g.masks[2]
+    if both:
+        p = g.poset
+        return atomic(p.elements[(both & -both).bit_length() - 1], p)
+    return None
 
 
 def _prune_dominated(ctx, options, keep_large):
@@ -659,18 +709,11 @@ def _bypass(ctx, cur, options, left_side):
 # -- positions ---------------------------------------------------------------
 
 def positions(G: Game) -> list[Game]:
-    """All distinct positions, the game itself first, options before leaves."""
-    out = []
-    seen = set()
-    stack = [G]
-    while stack:
-        g = stack.pop()
-        if g.uid in seen:
-            continue
-        seen.add(g.uid)
-        out.append(g)
-        stack.extend(reversed(g.left + g.right))
-    return out
+    """All distinct positions, the reverse of :func:`fold`'s finish order:
+    G first, and every position before its options."""
+    memo: dict[int, Game] = {}
+    fold(G, memo, lambda g: g)
+    return list(reversed(memo.values()))
 
 
 # -- symmetries --------------------------------------------------------------
@@ -681,7 +724,7 @@ def dual(G: Game) -> Game:
     dm = p.dual_atom_map()
     if dm is None:
         raise NoDualityMap("poset has no order-reversing self-map")
-    return rebuild(G, lambda a: atomic(dm[a], p), p, True, {})
+    return rebuild(G, lambda a: atomic(dm[a], p), p, True)
 
 
 def swap_ab(G: Game) -> Game:
@@ -692,35 +735,28 @@ def swap_ab(G: Game) -> Game:
     m = {e: e for e in p.elements}
     m["a"], m["b"] = "b", "a"
     MonotoneFn(p, p, m)   # a monotone involution is an order automorphism
-    return rebuild(G, lambda a: atomic(m[a], p), p, False, {})
+    return rebuild(G, lambda a: atomic(m[a], p), p, False)
 
 
 def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
-            swap_sides: bool, memo: dict[int, Game]) -> Game:
+            swap_sides: bool) -> Game:
     """G with every leaf replaced by ``leaf(atom)``, rebuilt bottom-up.
 
     Composites are re-interned over ``poset``, with left and right options
-    exchanged when ``swap_sides``.  ``memo`` maps uids of G's positions to
-    their images and must belong to this one (leaf, poset, swap_sides);
-    every caller passes a fresh ``{}``, which dies with the call.
-    Positions are interned in post-order, left options before right, and a
-    level of nesting costs one Python frame.
+    exchanged when ``swap_sides``, in :func:`fold`'s finish order.  The
+    images live in the fold's memo, which dies with the call.
     """
-    hit = memo.get(G.uid)
-    if hit is not None:
-        return hit
-    if G.atom is not None:
-        out = leaf(G.atom)
-    else:
-        ls, rs = [], []
-        for x in G.left:
-            ls.append(rebuild(x, leaf, poset, swap_sides, memo))
-        for x in G.right:
-            rs.append(rebuild(x, leaf, poset, swap_sides, memo))
-        out = composite(rs, ls, poset) if swap_sides else \
+    memo: dict[int, Game] = {}
+
+    def build(g):
+        if g.atom is not None:
+            return leaf(g.atom)
+        ls = [memo[x.uid] for x in g.left]
+        rs = [memo[x.uid] for x in g.right]
+        return composite(rs, ls, poset) if swap_sides else \
             composite(ls, rs, poset)
-    memo[G.uid] = out
-    return out
+
+    return fold(G, memo, build)
 
 
 # -- notation ----------------------------------------------------------------
@@ -729,20 +765,19 @@ def to_notation(G: Game, unicode: bool = False) -> str:
     """Braces/bar text form; inverse of notation.parse_game.
 
     Option lists are printed sorted by their rendered text, so the output
-    is stable across construction orders.
+    is stable across construction orders.  Each distinct position is
+    rendered once, by a :func:`fold`.
     """
-    if G.is_atomic:
-        p = G.poset
-        if G.atom == p.top:
-            return "⊤" if unicode else "top"
-        if G.atom == p.bot:
-            return "⊥" if unicode else "bot"
-        return G.atom
-    # plain loops, not comprehensions: one Python frame a level
-    sides = []
-    for options in (G.left, G.right):
-        texts = []
-        for x in options:
-            texts.append(to_notation(x, unicode))
-        sides.append(",".join(sorted(texts)))
-    return "{" + "|".join(sides) + "}"
+    p = G.poset
+    # top goes last, so it names the atom of a one-element poset
+    names = {p.bot: "⊥" if unicode else "bot",
+             p.top: "⊤" if unicode else "top"}
+    memo: dict[int, str] = {}
+
+    def build(g):
+        if g.atom is not None:
+            return names.get(g.atom, g.atom)
+        return ("{" + ",".join(sorted([memo[x.uid] for x in g.left])) + "|"
+                + ",".join(sorted([memo[x.uid] for x in g.right])) + "}")
+
+    return fold(G, memo, build)

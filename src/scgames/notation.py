@@ -27,10 +27,10 @@ class GameSyntaxError(ValueError):
 
 _PUNCT = frozenset("{}|,")
 
-# Brace nesting the parser accepts.  Parsing, printing, simplify and the
-# predicates take one stack frame per level; the order (leq/tri) takes
-# two, and that alone is why much deeper input would exhaust Python's
-# recursion limit.
+# Brace nesting the parser accepts.  Printing and simplify walk on
+# games.fold's own stack; parsing and is_passable/is_monotone take one
+# Python frame a level, the order (leq/tri) two.  100 stays because the
+# order alone would exhaust Python's recursion limit on much deeper input.
 MAX_NESTING = 100
 
 

@@ -138,6 +138,8 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
 
 
 def _realize(ctx: SolverContext, G: Game) -> SetColoringGame:
+    """G's board, memoized by uid.  Recursive, not a games.fold: it also
+    realizes the options of gift horses, which are not positions of G."""
     hit = ctx.realize.get(G.uid)
     if hit is not None:
         return hit

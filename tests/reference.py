@@ -37,6 +37,28 @@ def ref_positions(G):
     return list(seen.values())
 
 
+def ref_fold(G, settled):
+    """(entered, built): the positions a memoized recursion over G enters
+    and the ones it finishes by building, each in its order.  Left options
+    are recursed into before right ones, in stored order; a position for
+    which ``settled`` holds is entered, but neither opened nor built."""
+    entered, built, seen = [], [], set()
+
+    def visit(g):
+        if g.uid in seen:
+            return
+        seen.add(g.uid)
+        entered.append(g)
+        if settled(g):
+            return
+        for x in g.left + g.right:
+            visit(x)
+        built.append(g)
+
+    visit(G)
+    return entered, built
+
+
 def ref_is_passable(G):
     return all(g.is_atomic or ref_tri(g, g) for g in ref_positions(G))
 

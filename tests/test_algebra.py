@@ -34,6 +34,7 @@ from scgames.games import (
     leq,
     local_class,
     positions,
+    simplify,
     swap_ab,
     to_notation,
     top,
@@ -130,32 +131,40 @@ def test_memo_sizes_count_the_sum_table(ctx):
     assert (sizes["realize"], sizes["realize_good"]) == (0, 0)
 
 
-def test_chain_of_600_levels_through_the_rebuild_walkers():
-    # dual, swap_ab, map_game and substitute_atoms share one walker that
-    # takes one Python frame per level
+def _chain(n):
+    # {a,b|...{a,b|bot}...}, each level of it kept
+    a, b = atomic("a", P4), atomic("b", P4)
+    levels = [bot(P4)]
+    for _ in range(n):
+        levels.append(composite([a, b], [levels[-1]]))
+    return levels
+
+
+def test_chain_of_2000_levels_through_the_fold_walkers(ctx):
+    # simplify, the rebuild behind dual, swap_ab, map_game and
+    # substitute_atoms, to_notation and positions all walk on the fold's
+    # own stack, so depth costs them no Python frames
     assert sys.getrecursionlimit() <= 1000
     a, b = atomic("a", P4), atomic("b", P4)
-    g = bot(P4)
-    for _ in range(600):
-        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
+    g = _chain(2000)[-1]
     assert map_game(identity_fn(P4), g) is g
     assert substitute_atoms(g, {"a": a, "b": b}, P4) is g
     assert dual(dual(g)) is g
     assert swap_ab(swap_ab(g)) is g
+    assert simplify(ctx, g) is g
+    assert repr(g) == "{a,b|" * 2000 + "bot" + "}" * 2000
+    assert len(positions(g)) == 2003
 
 
 def test_chain_of_600_levels_through_printing_branching_and_sum(ctx):
-    # to_notation and sum_games loop over options rather than recurse
-    # through comprehensions: one Python frame per level; depth and
-    # branching are set at interning
+    # to_notation walks on the fold's stack; sum_games recurses over pairs,
+    # one Python frame per level; depth and branching are set at interning
     assert sys.getrecursionlimit() <= 1000
-    a, b = atomic("a", P4), atomic("b", P4)
-    g = bot(P4)
-    for _ in range(600):
-        g = composite([a, b], [g])          # {a,b|...{a,b|bot}...}
+    levels = _chain(2000)
+    g = levels[2000]
     assert g.branching == 2
-    assert to_notation(g).count("{") == 600
-    assert sum_games(ctx, g, a).depth == 600
+    assert to_notation(g).count("{") == 2000
+    assert sum_games(ctx, levels[600], atomic("a", P4)).depth == 600
 
 
 def test_map_rejects_wrong_domain():

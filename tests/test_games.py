@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from conftest import BOWTIE6, CHAIN4, P3, P4, games_over, parse
 from reference import (
     ref_equiv,
+    ref_fold,
     ref_is_monotone,
     ref_is_passable,
     ref_leq,
+    ref_positions,
     ref_tri,
 )
 from scgames import games as games_mod
@@ -29,6 +31,7 @@ from scgames.games import (
     composite,
     dual,
     equiv,
+    fold,
     is_good_left,
     is_good_right,
     is_monotone,
@@ -441,8 +444,9 @@ def test_chain_of_400_levels_through_the_order_kernel():
 
 
 def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
-    # simplify, is_passable and the equivalence index use one Python frame
-    # per level, so they go as deep as leq
+    # simplify walks on the fold's stack, but its equivalence checks, like
+    # is_passable and the equivalence index, reach the order kernel, two
+    # Python frames a level, so 450 levels fit the default limit
     from scgames.catalog import dedupe_values
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
@@ -668,6 +672,57 @@ def test_depth_branching_positions(ctx):
         assert (g.depth, g.branching) == (2, 3)
     assert len(positions(k)) == 7
     assert positions(k)[0] is k
+
+
+def _shared_random_games(seed, count):
+    # random games over P4 whose sides share whole sub-games, so the walks
+    # below meet positions more than once
+    rng = random.Random(seed)
+    for _ in range(count):
+        x, y, z = (random_game(rng, P4, max_depth=3, max_branch=2)
+                   for _ in range(3))
+        yield composite([x, y, composite([y], [x, z])], [y, z, x])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fold_finishes_positions_as_a_recursion_does(seed):
+    # settle sees every position the fold enters and build every one it
+    # builds, each once and in the reference recursion's order; settling a
+    # position keeps its options out of both unless reached another way
+    hidden = 0
+    for g in _shared_random_games(seed, 30):
+        for settled in (lambda x: False, lambda x: x.depth == 2):
+            entered, built, memo = [], [], {}
+
+            def settle(x):
+                entered.append(x)
+                return "settled" if settled(x) else None
+
+            def build(x):
+                assert all(o.uid in memo for o in x.left + x.right)
+                built.append(x)
+                return "built"
+
+            assert fold(g, memo, build, settle) == (
+                "settled" if settled(g) else "built")
+            want_entered, want_built = ref_fold(g, settled)
+            assert entered == want_entered
+            assert built == want_built
+            assert set(memo) == {x.uid for x in want_entered}
+            hidden += len(ref_positions(g)) - len(want_entered)
+    assert hidden > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_positions_put_each_position_before_its_options(seed):
+    for g in _shared_random_games(seed, 30):
+        got = positions(g)
+        assert got[0] is g and len(got) == len(set(got))
+        assert set(got) == set(ref_positions(g))
+        place = {x: i for i, x in enumerate(got)}
+        assert all(place[x] < place[o] for x in got
+                   for o in x.left + x.right)
+        assert got == list(reversed(ref_fold(g, lambda x: False)[1]))
 
 
 def test_depth_of_nested_chain():

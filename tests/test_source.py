@@ -23,3 +23,17 @@ def test_no_unused_imports(module):
                 imported[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def test_games_walks_recurse_only_where_pinned():
+    # walks over a game's positions go through games.fold, on its own
+    # stack; is_passable and is_monotone recurse on purpose (their
+    # docstrings say why)
+    tree = ast.parse((Path(scgames.__file__).parent / "games.py").read_text())
+    recursive = {fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and any(isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name)
+                         and n.func.id == fn.name for n in ast.walk(fn))}
+    assert recursive == {"is_passable", "is_monotone"}, (
+        "walk a game's positions with games.fold, not by recursion")
