@@ -64,23 +64,25 @@ def cmd_value(args, ctx: SolverContext) -> int:
     return 0
 
 
-def cmd_leq(args, ctx: SolverContext) -> int:
-    res = leq(ctx, _parse(args, args.left), _parse(args, args.right))
+def _answer(res: bool) -> int:
+    """Print a yes/no answer; exit 0 for true, 1 for false."""
     print("true" if res else "false")
     return 0 if res else 1
+
+
+def cmd_leq(args, ctx: SolverContext) -> int:
+    return _answer(leq(ctx, _parse(args, args.left), _parse(args, args.right)))
 
 
 def cmd_equiv(args, ctx: SolverContext) -> int:
-    res = equiv(ctx, _parse(args, args.left), _parse(args, args.right))
-    print("true" if res else "false")
-    return 0 if res else 1
+    return _answer(equiv(ctx, _parse(args, args.left),
+                         _parse(args, args.right)))
 
 
 def cmd_check(args, ctx: SolverContext) -> int:
     G = _parse(args, args.game)
-    res = is_passable(ctx, G) if args.passable else is_monotone(ctx, G)
-    print("true" if res else "false")
-    return 0 if res else 1
+    return _answer(is_passable(ctx, G) if args.passable
+                   else is_monotone(ctx, G))
 
 
 def cmd_eval(args, ctx: SolverContext) -> int:

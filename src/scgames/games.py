@@ -97,13 +97,12 @@ When G is the atom a_i, bit i is set in g[0] and in g[2], so the rules
 answer leq by bit i of h[2] and tri by bit i of h[3]; when H is a_i,
 likewise by bit i of g[0] or g[1].  A pair with an atomic side is thus
 always decided, by the one bit that holds its answer.
-``_leq`` and ``_tri`` apply the rules first, and only a pair they
-leave open, always a composite pair, costs one lookup in the pair memo
-(``ctx.leq``, ``ctx.tri``); a miss goes to the relation's cold path,
-which evaluates the clauses.  There each option is first put to the
-same rules, and an open one costs one lookup in the other relation's
-memo, whose miss goes straight to that relation's cold path.  So the
-pair memos hold only pairs the masks leave open.
+Every pair, option pairs included, goes through its relation's one
+function, ``_leq`` or ``_tri``: the rules first, then, for a pair they
+leave open (always a composite pair), one lookup in the pair memo
+(``ctx.leq``, ``ctx.tri``), and on a miss the clauses, each option
+through the other relation's function.  So the pair memos hold only pairs
+the masks leave open.
 
 :func:`composite` sorts, deduplicates and checks its options, then hands
 them to ``_intern``, the one place a composite node is made.
@@ -388,112 +387,53 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     # The masks decide the pair when they can (module docstring), an open
-    # pair costs one lookup in ctx.leq, and only a miss goes to the
-    # clauses.  Keys are pair_key, spelled out to save a call per lookup.
+    # pair costs one lookup in ctx.leq, and a miss evaluates the clauses,
+    # each option through _tri.  Plain loops rather than all()/any() over
+    # generators: one Python frame a relation call.  Keys are pair_key,
+    # spelled out to save a call per lookup.
     g, h = G.masks, H.masks
     if g[2] & ~h[2] or h[0] & ~g[0]:
         return False
     if g[0] & h[2]:
         return True
-    hit = ctx.leq.get(G.uid << 32 | H.uid)
-    if hit is None:
-        hit = _leq_cold(ctx, G, H)
-    return hit
+    key = G.uid << 32 | H.uid
+    res = ctx.leq.get(key)
+    if res is None:
+        res = True
+        for gl in G.left:
+            if not _tri(ctx, gl, H):
+                res = False
+                break
+        else:
+            for hr in H.right:
+                if not _tri(ctx, G, hr):
+                    res = False
+                    break
+        ctx.leq[key] = res
+    return res
 
 
 def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
+    # the mirror of _leq
     g, h = G.masks, H.masks
     if g[2] & ~h[3] or h[0] & ~g[1]:
         return False
     if g[0] & h[3] or g[1] & h[2]:
         return True
-    hit = ctx.tri.get(G.uid << 32 | H.uid)
-    if hit is None:
-        hit = _tri_cold(ctx, G, H)
-    return hit
-
-
-def _leq_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """leq of a pair the masks leave open and ctx.leq lacks, by its clauses.
-
-    Each option's tri is decided by the mask rules when they can; an open
-    one costs one tri lookup, and a miss goes straight to _tri_cold.
-    Plain loops rather than all()/any() over generators: one Python frame
-    per relation call.  It walks pairs, so games.fold cannot carry it.
-    """
-    tri_memo = ctx.tri
-    g0, g1, g2, _ = G.masks
-    h0, _, h2, h3 = H.masks
-    res = True
-    hu = H.uid
-    for gl in G.left:
-        x0, x1, x2, _ = gl.masks
-        if x2 & ~h3 or h0 & ~x1:
-            res = False
-            break
-        if x0 & h3 or x1 & h2:
-            continue
-        t = tri_memo.get(gl.uid << 32 | hu)
-        if t is None:
-            t = _tri_cold(ctx, gl, H)
-        if not t:
-            res = False
-            break
-    else:
-        gu = G.uid << 32
-        for hr in H.right:
-            y0, _, y2, y3 = hr.masks
-            if g2 & ~y3 or y0 & ~g1:
-                res = False
-                break
-            if g0 & y3 or g1 & y2:
-                continue
-            t = tri_memo.get(gu | hr.uid)
-            if t is None:
-                t = _tri_cold(ctx, G, hr)
-            if not t:
-                res = False
-                break
-    ctx.leq[G.uid << 32 | hu] = res
-    return res
-
-
-def _tri_cold(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """tri of a pair the masks leave open and ctx.tri lacks; see _leq_cold."""
-    leq_memo = ctx.leq
-    g0, _, g2, _ = G.masks
-    h0, _, h2, _ = H.masks
-    res = False
-    hu = H.uid
-    for gr in G.right:
-        x0, _, x2, _ = gr.masks
-        if x2 & ~h2 or h0 & ~x0:
-            continue
-        if x0 & h2:
-            res = True
-            break
-        t = leq_memo.get(gr.uid << 32 | hu)
-        if t is None:
-            t = _leq_cold(ctx, gr, H)
-        if t:
-            res = True
-            break
-    else:
-        gu = G.uid << 32
-        for hl in H.left:
-            y0, _, y2, _ = hl.masks
-            if g2 & ~y2 or y0 & ~g0:
-                continue
-            if g0 & y2:
+    key = G.uid << 32 | H.uid
+    res = ctx.tri.get(key)
+    if res is None:
+        res = False
+        for gr in G.right:
+            if _leq(ctx, gr, H):
                 res = True
                 break
-            t = leq_memo.get(gu | hl.uid)
-            if t is None:
-                t = _leq_cold(ctx, G, hl)
-            if t:
-                res = True
-                break
-    ctx.tri[G.uid << 32 | hu] = res
+        else:
+            for hl in H.left:
+                if _leq(ctx, G, hl):
+                    res = True
+                    break
+        ctx.tri[key] = res
     return res
 
 

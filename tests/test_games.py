@@ -269,8 +269,8 @@ def test_relations_match_reference_on_sums_in_one_context(ctx):
             assert tri(ctx, g, h) == ref_tri(g, h)
 
 
-def test_cold_paths_match_reference_at_atomic_options(ctx):
-    # the order kernel decides an atomic option by the mask rules:
+def test_mask_rules_match_reference_at_atomic_options(ctx):
+    # the order kernel's mask rules decide each atomic option:
     # sampled pairs of positions, each with atomic options on both sides,
     # of sums of composite passable games, one fresh context a sum
     rng = random.Random(1016)
@@ -373,6 +373,11 @@ def test_pair_memos_hold_composite_pairs_only():
                 if _masks_decide_leq(by_uid[k >> 32], by_uid[k & low])]
     assert not [k for k in ctx.tri
                 if _masks_decide_tri(by_uid[k >> 32], by_uid[k & low])]
+    # and every entry holds the relation's value on its pair
+    assert not [k for k, v in ctx.leq.items()
+                if v != ref_leq(by_uid[k >> 32], by_uid[k & low])]
+    assert not [k for k, v in ctx.tri.items()
+                if v != ref_tri(by_uid[k >> 32], by_uid[k & low])]
 
 
 def test_leq_decides_chain_of_300_levels():
