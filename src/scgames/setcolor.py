@@ -13,10 +13,12 @@ stored and written compactly: a constant, a threshold family (per atom,
 an antichain of required-black cell sets), composition along a monotone
 function, or dualization.  Composition is how gadget boards act on
 sub-boards; the children's cell embeddings may overlap, which the shared
-choice construction exploits to keep carriers small.  An evaluation
-compiles the tree once, bottom-up, into a flat list of the payoff at
-every coloring, each outcome given by its index in the poset's element
-order (``compiled``); ``value_at`` scores one coloring by name.
+choice construction exploits to keep carriers small.  A payoff is scored
+one way, by restriction to a position: ``compiled(n, black, white)``
+compiles the tree bottom-up into a flat list of the payoff at every
+coloring of the empty cells, each outcome given by its index in the
+poset's element order; ``value_at`` names the one entry of a finished
+coloring.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def normalize_position(text: str) -> str:
 
 # -- payoff expressions -------------------------------------------------------
 
+def value_at(payoff: PayoffExpr, black: int, n: int) -> str:
+    """The outcome, by name, of the coloring of n cells whose black cells
+    are the mask black: the one-entry restriction of the payoff."""
+    white = ((1 << n) - 1) & ~black
+    return payoff.poset.elements[payoff.compiled(n, black, white)[0]]
+
+
 @dataclass(frozen=True)
 class Const:
     """Constant payoff; fits any carrier, including the empty one."""
@@ -95,11 +104,11 @@ class Const:
     def fits(self, n: int) -> bool:
         return True
 
-    def value_at(self, black: int, n: int) -> str:
-        return self.atom
+    value_at = value_at
 
-    def compiled(self, n: int) -> list[int]:
-        return [self.poset._index[self.atom]] * (1 << n)
+    def compiled(self, n: int, black: int = 0, white: int = 0) -> list[int]:
+        empty = n - (black | white).bit_count()
+        return [self.poset._index[self.atom]] * (1 << empty)
 
 
 def pattern_masks(patterns, n: int) -> tuple[int, ...]:
@@ -161,21 +170,19 @@ class Threshold:
     def fits(self, n: int) -> bool:
         return n == self.n
 
-    def value_at(self, black: int, n: int) -> str:
-        val = self.poset.bot
-        for a, masks in self._masks:
-            for req in masks:
-                if req & black == req:
-                    val = self.poset.join2(val, a)
-                    break
-        return val
+    value_at = value_at
 
-    def compiled(self, n: int) -> list[int]:
-        table = [self.poset.bot] * (1 << n)
+    def compiled(self, n: int, black: int = 0, white: int = 0) -> list[int]:
+        # requirements meeting a white cell are dropped and the rest read on
+        # the empty cells, closed up; they need not stay an antichain
+        free = [i for i in range(n) if not (black | white) >> i & 1]
+        table = [self.poset.bot] * (1 << len(free))
         for a, masks in self._masks:
-            for black in range(1 << n):
-                if any(req & black == req for req in masks):
-                    table[black] = self.poset.join2(table[black], a)
+            reqs = [sum(1 << j for j, i in enumerate(free) if req >> i & 1)
+                    for req in masks if not req & white]
+            for s in range(len(table)):
+                if any(req & s == req for req in reqs):
+                    table[s] = self.poset.join2(table[s], a)
         index = self.poset._index
         return [index[v] for v in table]
 
@@ -212,33 +219,30 @@ class Compose:
     def fits(self, n: int) -> bool:
         return all(all(0 <= i < n for i in emb) for _, emb in self.children)
 
-    def value_at(self, black: int, n: int) -> str:
+    value_at = value_at
+
+    def compiled(self, n: int, black: int = 0, white: int = 0) -> list[int]:
+        # each child is restricted through its embedding; spread[s] is the
+        # child's coloring of its empty cells at the carrier's coloring s of
+        # its own, built by doubling over the carrier's empty cells, so any
+        # injective embedding reads right, overlapping ones too; the
+        # children's values are then paired pointwise, (x, y) at
+        # x * len(child poset) + y, which is how product numbers them
+        free = [i for i in range(n) if not (black | white) >> i & 1]
         element = None
-        dom = None
         for child, emb in self.children:
-            sub = 0
+            sub_black = sub_white = 0
+            bit_of = {}
             for j, i in enumerate(emb):
                 if black >> i & 1:
-                    sub |= 1 << j
-            v = child.value_at(sub, len(emb))
-            if element is None:
-                element, dom = v, child.poset
-            else:
-                dom = product(dom, child.poset)
-                element = dom.pair(element, v)
-        return self.fn(element)
-
-    def compiled(self, n: int) -> list[int]:
-        # spread[b] is the child's coloring at carrier coloring b, built by
-        # doubling over the cells, so any injective embedding reads right;
-        # the children's values are then paired pointwise, (x, y) at
-        # x * len(child poset) + y, which is how product numbers them
-        element = None
-        for child, emb in self.children:
-            table = child.compiled(len(emb))
-            bit_of = {i: 1 << j for j, i in enumerate(emb)}
+                    sub_black |= 1 << j
+                elif white >> i & 1:
+                    sub_white |= 1 << j
+                else:
+                    bit_of[i] = 1 << len(bit_of)
+            table = child.compiled(len(emb), sub_black, sub_white)
             spread = [0]
-            for i in range(n):
+            for i in free:
                 spread += [s | bit_of.get(i, 0) for s in spread]
             if element is None:
                 element = [table[s] for s in spread]
@@ -267,22 +271,23 @@ class Dual:
     def fits(self, n: int) -> bool:
         return self.child.fits(n)
 
-    def value_at(self, black: int, n: int) -> str:
-        flipped = ((1 << n) - 1) & ~black
-        return self.child.poset.dual_atom_map()[
-            self.child.value_at(flipped, n)]
+    value_at = value_at
 
-    def compiled(self, n: int) -> list[int]:
-        # the swapped coloring of black is full & ~black, i.e. full - black
+    def compiled(self, n: int, black: int = 0, white: int = 0) -> list[int]:
+        # the child sees the fixed cells with their colors swapped, and the
+        # swapped coloring of entry s is full & ~s, i.e. full - s
         poset = self.poset
         dual = poset.dual_atom_map()
         swap = [poset._index[dual[x]] for x in poset.elements]
-        return [swap[v] for v in reversed(self.child.compiled(n))]
+        table = self.child.compiled(n, white, black)
+        return [swap[v] for v in reversed(table)]
 
 
-# Each payoff class scores one coloring of n cells by value_at(black, n),
-# an element name, and all of them by compiled(n), a list indexed by the
-# black-cell mask of element indices into poset.elements.
+# Each payoff class scores colorings one way: compiled(n, black, white), for
+# disjoint masks of cells fixed black and white, lists element indices into
+# poset.elements over the other cells, entry s coloring the j-th by bit j.
+# Each class binds value_at in its own dict, where perfbench/spans.py's trace
+# hooks look for it.
 PayoffExpr = Const | Threshold | Compose | Dual
 
 
@@ -313,12 +318,8 @@ class SetColoringGame:
 
 
 def payoff_eval(S: SetColoringGame, position: str) -> str:
-    """Score a finished coloring (no empty cells allowed).
-
-    Reads the payoff's ``value_at``, one coloring at a time, not the
-    compiled table that evaluation uses, so tests can hold one against the
-    other.
-    """
+    """Score a finished coloring (no empty cells allowed): the payoff's
+    ``value_at``, its one-entry restriction."""
     p = normalize_position(position)
     if len(p) != S.size:
         raise ValueError("position length differs from carrier size")
@@ -395,8 +396,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     as many bytes as the poset's largest index needs.  Coloring the i-th
     remaining cell keeps every other block of 2^i entries: the odd blocks
     when it goes black, the even ones when it goes white.  The payoff is
-    compiled once per call, and the colored cells of the position are
-    taken off it that way, from the highest down.  The one-entry tables
+    compiled once per call, restricted to the position's colored cells, so
+    the table has 2^(empty cells) entries.  The one-entry tables
     seed the memo with the outcome atoms, in order of first appearance,
     and each option's table is looked up in the memo before it is
     recursed into.  The steps that take a table apart are planned once per
@@ -436,13 +437,9 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     p = normalize_position(position)
     if len(p) != n:
         raise ValueError("position length differs from carrier size")
-    pay = S.payoff.compiled(n)
-    for i in reversed(range(n)):
-        if p[i] != ".":
-            block = 1 << i
-            pay = [v for j in range(block if p[i] == "1" else 0, len(pay),
-                                    2 * block)
-                   for v in pay[j:j + block]]
+    black = sum(1 << i for i, c in enumerate(p) if c == "1")
+    white = sum(1 << i for i, c in enumerate(p) if c == "0")
+    pay = S.payoff.compiled(n, black, white)
     poset = S.poset
     width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
     memo: dict[bytes, Game] = {

@@ -2,7 +2,9 @@
 
 Deliberately naive and exponential; callers keep inputs small (depth <= 3).
 The package's memoized code paths share nothing with these functions, so
-agreement is meaningful evidence.
+agreement is meaningful evidence.  ``ref_value_at`` is the per-coloring
+scorer of board payoffs; the package scores them only by restriction
+(``compiled``), so the payoff tables are checked against it.
 """
 
 
@@ -74,6 +76,38 @@ def ref_is_monotone(G):
     return True
 
 
+def ref_value_at(expr, black, n):
+    """The payoff at one coloring of n cells, black being the mask of black
+    cells, by name: each payoff class by its definition, read off the
+    pattern strings and the function table."""
+    from scgames.poset import product
+    from scgames.setcolor import Compose, Const, Dual, Threshold
+
+    if isinstance(expr, Const):
+        return expr.atom
+    if isinstance(expr, Threshold):
+        val = expr.poset.bot
+        for a, patterns in expr.sets.items():
+            if any(all(black >> i & 1 for i, c in enumerate(p) if c == "1")
+                   for p in patterns):
+                val = expr.poset.join2(val, a)
+        return val
+    if isinstance(expr, Dual):
+        flipped = ((1 << n) - 1) & ~black
+        return expr.poset.dual_atom_map()[ref_value_at(expr.child, flipped, n)]
+    assert isinstance(expr, Compose)
+    element = dom = None
+    for child, emb in expr.children:
+        sub = sum(1 << j for j, i in enumerate(emb) if black >> i & 1)
+        v = ref_value_at(child, sub, len(emb))
+        if element is None:
+            element, dom = v, child.poset
+        else:
+            dom = product(dom, child.poset)
+            element = dom.pair(element, v)
+    return expr.fn(element)
+
+
 def ref_eval(S, position=None):
     """Raw board value by the textbook recursion, no simplification.
 
@@ -89,7 +123,7 @@ def ref_eval(S, position=None):
     def rec(state):
         if "." not in state:
             black = sum(1 << i for i, c in enumerate(state) if c == "1")
-            return atomic(S.payoff.value_at(black, n), S.poset)
+            return atomic(ref_value_at(S.payoff, black, n), S.poset)
         lefts, rights = [], []
         for i, c in enumerate(state):
             if c == ".":

@@ -306,6 +306,13 @@ def test_builtin_name():
     assert builtin_name(antichain_poset(2)) is None
 
 
+def test_reprs():
+    assert repr(builtin("P4")) == "AtomPoset(P4)"
+    assert repr(antichain_poset(2)) == "AtomPoset(4 elements)"
+    assert repr(BOWTIE6) == "AtomPoset(6 elements)"
+    assert repr(projector_f(builtin("P4"))) == "MonotoneFn(12 -> 4)"
+
+
 def test_monotone_fn_validation():
     p3, p4 = builtin("P3"), builtin("P4")
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from scgames.poset import (MonotoneFn, NoTopOrBottom, identity_fn, make_poset,
                            product)
 from scgames.setcolor import (Compose, Const, Dual, SetColoringGame,
                               Threshold, eval_position, normalize_position,
-                              payoff_eval, payoff_to_json, sc_shared_choice)
+                              payoff_eval, payoff_to_json, sc_one_sided_choice,
+                              sc_one_sided_choice_dual, sc_shared_choice)
 
 from conftest import BOOL, BOWTIE6, P3, P4, parse
 
@@ -77,6 +78,12 @@ CASES = {
     "shared-choice-across-posets": (
         lambda: sc_shared_choice(_board(P4, 1), _board(P3, 1)),
         PosetMismatch, "boards live over different posets"),
+    "one-sided-choice-of-nothing": (
+        lambda: sc_one_sided_choice([]), ValueError,
+        "need at least one board"),
+    "one-sided-choice-dual-of-nothing": (
+        lambda: sc_one_sided_choice_dual([]), ValueError,
+        "need at least one board"),
     "payoff-to-json-of-a-non-payoff": (
         lambda: payoff_to_json(5), TypeError, "not a payoff expression: 5"),
 }

@@ -51,6 +51,7 @@ from scgames.setcolor import (
     Compose,
     DEFAULT_EVAL_CAP,
     Const,
+    Dual,
     SetColoringGame,
     Threshold,
     board_from_json,
@@ -80,7 +81,7 @@ from scgames.setcolor import (
     _split_plan,
 )
 from conftest import BOOL, P3, P4, parse
-from reference import ref_eval
+from reference import ref_eval, ref_value_at
 
 
 # -- payoff tables by hand -----------------------------------------------------
@@ -172,6 +173,13 @@ def test_hex_2x2_is_a_first_player_win(ctx):
     assert eval_board(ctx, S) is parse("{top|bot}", BOOL)
 
 
+def test_board_repr():
+    assert repr(sc_base(GadgetKind.COUPLING)) == (
+        "SetColoringGame(5 cells over AtomPoset(P4))")
+    assert repr(sc_const("a", P3)) == (
+        "SetColoringGame(0 cells over AtomPoset(P3))")
+
+
 def test_empty_carrier_const(ctx):
     S = sc_const("a", P4)
     assert S.size == 0
@@ -250,7 +258,7 @@ def test_raw_eval_position_matches_reference(ctx):
 
 def _memo_eval(S, positions):
     """Raw values of positions by the textbook recursion, memoized on the
-    position string: exhausted positions score by value_at, the options
+    position string: exhausted positions score by ref_value_at, the options
     color one empty cell black (left) or white (right)."""
     n = S.size
     memo = {}
@@ -260,7 +268,7 @@ def _memo_eval(S, positions):
         if g is None:
             if "." not in p:
                 black = sum(1 << i for i, c in enumerate(p) if c == "1")
-                g = atomic(S.payoff.value_at(black, n), S.poset)
+                g = atomic(ref_value_at(S.payoff, black, n), S.poset)
             else:
                 empty = [i for i, c in enumerate(p) if c == "."]
                 g = composite([rec(p[:i] + "1" + p[i + 1:]) for i in empty],
@@ -331,17 +339,18 @@ def test_split_plans_take_the_entries_by_cell_bit(width):
                 assert list(_split_step(step, t)) == want, (size, i)
 
 
+def _spread(s, cells):
+    """The mask that colors the j-th of the cells black by bit j of s."""
+    return sum(1 << i for j, i in enumerate(cells) if s >> j & 1)
+
+
 def _table(S, p):
     """The payoffs over the empty cells of p, scored one coloring at a time
-    by payoff_eval: entry s colors the j-th empty cell by bit j of s."""
+    by ref_value_at: entry s colors the j-th empty cell by bit j of s."""
     empty = [i for i, c in enumerate(p) if c == "."]
-    out = []
-    for sub in range(1 << len(empty)):
-        q = list(p)
-        for j, i in enumerate(empty):
-            q[i] = "1" if sub >> j & 1 else "0"
-        out.append(payoff_eval(S, "".join(q)))
-    return tuple(out)
+    black = sum(1 << i for i, c in enumerate(p) if c == "1")
+    return tuple(ref_value_at(S.payoff, black | _spread(s, empty), S.size)
+                 for s in range(1 << len(empty)))
 
 
 def _walk_counts(S):
@@ -407,7 +416,8 @@ def _dead_cells(S):
     """The cells whose color never changes the payoff."""
     n = S.size
     return [i for i in range(n)
-            if all(S.payoff.value_at(b, n) == S.payoff.value_at(b | 1 << i, n)
+            if all(ref_value_at(S.payoff, b, n)
+                   == ref_value_at(S.payoff, b | 1 << i, n)
                    for b in range(1 << n) if not b >> i & 1)]
 
 
@@ -591,12 +601,120 @@ def _compiled_boards():
     yield sc_const("a", P4)
 
 
-def test_compiled_payoff_is_value_at_every_coloring():
+def test_compiled_payoff_is_ref_value_at_every_coloring():
     for S in _compiled_boards():
         n = S.size
         names = S.poset.elements
         assert [names[v] for v in S.payoff.compiled(n)] == [
-            S.payoff.value_at(b, n) for b in range(1 << n)]
+            ref_value_at(S.payoff, b, n) for b in range(1 << n)]
+
+
+# -- restriction ---------------------------------------------------------------
+
+def _sliced(table, n, black, white):
+    """The full table with the colored cells taken off, from the highest
+    down: coloring cell i keeps every other block of 2^i entries, the odd
+    blocks when it is black and the even ones when it is white."""
+    for i in reversed(range(n)):
+        if (black | white) >> i & 1:
+            block = 1 << i
+            table = [v for j in range(block if black >> i & 1 else 0,
+                                      len(table), 2 * block)
+                     for v in table[j:j + block]]
+    return table
+
+
+def _restriction_boards():
+    """Seeded boards of every payoff class over P4, P3, Bool and a
+    product, bare and combined: overlapping (shared choice), disjoint
+    (coupling, sum), mapped and dualized."""
+    rng = random.Random(3029)
+    square = product(BOOL, BOOL)
+    for poset in (P4, P3, BOOL, square):
+        n = rng.randint(3, 6)
+        yield SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+                              Const(poset, poset.elements[1]))
+        T = random_threshold_board(rng, poset, n)
+        yield T
+        yield sc_dual(T)
+        yield sc_map(identity_fn(poset), random_threshold_board(rng, poset, 4))
+        yield sc_shared_choice(random_threshold_board(rng, poset, 3),
+                               random_threshold_board(rng, poset, 4))
+        yield sc_coupling(random_threshold_board(rng, poset, 2),
+                          sc_dual(random_threshold_board(rng, poset, 2)))
+    yield sc_sum(random_threshold_board(rng, P3, 3), _small_board(rng, 4))
+    yield sc_dual(sc_shared_choice(_small_board(rng, 4),
+                                   sc_force_left(_small_board(rng, 3))))
+    yield _scrambled_json_board()
+
+
+def test_restricted_payoff_is_the_sliced_full_table():
+    rng = random.Random(3030)
+    boards = list(_restriction_boards())
+    assert {type(S.payoff) for S in boards} == {Const, Threshold, Compose,
+                                                Dual}
+    for S in boards:
+        n, names = S.size, S.poset.elements
+        full = S.payoff.compiled(n)
+        for _ in range(12):
+            colors = [rng.choice("01.") for _ in range(n)]
+            black = sum(1 << i for i, c in enumerate(colors) if c == "1")
+            white = sum(1 << i for i, c in enumerate(colors) if c == "0")
+            empty = [i for i, c in enumerate(colors) if c == "."]
+            got = S.payoff.compiled(n, black, white)
+            assert got == _sliced(full, n, black, white), (S, colors)
+            assert [names[v] for v in got] == [
+                ref_value_at(S.payoff, black | _spread(s, empty), n)
+                for s in range(1 << len(empty))], (S, colors)
+
+
+def test_value_at_is_ref_value_at_every_coloring():
+    for S in _restriction_boards():
+        n = S.size
+        assert [S.payoff.value_at(b, n) for b in range(1 << n)] == [
+            ref_value_at(S.payoff, b, n) for b in range(1 << n)], S
+
+
+def test_restricted_thresholds_need_not_be_antichains():
+    # with cell 0 black, "110" and "011" restrict to {1} and {1, 2}, one
+    # inside the other; with cells 0 and 1 black, "110" is met outright
+    T = Threshold(P4, 3, {"a": ("110", "011"), "b": ("101",)})
+    names = P4.elements
+    assert [names[v] for v in T.compiled(3, 0b001, 0)] == [
+        "bot", "a", "b", "top"]
+    assert [names[v] for v in T.compiled(3, 0b011, 0)] == ["a", "top"]
+    assert [names[v] for v in T.compiled(3, 0b001, 0b100)] == ["bot", "a"]
+    assert [names[v] for v in T.compiled(3, 0, 0b111)] == ["bot"]
+
+
+class _Spy:
+    """A payoff that hands out its inner payoff's tables and records how
+    many entries each one has."""
+
+    def __init__(self, inner):
+        self.inner, self.poset, self.sizes = inner, inner.poset, []
+
+    def fits(self, n):
+        return self.inner.fits(n)
+
+    def compiled(self, n, *masks):
+        table = self.inner.compiled(n, *masks)
+        self.sizes.append(len(table))
+        return table
+
+
+def test_eval_position_compiles_only_the_empty_cells(ctx):
+    rng = random.Random(3031)
+    S = sc_coupling(_small_board(rng, 3), sc_dual(_small_board(rng, 3)))
+    spy = _Spy(S.payoff)
+    T = SetColoringGame(S.poset, S.cells, spy)
+    for k in (0, 1, 2, 4, S.size):
+        cells = rng.sample(range(S.size), k)
+        p = "".join("." if i in cells else rng.choice("01")
+                    for i in range(S.size))
+        spy.sizes.clear()
+        assert eval_position(ctx, T, p) is eval_position(ctx, S, p)
+        assert spy.sizes == [1 << k], p
 
 
 # -- structural homomorphisms --------------------------------------------------

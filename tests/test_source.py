@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import scgames
+from scgames.setcolor import Compose, Const, Dual, Threshold
 
 MODULES = sorted(p.name for p in Path(scgames.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -37,3 +38,12 @@ def test_games_walks_recurse_only_where_pinned():
                          and n.func.id == fn.name for n in ast.walk(fn))}
     assert recursive == {"is_passable", "is_monotone"}, (
         "walk a game's positions with games.fold, not by recursion")
+
+
+@pytest.mark.parametrize("cls", [Const, Threshold, Compose, Dual],
+                         ids=lambda cls: cls.__name__)
+def test_payoff_classes_bind_value_at_in_their_own_dict(cls):
+    assert "value_at" in cls.__dict__, (
+        f"{cls.__name__} must bind value_at in its own class dict: the "
+        "perfbench trace hook (perfbench/spans.py install, the "
+        "setcolor.payoff span) wraps cls.__dict__['value_at']")
