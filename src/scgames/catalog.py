@@ -405,12 +405,8 @@ class FixtureSection:
     entries: tuple[FixtureEntry, ...]
 
 
-@dataclass(frozen=True)
-class AppendixFixture:
-    sections: tuple[FixtureSection, ...]    # consecutive cell counts from 0
-
-
-def fixture_from_json(obj) -> AppendixFixture:
+def fixture_from_json(obj) -> tuple[FixtureSection, ...]:
+    """The table's sections, one per cell count from 0."""
     if not isinstance(obj, dict) or "poset" not in obj or "sections" not in obj:
         raise FixtureParseError("expected an object with poset and sections")
     if obj["poset"] != "P4":
@@ -443,10 +439,10 @@ def fixture_from_json(obj) -> AppendixFixture:
                 raise FixtureParseError(f"{where}: {err}") from None
         sections.append(FixtureSection(idx, bool(sec.get("closure_forms")),
                                        tuple(entries)))
-    return AppendixFixture(tuple(sections))
+    return tuple(sections)
 
 
-def load_fixture(path=None) -> AppendixFixture:
+def load_fixture(path=None) -> tuple[FixtureSection, ...]:
     """Load a value table; the default is the one shipped with the package."""
     if path is None:
         text = (resources.files("scgames") / "data"
@@ -460,8 +456,8 @@ def load_fixture(path=None) -> AppendixFixture:
     return fixture_from_json(obj)
 
 
-def expand_fixture(fixture: AppendixFixture, n: int,
-                   ctx: Optional[SolverContext] = None) -> set[Game]:
+def expand_fixture(fixture: tuple[FixtureSection, ...], n: int,
+                   ctx: SolverContext) -> set[Game]:
     """The full value set through n cells that the table implies.
 
     Each section contributes its explicit entries; sections flagged with
@@ -469,9 +465,7 @@ def expand_fixture(fixture: AppendixFixture, n: int,
     already obtained on fewer cells.  Everything is closed under dual
     and the a/b swap and deduplicated by equivalence.
     """
-    if ctx is None:
-        ctx = SolverContext()
-    if not 0 <= n < len(fixture.sections):
+    if not 0 <= n < len(fixture):
         raise ValueError(f"table has no section for {n} cells")
     index = ValueIndex(ctx)
 
@@ -482,7 +476,7 @@ def expand_fixture(fixture: AppendixFixture, n: int,
             index.add(simplify(ctx, img))
 
     for k in range(n + 1):
-        sec = fixture.sections[k]
+        sec = fixture[k]
         if sec.closure_forms:
             for g in list(index.values):   # snapshot: the smaller values
                 add(force_left(g))
@@ -502,25 +496,13 @@ class AppendixCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class AppendixReport:
-    checks: tuple[AppendixCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[AppendixCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def verify_appendix(ctx: SolverContext,
-                    fixture: AppendixFixture) -> AppendixReport:
+def verify_appendix(ctx: SolverContext, fixture: tuple[FixtureSection, ...]
+                    ) -> tuple[AppendixCheck, ...]:
     """Evaluate every explicit board in the table against its listed value."""
     checks = []
-    for sec in fixture.sections:
+    for sec in fixture:
         for e in sec.entries:
             got = eval_board(ctx, e.board)
             checks.append(AppendixCheck(sec.cells, e.value, to_notation(got),
                                         equiv(ctx, got, e.game)))
-    return AppendixReport(tuple(checks))
+    return tuple(checks)

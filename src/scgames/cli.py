@@ -106,15 +106,15 @@ def cmd_realize(args, ctx: SolverContext) -> int:
 
 
 def cmd_verify_appendix(args, ctx: SolverContext) -> int:
-    report = verify_appendix(ctx, load_fixture(args.fixture))
-    for c in report.checks:
+    checks = verify_appendix(ctx, load_fixture(args.fixture))
+    for c in checks:
         line = f"{' ok ' if c.ok else 'FAIL'}  {c.cells}  {c.claimed}"
         if not c.ok:
             line += f"  ->  {c.got}"
         print(line)
-    passed = sum(c.ok for c in report.checks)
-    print(f"{passed}/{len(report.checks)} boards check out")
-    return 0 if report.ok else 1
+    passed = sum(c.ok for c in checks)
+    print(f"{passed}/{len(checks)} boards check out")
+    return 0 if passed == len(checks) else 1
 
 
 def cmd_catalog(args, ctx: SolverContext) -> int:

@@ -357,10 +357,8 @@ class SolverContext:
 
     def memo_sizes(self) -> dict[str, int]:
         """Entries in every table of the context."""
-        return {"leq": len(self.leq), "tri": len(self.tri),
-                "simp": len(self.simp), "sum": len(self.sum),
-                "realize": len(self.realize),
-                "realize_good": len(self.realize_good)}
+        return {name: len(getattr(self, name))
+                for name in self.__slots__ if name != "stats"}
 
 
 def pair_key(G: Game, H: Game) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -79,6 +79,16 @@ def normalize_position(text: str) -> str:
         else:
             raise ValueError(f"bad position character {ch!r}")
     return "".join(out)
+
+
+def _position_masks(position: str, n: int) -> tuple[int, int]:
+    """The masks of the black and the white cells of a position on n cells."""
+    p = normalize_position(position)
+    if len(p) != n:
+        raise ValueError("position length differs from carrier size")
+    black = sum(1 << i for i, c in enumerate(p) if c == "1")
+    white = sum(1 << i for i, c in enumerate(p) if c == "0")
+    return black, white
 
 
 # -- payoff expressions -------------------------------------------------------
@@ -224,10 +234,11 @@ class Compose:
     def compiled(self, n: int, black: int = 0, white: int = 0) -> list[int]:
         # each child is restricted through its embedding; spread[s] is the
         # child's coloring of its empty cells at the carrier's coloring s of
-        # its own, built by doubling over the carrier's empty cells, so any
-        # injective embedding reads right, overlapping ones too; the
-        # children's values are then paired pointwise, (x, y) at
-        # x * len(child poset) + y, which is how product numbers them
+        # its own, built by doubling over the carrier's empty cells (a cell
+        # the child does not read repeats it), so any injective embedding
+        # reads right, overlapping ones too; the children's values are then
+        # paired pointwise, (x, y) at x * len(child poset) + y, which is how
+        # product numbers them
         free = [i for i in range(n) if not (black | white) >> i & 1]
         element = None
         for child, emb in self.children:
@@ -243,7 +254,8 @@ class Compose:
             table = child.compiled(len(emb), sub_black, sub_white)
             spread = [0]
             for i in free:
-                spread += [s | bit_of.get(i, 0) for s in spread]
+                bit = bit_of.get(i)
+                spread += [s | bit for s in spread] if bit else spread
             if element is None:
                 element = [table[s] for s in spread]
             else:
@@ -320,12 +332,9 @@ class SetColoringGame:
 def payoff_eval(S: SetColoringGame, position: str) -> str:
     """Score a finished coloring (no empty cells allowed): the payoff's
     ``value_at``, its one-entry restriction."""
-    p = normalize_position(position)
-    if len(p) != S.size:
-        raise ValueError("position length differs from carrier size")
-    if "." in p:
+    black, white = _position_masks(position, S.size)
+    if (black | white).bit_count() != S.size:
         raise ValueError("position still has empty cells")
-    black = sum(1 << i for i, c in enumerate(p) if c == "1")
     return S.payoff.value_at(black, S.size)
 
 
@@ -333,9 +342,7 @@ def payoff_eval(S: SetColoringGame, position: str) -> str:
 _UNIT_FORMAT = {2: "H", 4: "I", 8: "Q"}
 
 
-_PLANS: dict[tuple[int, int], tuple[tuple, ...]] = {}
-
-
+@cache
 def _split_plan(size: int, width: int) -> tuple[tuple, ...]:
     """How to split a coded table of this many bytes, one step per cell.
 
@@ -348,27 +355,24 @@ def _split_plan(size: int, width: int) -> tuple[tuple, ...]:
     view serves 2-, 4- and 8-byte blocks with more than two to a half.
     Plans are built once per process and shared.
     """
-    plan = _PLANS.get((size, width))
-    if plan is None:
-        steps = []
-        block = width
-        while block < size:
-            span = 2 * block
-            if block == 1:
-                step = (slice(1, None, 2), slice(0, None, 2), None)
-            elif span == size:
-                step = (slice(block, None), slice(None, block), None)
-            elif block in _UNIT_FORMAT and size > 2 * span:
-                step = (None, None, _UNIT_FORMAT[block])
-            else:
-                step = (itemgetter(*[slice(j, j + block)
-                                     for j in range(block, size, span)]),
-                        itemgetter(*[slice(j, j + block)
-                                     for j in range(0, size, span)]), "")
-            steps.append(step)
-            block = span
-        plan = _PLANS[(size, width)] = tuple(steps)
-    return plan
+    steps = []
+    block = width
+    while block < size:
+        span = 2 * block
+        if block == 1:
+            step = (slice(1, None, 2), slice(0, None, 2), None)
+        elif span == size:
+            step = (slice(block, None), slice(None, block), None)
+        elif block in _UNIT_FORMAT and size > 2 * span:
+            step = (None, None, _UNIT_FORMAT[block])
+        else:
+            step = (itemgetter(*[slice(j, j + block)
+                                 for j in range(block, size, span)]),
+                    itemgetter(*[slice(j, j + block)
+                                 for j in range(0, size, span)]), "")
+        steps.append(step)
+        block = span
+    return tuple(steps)
 
 
 def eval_board(ctx: SolverContext, S: SetColoringGame,
@@ -397,7 +401,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     remaining cell keeps every other block of 2^i entries: the odd blocks
     when it goes black, the even ones when it goes white.  The payoff is
     compiled once per call, restricted to the position's colored cells, so
-    the table has 2^(empty cells) entries.  The one-entry tables
+    the table has 2^(empty cells) entries, and max_cells caps the empty
+    cells, not the carrier.  The one-entry tables
     seed the memo with the outcome atoms, in order of first appearance,
     and each option's table is looked up in the memo before it is
     recursed into.  The steps that take a table apart are planned once per
@@ -432,13 +437,11 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.
     """
     n = S.size
-    if n > max_cells:
-        raise CarrierTooLarge(f"{n} cells exceeds the cap of {max_cells}")
-    p = normalize_position(position)
-    if len(p) != n:
-        raise ValueError("position length differs from carrier size")
-    black = sum(1 << i for i, c in enumerate(p) if c == "1")
-    white = sum(1 << i for i, c in enumerate(p) if c == "0")
+    black, white = _position_masks(position, n)
+    empty = n - (black | white).bit_count()
+    if empty > max_cells:
+        raise CarrierTooLarge(f"{empty} empty cells exceeds the cap of "
+                              f"{max_cells}")
     pay = S.payoff.compiled(n, black, white)
     poset = S.poset
     width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
@@ -449,7 +452,7 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     table = b"".join([v.to_bytes(width, "big") for v in pay])
 
     plans = {width << k: _split_plan(width << k, width)
-             for k in range(p.count(".") + 1)}
+             for k in range(empty + 1)}
     join = b"".join
     dead = 0
 
@@ -490,18 +493,18 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     return out
 
 
-def check_payoff_monotone(S: SetColoringGame,
-                          cap: int = DEFAULT_EVAL_CAP) -> bool:
+def check_payoff_monotone(S: SetColoringGame) -> bool:
     """Exhaustively verify the payoff respects the coloring order, on its
-    compiled table.  The default cap is eval_board's, so every board it
-    evaluates can be checked.
+    compiled table.  The cap is eval_board's, so every board it evaluates
+    can be checked.
 
     It is enough to compare colorings across single white-to-black flips;
     those generate the pointwise order.
     """
     n = S.size
-    if n > cap:
-        raise CarrierTooLarge(f"{n} cells exceeds the check cap of {cap}")
+    if n > DEFAULT_EVAL_CAP:
+        raise CarrierTooLarge(f"{n} cells exceeds the check cap of "
+                              f"{DEFAULT_EVAL_CAP}")
     pay = S.payoff.compiled(n)
     up = S.poset._up
     for black in range(1 << n):

@@ -42,10 +42,10 @@ def report(n, text, t0):
 
 def test_criterion_1_value_table_verification(ctx, fixture):
     t0 = time.time()
-    assert [len(s.entries) for s in fixture.sections] == [4, 2, 1, 2, 6, 30]
-    rep = verify_appendix(ctx, fixture)
-    assert rep.ok, rep.failures()
-    assert len(rep.checks) == 45
+    assert [len(s.entries) for s in fixture] == [4, 2, 1, 2, 6, 30]
+    checks = verify_appendix(ctx, fixture)
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+    assert len(checks) == 45
     report(1, "all 45 printed boards evaluate to their listed values", t0)
 
 

@@ -8,8 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from scgames.catalog import (DEDEKIND, AppendixFixture, FixtureEntry,
-                             FixtureParseError, FixtureSection, antichains,
+from scgames.catalog import (DEDEKIND, FixtureEntry, FixtureParseError,
+                             FixtureSection, antichains,
                              board_at, build_catalog, catalog_to_json,
                              census_layers, dedupe_values, expand_fixture,
                              layer_values, ValueIndex, fixture_from_json,
@@ -401,11 +401,11 @@ def test_value_index_matches_plain_loop_on_sums():
 
 def test_fixture_shape(fixture):
     assert all(e.game.poset is P4 and e.board.poset is P4
-               for sec in fixture.sections for e in sec.entries)
-    assert [s.cells for s in fixture.sections] == [0, 1, 2, 3, 4, 5]
-    assert [s.closure_forms for s in fixture.sections] == \
+               for sec in fixture for e in sec.entries)
+    assert [s.cells for s in fixture] == [0, 1, 2, 3, 4, 5]
+    assert [s.closure_forms for s in fixture] == \
         [False, False, True, True, True, True]
-    assert [len(s.entries) for s in fixture.sections] == [4, 2, 1, 2, 6, 30]
+    assert [len(s.entries) for s in fixture] == [4, 2, 1, 2, 6, 30]
 
 
 def test_expand_fixture_small(mctx, fixture):
@@ -419,20 +419,19 @@ def test_expand_fixture_small(mctx, fixture):
     assert parse("{{top|a},{top|b}|{a|bot},{b|bot}}") in ex2
 
 
-def test_expand_fixture_range(fixture):
+def test_expand_fixture_range(mctx, fixture):
     with pytest.raises(ValueError):
-        expand_fixture(fixture, 6)
+        expand_fixture(fixture, 6, mctx)
 
 
 def test_verify_appendix_all_pass(mctx, fixture):
-    report = verify_appendix(mctx, fixture)
-    assert report.ok
-    assert len(report.checks) == 45
-    assert report.failures() == []
+    checks = verify_appendix(mctx, fixture)
+    assert len(checks) == 45
+    assert all(c.ok for c in checks)
 
 
 def test_verify_appendix_flags_corruption(mctx, fixture):
-    sections = list(fixture.sections)
+    sections = list(fixture)
     sec1 = sections[1]
     # claim {top|a} for the board that always pays top
     first = sec1.entries[0]
@@ -441,10 +440,9 @@ def test_verify_appendix_flags_corruption(mctx, fixture):
     bad = FixtureEntry(first.value, first.game, top_board)
     sections[1] = FixtureSection(1, sec1.closure_forms,
                                  (bad,) + sec1.entries[1:])
-    report = verify_appendix(mctx, AppendixFixture(tuple(sections)))
-    assert not report.ok
-    assert len(report.failures()) == 1
-    fail = report.failures()[0]
+    failures = [c for c in verify_appendix(mctx, tuple(sections)) if not c.ok]
+    assert len(failures) == 1
+    fail = failures[0]
     assert fail.cells == 1 and fail.claimed == "{top|a}" and fail.got == "top"
 
 
@@ -491,7 +489,7 @@ def test_fixture_parse_errors(tmp_path):
 
 
 def test_fixture_pattern_lengths(fixture):
-    for sec in fixture.sections:
+    for sec in fixture:
         for e in sec.entries:
             sets = e.board.payoff.sets
             assert e.board.size == sec.cells
@@ -501,5 +499,5 @@ def test_fixture_pattern_lengths(fixture):
 def test_fixture_values_are_parsed_once_at_load(monkeypatch, mctx):
     fixture = load_fixture()
     monkeypatch.setattr(catalog_mod, "parse_game", None)
-    assert verify_appendix(mctx, fixture).ok
+    assert all(c.ok for c in verify_appendix(mctx, fixture))
     assert len(expand_fixture(fixture, 5, mctx)) == 178

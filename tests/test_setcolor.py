@@ -317,7 +317,8 @@ def _split_step(step, t):
 def test_split_plans_take_the_entries_by_cell_bit(width):
     # every step of every plan up to 2^14 bytes keeps, in order, the
     # entries whose cell-i bit is 1 (black) and 0 (white); entries are
-    # told apart by their index, in as many tables as that needs
+    # told apart by their index, in as many tables as that needs.  A plan
+    # is built once per size and width, and shared
     for k in range(1, 15):
         size = 1 << k
         if size < width:
@@ -328,6 +329,7 @@ def test_split_plans_take_the_entries_by_cell_bit(width):
         else:
             codes = [lambda j: j]
         plan = _split_plan(size, width)
+        assert _split_plan(size, width) is plan
         assert len(plan) == entries.bit_length() - 1
         for code in codes:
             t = b"".join(code(j).to_bytes(width, "big")
@@ -491,6 +493,43 @@ def test_eval_position_agrees_with_eval_board(ctx):
         assert eval_position(ctx, S, "...") is eval_board(ctx, S)
 
 
+def test_eval_position_caps_the_empty_cells_not_the_carrier(ctx):
+    # 13 of 25 cells colored leave 12 empty; each requirement takes one
+    # colored cell and two empty ones.  The hand-restricted board keeps,
+    # per atom, the minimal requirements that meet no white cell, less
+    # their black cells, renumbered over the empty cells
+    rng = random.Random(3017)
+    n = 25
+    colored = rng.sample(range(n), 13)
+    black, white = set(colored[:7]), set(colored[7:])
+    free = [i for i in range(n) if i not in black | white]
+    sets = {a: [{rng.choice(colored), *rng.sample(free, 2)} for _ in range(4)]
+            for a in ("a", "b", "top")}
+    S = SetColoringGame(P4, tuple(f"c{i}" for i in range(n)), Threshold(
+        P4, n, {a: tuple({"".join("1" if i in req else "0"
+                                  for i in range(n))
+                          for req in reqs}) for a, reqs in sets.items()}))
+    position = "".join("1" if i in black else "0" if i in white else "."
+                       for i in range(n))
+    restricted = {}
+    for a, reqs in sets.items():
+        kept = {frozenset(set(req) - black) for req in reqs
+                if not white & set(req)}
+        kept = {r for r in kept if not any(o < r for o in kept)}
+        if kept:
+            restricted[a] = tuple("".join("1" if i in r else "0"
+                                          for i in free) for r in kept)
+    small = SetColoringGame(P4, tuple(f"c{i}" for i in free),
+                            Threshold(P4, len(free), restricted))
+    got = eval_position(ctx, S, position)
+    assert got is eval_board(ctx, small)
+    assert not got.is_atomic
+    with pytest.raises(CarrierTooLarge):
+        eval_board(ctx, S)
+    with pytest.raises(CarrierTooLarge):
+        eval_board(ctx, random_threshold_board(rng, P4, DEFAULT_EVAL_CAP + 1))
+
+
 def test_eval_position_at_full_coloring_is_the_payoff(ctx):
     S = sc_base(GadgetKind.COUPLING)
     rng = random.Random(3004)
@@ -574,8 +613,6 @@ def test_eval_cap(ctx):
         eval_board(ctx, S, max_cells=4)
     with pytest.raises(CarrierTooLarge):
         eval_position(ctx, S, ".....", max_cells=4)
-    with pytest.raises(CarrierTooLarge):
-        check_payoff_monotone(S, cap=4)
 
 
 def _compiled_boards():
