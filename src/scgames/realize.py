@@ -50,9 +50,11 @@ class VerificationFailed(RuntimeError):
 
 
 class VerifiedHow(enum.Enum):
-    """How a realized board was checked.  COMPOSITIONAL labels a board
-    above the verify cap: no check runs on it, and it rests on the
-    construction alone."""
+    """How a realized board was checked.  BRUTE_FORCE means eval_board ran
+    on the board, valuing its disjoint compositions structurally and
+    brute-forcing every part whose children share cells, and its value is
+    equivalent to the game.  COMPOSITIONAL labels a board above the verify
+    cap: no check runs on it, and it rests on the construction alone."""
 
     BRUTE_FORCE = "brute_force"
     COMPOSITIONAL = "compositional"
@@ -102,7 +104,8 @@ class RealizationReport:
 
 def verify(ctx: SolverContext, board: SetColoringGame, G: Game,
            max_cells: int = DEFAULT_VERIFY_CAP) -> bool:
-    """Brute-force check that the board's value is the game, up to equiv."""
+    """Check by eval_board that the board's value is the game, up to
+    equiv; every part whose children share cells is brute-forced."""
     return equiv(ctx, eval_board(ctx, board, max_cells=max_cells), G)
 
 
@@ -111,7 +114,7 @@ def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
     """Synthesize a monotone set coloring board whose value is G.
 
     The report records the board, its carrier size against the size
-    bound, how the result was verified (by brute force under the cap; no
+    bound, how the result was verified (by eval_board under the cap; no
     check runs above it, labelled compositional, or when disabled), and
     which good option manufactured a gift horse at each node that needed
     one.  A negative ``verify_cap`` raises ValueError.

@@ -4,7 +4,10 @@ A board is a finite carrier of named cells plus a monotone payoff mapping
 final colorings (every cell black or white) into an atom poset.  The value
 of a position is computed by the usual recursion: the left options color
 one empty cell black, the right options color one white, and exhausted
-boards score by the payoff.  Positions are written as strings over
+boards score by the payoff.  A composition whose children read disjoint
+cells is valued from its children's values, through the game algebra's
+sum and map, so the recursion runs only on the other nodes (see
+eval_position).  Positions are written as strings over
 '1' (black), '0' (white) and '.' (empty), indexed by cell order; the
 aliases ●/⊤ (black), ○/◦/⊥ (white) and ⋆/* (empty) are accepted on input.
 
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import GadgetKind
+from .algebra import GadgetKind, map_game, sum_games
 from .games import (
     Game,
     NoDualityMap,
@@ -37,6 +40,7 @@ from .games import (
     SolverContext,
     atomic,
     composite,
+    dual,
 )
 from .games import simplify as simplify_game
 from .poset import (
@@ -242,16 +246,9 @@ class Compose:
         free = [i for i in range(n) if not (black | white) >> i & 1]
         element = None
         for child, emb in self.children:
-            sub_black = sub_white = 0
-            bit_of = {}
-            for j, i in enumerate(emb):
-                if black >> i & 1:
-                    sub_black |= 1 << j
-                elif white >> i & 1:
-                    sub_white |= 1 << j
-                else:
-                    bit_of[i] = 1 << len(bit_of)
-            table = child.compiled(len(emb), sub_black, sub_white)
+            reads = [i for i in emb if not (black | white) >> i & 1]
+            bit_of = {i: 1 << j for j, i in enumerate(reads)}
+            table = child.compiled(len(emb), *_child_masks(emb, black, white))
             spread = [0]
             for i in free:
                 bit = bit_of.get(i)
@@ -378,7 +375,10 @@ def _split_plan(size: int, width: int) -> tuple[tuple, ...]:
 def eval_board(ctx: SolverContext, S: SetColoringGame,
                simplify: bool = True,
                max_cells: int = DEFAULT_EVAL_CAP) -> Game:
-    """The combinatorial value of the empty board.
+    """The combinatorial value of the empty board: eval_position at the
+    all-empty position, so a disjoint composition is valued from its
+    children, and only thresholds, constants and compositions whose
+    children share cells are brute-forced, each under max_cells.
 
     With simplify=True (the default) every position's value is simplified
     as it is built, which keeps the games small; simplify=False returns the
@@ -393,6 +393,107 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                   max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """Value of an arbitrary partial coloring of the board.
 
+    The payoff tree, restricted to the position, is valued by one
+    structural rule before anything is brute-forced:
+
+    - A ``Compose`` whose children's empty cells, read in child order and
+      embedding order, are exactly the position's empty cells in
+      increasing order (disjoint, covering, not interleaved) has the
+      value ``map_game(fn, sum_games of the child values, folded from the
+      left)``, each child valued at its restriction of the position; with
+      simplify=True that image is simplified once.
+    - A ``Dual`` has the ``games.dual`` of its child's value at the
+      color-swapped position.
+    - Every other node (a ``Threshold``, a ``Const``, or a ``Compose``
+      whose children share, skip or interleave empty cells, such as a
+      shared choice) is a part, brute-forced on its residual payoff table
+      (see _eval_part); max_cells caps each part's empty cells, not the
+      carrier.
+
+    The rule is exact on raw trees.  Every move colors one empty cell,
+    which one child reads, so it moves that child's restricted position
+    and no other: the position is the sum of its children's positions,
+    scored through fn at the end, and by induction on the empty cells its
+    left (right) options are the images under fn of the sums with one
+    child's left (right) option, which is the tree map_game(fn, sum_games
+    ...) builds, leaf for leaf.  Option sets are deduplicated and sorted
+    by uid, so the trees are the same interned objects.  Cells read in
+    increasing order keep the test one list comparison; a permuted or
+    interleaved embedding, exact by the same argument, is brute-forced.
+    A ``Dual`` board's black move is its child's white move and its
+    outcomes are reversed, which is how games.dual rebuilds the child's
+    value.  With simplify=True each value is equivalent to its raw one:
+    every value in play is passable (board positions are monotone, hence
+    passable, and simplification keeps passability); sums respect
+    equivalence of passable summands (P. Selinger, *On the combinatorial
+    value of Hex positions*, 2021; tested in criterion 9), and so does
+    map_game (test_map_respects_equivalence_of_passable_games), by
+    congruence; dual reverses the order, so it respects equivalence too.
+
+    A cell is dead in a part's table when its two colorings leave the same
+    table (Björnsson, Hayward, Johanson and van Rijswijck, *Dead cell
+    analysis in Hex and the Shannon game*, 2007; Selinger 2021).  With
+    simplify=True a table with a dead cell takes the value of its filled
+    table, the table left by its first dead cell, and no node is built for
+    it.  This is sound up to equivalence.  Let P' be P with its dead cell
+    c filled.  A cell other than c is dead in P iff it is dead in P', and
+    c stays dead in every option of P, so by induction each option of P
+    that colors a cell d other than c is equivalent to the option of P'
+    that colors d, and by option congruence P is equivalent to {P', P'^L
+    | P', P'^R}.  That game is equivalent to P': in the clauses of leq,
+    both ways, every option of P' is matched with itself (leq is
+    reflexive), and the two added options P' need tri(P', P'), which
+    holds because P' is passable: every payoff class is monotone by
+    construction, and a monotone position is passable.  The memoized
+    simplified evaluator already rests on option congruence, so this
+    assumes nothing more.  With simplify=False the reduction is off, so a
+    dead cell's two options share one value but stay in the tree: the
+    structural sum and map identities hold for the raw trees exactly.
+
+    ``ctx.stats["eval_parts"]`` grows by the number of parts brute-forced,
+    and ``ctx.stats["eval_flat_cells"]`` is the most empty cells of any
+    part, a running maximum.  ``ctx.stats["eval_residuals"]`` grows by the
+    number of distinct tables expanded into a node (the one-entry tables
+    included), and ``ctx.stats["eval_dead"]`` by the number settled by a
+    dead cell.
+    """
+    black, white = _position_masks(position, S.size)
+    return _value(ctx, S.payoff, S.cells, black, white, simplify, max_cells)
+
+
+def _child_masks(emb: tuple[int, ...], black: int,
+                 white: int) -> tuple[int, int]:
+    """The black and white masks a child reads through its embedding."""
+    return (sum(1 << j for j, i in enumerate(emb) if black >> i & 1),
+            sum(1 << j for j, i in enumerate(emb) if white >> i & 1))
+
+
+def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
+           black: int, white: int, simplify: bool, max_cells: int) -> Game:
+    """The value of the payoff on these cells at the position (black,
+    white), by eval_position's structural rule."""
+    if isinstance(payoff, Dual):
+        return dual(_value(ctx, payoff.child, cells, white, black, simplify,
+                           max_cells))
+    if isinstance(payoff, Compose):
+        fixed = black | white
+        read = [i for _, emb in payoff.children for i in emb
+                if not fixed >> i & 1]
+        if read == [i for i in range(len(cells)) if not fixed >> i & 1]:
+            parts = [_value(ctx, child, tuple(cells[i] for i in emb),
+                            *_child_masks(emb, black, white), simplify,
+                            max_cells)
+                     for child, emb in payoff.children]
+            g = map_game(payoff.fn, reduce(partial(sum_games, ctx), parts))
+            return simplify_game(ctx, g) if simplify else g
+    return _eval_part(ctx, payoff, cells, black, white, simplify, max_cells)
+
+
+def _eval_part(ctx: SolverContext, payoff: PayoffExpr,
+               cells: tuple[str, ...], black: int, white: int,
+               simplify: bool, max_cells: int) -> Game:
+    """The value of one part, by brute force over its residual tables.
+
     A position's value depends only on the payoff restricted to its empty
     cells, so positions are memoized by that table: entry s is the payoff
     when the empty cells are colored by the bits of s (bit j for the j-th
@@ -401,49 +502,27 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     remaining cell keeps every other block of 2^i entries: the odd blocks
     when it goes black, the even ones when it goes white.  The payoff is
     compiled once per call, restricted to the position's colored cells, so
-    the table has 2^(empty cells) entries, and max_cells caps the empty
-    cells, not the carrier.  The one-entry tables
-    seed the memo with the outcome atoms, in order of first appearance,
-    and each option's table is looked up in the memo before it is
-    recursed into.  The steps that take a table apart are planned once per
-    table size (see _split_plan).  Options are visited black then white,
-    from the first empty cell up, so games are interned in the same order
-    on every run.
-
-    A cell is dead in a table when its two colorings leave the same table
-    (Björnsson, Hayward, Johanson and van Rijswijck, *Dead cell analysis in
-    Hex and the Shannon game*, 2007; P. Selinger, *On the combinatorial
-    value of Hex positions*, 2021).  With simplify=True a table is split
-    at its empty cells before any option is recursed into, and a table
-    with a dead cell takes the value of its filled table, the table left
-    by its first dead cell, which the memo then holds under both keys; no
-    node is built for it.  This is sound up to equivalence.  Let P' be P
-    with its dead cell c filled.  A cell other than c is dead in P iff it
-    is dead in P', and c stays dead in every option of P, so by induction
-    each option of P that colors a cell d other than c is equivalent to
-    the option of P' that colors d, and by option congruence P is
-    equivalent to {P', P'^L | P', P'^R}.  That game is equivalent to P':
-    in the clauses of leq, both ways, every option of P' is matched with
-    itself (leq is reflexive), and the two added options P' need
-    tri(P', P'), which holds because P' is passable: every payoff class is
-    monotone by construction, and a monotone position is passable.  The
-    memoized simplified evaluator already rests on option congruence, so
-    this assumes nothing more.  With simplify=False the reduction is off,
-    so a dead cell's two options share one value but stay in the tree: the
-    structural sum and map identities hold for the raw trees exactly.
-
-    ``ctx.stats["eval_residuals"]`` grows by the number of distinct tables
-    expanded into a node (the one-entry tables included), and
-    ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.
+    the table has 2^(empty cells) entries.  The one-entry tables seed the
+    memo with the outcome atoms, in order of first appearance, and each
+    option's table is looked up in the memo before it is recursed into.
+    The steps that take a table apart are planned once per table size (see
+    _split_plan).  Options are visited black then white, from the first
+    empty cell up, so games are interned in the same order on every run.
+    With simplify=True a table is split at its empty cells before any
+    option is recursed into, and a table with a dead cell takes the value
+    of its filled table (eval_position's docstring has the proof).
     """
-    n = S.size
-    black, white = _position_masks(position, n)
-    empty = n - (black | white).bit_count()
-    if empty > max_cells:
-        raise CarrierTooLarge(f"{empty} empty cells exceeds the cap of "
-                              f"{max_cells}")
-    pay = S.payoff.compiled(n, black, white)
-    poset = S.poset
+    n = len(cells)
+    empty = [c for i, c in enumerate(cells) if not (black | white) >> i & 1]
+    if len(empty) > max_cells:
+        raise CarrierTooLarge(f"{len(empty)} empty cells exceeds the cap of "
+                              f"{max_cells} in the part on "
+                              f"{' '.join(empty)}")
+    stats = ctx.stats
+    stats["eval_parts"] += 1
+    stats["eval_flat_cells"] = max(stats["eval_flat_cells"], len(empty))
+    pay = payoff.compiled(n, black, white)
+    poset = payoff.poset
     width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
     memo: dict[bytes, Game] = {
         v.to_bytes(width, "big"): atomic(poset.elements[v], poset)
@@ -452,7 +531,7 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     table = b"".join([v.to_bytes(width, "big") for v in pay])
 
     plans = {width << k: _split_plan(width << k, width)
-             for k in range(empty + 1)}
+             for k in range(len(empty) + 1)}
     join = b"".join
     dead = 0
 
@@ -485,8 +564,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
         return g
 
     out = known(table) or rec(table)
-    ctx.stats["eval_residuals"] += len(memo) - dead
-    ctx.stats["eval_dead"] += dead
+    stats["eval_residuals"] += len(memo) - dead
+    stats["eval_dead"] += dead
     # rec reaches itself through its closure; clearing the name breaks that
     # cycle, so the memo is freed on return, not at a later full collection
     del rec
@@ -495,8 +574,8 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
 
 def check_payoff_monotone(S: SetColoringGame) -> bool:
     """Exhaustively verify the payoff respects the coloring order, on its
-    compiled table.  The cap is eval_board's, so every board it evaluates
-    can be checked.
+    compiled table.  The cap is the one eval_board puts on each part, so
+    every board it brute-forces whole can be checked.
 
     It is enough to compare colorings across single white-to-black flips;
     those generate the pointwise order.

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 
 import pytest
 
@@ -40,7 +41,7 @@ from scgames.games import (
     top,
 )
 from scgames.poset import MonotoneFn, builtin, identity_fn, product, \
-    projector_f
+    projector_f, projector_g
 from scgames.sampling import random_game, random_passable_game
 
 
@@ -83,6 +84,30 @@ def test_sum_congruence_for_passable_games(ctx):
         h2 = add_gift_horse(ctx, h, top(P4), "right") \
             if not h.is_atomic else h
         assert equiv(ctx, sum_games(ctx, g, h), sum_games(ctx, g2, h2))
+
+
+def test_map_respects_equivalence_of_passable_games(ctx):
+    # the lemma under structural board evaluation's simplified values:
+    # mapping a monotone function over equivalent passable games gives
+    # equivalent images.  The games are sums of seeded passable summands,
+    # the shape a composed board's value has before it is mapped
+    pp = product(P4, P4)
+    join = MonotoneFn(pp, P4, {pp.pair(x, y): P4.join2(x, y)
+                               for x in P4.elements for y in P4.elements})
+    rng = random.Random(2010)
+    for f, posets in ((projector_f(P4), (P3, P4)),
+                      (projector_g(P4), (P4, P4, P4)),
+                      (join, (P4, P4))):
+        nontrivial = 0
+        for _ in range(30):
+            g = reduce(lambda G, H: sum_games(ctx, G, H),
+                       [random_passable_game(ctx, rng, p, 2, 2)
+                        for p in posets])
+            assert g.poset is f.domain and is_passable(ctx, g)
+            s = simplify(ctx, g)
+            nontrivial += s is not g
+            assert equiv(ctx, map_game(f, g), map_game(f, s))
+        assert nontrivial > 10
 
 
 def test_map_identity_is_identity():

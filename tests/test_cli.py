@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 import scgames
 from scgames import games
-from scgames.algebra import GadgetKind
+from scgames.algebra import GadgetKind, sum_games
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
 from scgames.notation import MAX_NESTING
 from scgames.poset import builtin, product, projector_f
+from scgames.realize import realize
 from scgames.setcolor import (Dual, SetColoringGame, Threshold, board_to_json,
-                              eval_board, load_board, sc_base, sc_dual,
-                              sc_force_left, sc_map, sc_sum)
+                              eval_board, load_board, save_board, sc_base,
+                              sc_const, sc_dual, sc_force_left, sc_map, sc_sum)
 
 from conftest import P4, parse
 
@@ -82,7 +83,8 @@ def test_stats_flag_prints_counters_on_stderr(capsys):
                            HEX], capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.strip() == "{top|bot}"
     assert json.loads(proc.stderr) == {
-        "eval_dead": 10, "eval_residuals": 9, "interned": 8,
+        "eval_dead": 10, "eval_flat_cells": 4, "eval_parts": 1,
+        "eval_residuals": 9, "interned": 8,
         "memo": dict(NO_MEMO, leq=6, simp=8)}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert proc.stderr.strip() + "   (on stderr)" in readme.splitlines()
@@ -310,6 +312,28 @@ def test_catalog_to_file(capsys, tmp_path):
 def test_catalog_cap(capsys):
     code, _, err = run(capsys, "catalog", "-n", "9")
     assert code == 2 and "cap" in err
+
+
+def test_eval_past_the_old_cap_and_a_part_above_it(capsys, tmp_path):
+    # a 20-cell sum of two 10-cell boards evaluates at its parts; a
+    # 17-cell part beside a forced board is refused with one error line
+    ctx = SolverContext()
+    S, T = (realize(ctx, parse(t), verify_value=False).board
+            for t in ("{{top|b}|b,top}", "{b|b,{bot|bot}}"))
+    path = tmp_path / "sum.scg"
+    save_board(sc_sum(S, T), path)
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == 0 and err == ""
+    assert equiv(ctx, parse(out.strip(), product(P4, P4)),
+                 sum_games(ctx, eval_board(ctx, S), eval_board(ctx, T)))
+    big = SetColoringGame(P4, tuple(f"c{i}" for i in range(17)),
+                          Threshold(P4, 17, {"a": ("1" * 17,)}))
+    save_board(sc_sum(sc_force_left(sc_const("a", P4)), big), path)
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 17 empty cells exceeds the cap of 16 in "
+                          "the part on r.c0 ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_catalog_negative_cells(capsys):

@@ -78,6 +78,8 @@ from scgames.setcolor import (
     sc_shared_choice,
     sc_sum,
     shipped_board,
+    _eval_part,
+    _position_masks,
     _split_plan,
 )
 from conftest import BOOL, P3, P4, parse
@@ -468,24 +470,6 @@ def test_simplified_eval_is_equivalent_to_raw(ctx):
         assert equiv(ctx, eval_board(ctx, S), raw)
 
 
-def test_simplified_eval_is_equivalent_to_raw_on_criterion_6_boards(ctx):
-    # the boards that criterion 6 realizes, those of at most 10 cells
-    curated = sorted(expand_fixture(load_fixture(), 3, ctx),
-                     key=lambda g: g.uid)
-    curated += [gadget_game(k) for k in GadgetKind]
-    curated.append(parse("{top|bot}"))
-    rng = random.Random(9006)
-    randoms = [random_passable_game(ctx, rng, P4, 2, 2) for _ in range(100)]
-    checked = 0
-    for g in curated + randoms:
-        S = realize(ctx, g, verify_value=False).board
-        if S.size <= 10:
-            assert equiv(ctx, eval_board(ctx, S),
-                         eval_board(ctx, S, simplify=False))
-            checked += 1
-    assert checked == 95
-
-
 def test_eval_position_agrees_with_eval_board(ctx):
     rng = random.Random(3003)
     for _ in range(10):
@@ -786,6 +770,171 @@ def test_map_board_is_structurally_the_map(ctx):
         got = eval_board(ctx, board, simplify=False)
         want = map_game(f, eval_board(ctx, sc_sum(S, T), simplify=False))
         assert got is want
+
+
+# -- structural evaluation -----------------------------------------------------
+
+def _flat(ctx, S, position=None):
+    """The raw value of the board brute-forced whole, as one part."""
+    return _eval_part(ctx, S.payoff, S.cells,
+                      *_position_masks(position or "." * S.size, S.size),
+                      False, DEFAULT_EVAL_CAP)
+
+
+def _criterion_6_boards(ctx):
+    """The distinct boards that criterion 6 realizes, plain synthesizer."""
+    curated = sorted(expand_fixture(load_fixture(), 3, ctx),
+                     key=lambda g: g.uid)
+    curated += [gadget_game(k) for k in GadgetKind]
+    curated.append(parse("{top|bot}"))
+    rng = random.Random(9006)
+    randoms = [random_passable_game(ctx, rng, P4, 2, 2) for _ in range(100)]
+    boards = {}
+    for g in curated + randoms:
+        S = realize(ctx, g, verify_value=False).board
+        boards[id(S)] = S
+    return list(boards.values())
+
+
+def test_structural_eval_is_the_flat_eval_on_criterion_6_boards(ctx):
+    # raw, the structural value is the very tree the whole board gives
+    # brute-forced; simplified, it is equivalent.  The six boards of 13
+    # and 14 cells take some 20 s raw, both ways, so they are left to
+    # criterion 6, which checks their simplified values against the games
+    boards = [S for S in _criterion_6_boards(ctx) if S.size <= 12]
+    assert len(boards) == 31
+    assert sum(isinstance(S.payoff, Compose) for S in boards) >= 20
+    for S in boards:
+        raw = _flat(ctx, S)
+        assert eval_board(ctx, S, simplify=False) is raw
+        assert equiv(ctx, eval_board(ctx, S), raw)
+
+
+def _structured_boards(rng):
+    """Seeded sums, maps, forced and coupled boards of at most 9 cells."""
+    f = projector_f(P4)
+    return [
+        sc_sum(_small_board(rng, 3), _small_board(rng, 3)),
+        sc_sum(sc_sum(_small_board(rng, 2), sc_const("a", P4)),
+               sc_dual(_small_board(rng, 3))),
+        sc_map(f, sc_sum(random_threshold_board(rng, P3, 2),
+                         _small_board(rng, 3))),
+        sc_force_left(_small_board(rng, 4)),
+        sc_force_right(sc_dual(_small_board(rng, 4))),
+        sc_coupling(_small_board(rng, 2), _small_board(rng, 2)),
+        sc_coupling(sc_force_left(_small_board(rng, 1)),
+                    sc_shared_choice(_small_board(rng, 1),
+                                     _small_board(rng, 2))),
+    ]
+
+
+def test_structural_eval_is_the_flat_eval_on_composed_boards(ctx):
+    rng = random.Random(3032)
+    for S in _structured_boards(rng):
+        assert S.size <= 9
+        positions = ["." * S.size]
+        positions += ["".join(rng.choice("01..") for _ in range(S.size))
+                      for _ in range(5)]
+        for p in positions:
+            raw = _flat(ctx, S, p)
+            assert eval_position(ctx, S, p, simplify=False) is raw
+            assert equiv(ctx, eval_position(ctx, S, p), raw)
+
+
+def test_structural_eval_counts_its_parts():
+    # a coupling of a threshold board and a forced one: the gadget, the
+    # threshold and the force's one cell are parts, the forced constant
+    # a fourth, of no empty cells
+    rng = random.Random(3033)
+    S = sc_coupling(random_threshold_board(rng, P4, 3),
+                    sc_force_left(sc_const("a", P4)))
+    ctx = SolverContext()
+    eval_board(ctx, S)
+    assert (ctx.stats["eval_parts"], ctx.stats["eval_flat_cells"]) == (4, 5)
+    # colored cells leave the children; the largest part is a running max
+    eval_position(ctx, S, "10." + "." * (S.size - 3))
+    assert (ctx.stats["eval_parts"], ctx.stats["eval_flat_cells"]) == (8, 5)
+    ctx = SolverContext()
+    eval_position(ctx, S, "11111" + "." * (S.size - 5))
+    assert (ctx.stats["eval_parts"], ctx.stats["eval_flat_cells"]) == (4, 3)
+
+
+def _sum_with(S, T, left, right):
+    """S and T side by side, read through the given embeddings."""
+    pr = product(S.poset, T.poset)
+    cells = tuple(f"c{i}" for i in range(S.size + T.size))
+    return SetColoringGame(pr, cells, Compose(
+        identity_fn(pr), ((S.payoff, left), (T.payoff, right))))
+
+
+def test_structural_eval_falls_back_on_shared_skipped_or_interleaved_cells():
+    # each board is one part: its children overlap, read their cells out
+    # of order, or leave a cell unread; the whole board is brute-forced
+    rng = random.Random(3034)
+    S, T = _small_board(rng, 2), _small_board(rng, 2)
+    while S.size < 2 or T.size < 1:
+        S, T = _small_board(rng, 2), _small_board(rng, 2)
+    p, q = S.size, T.size
+    pr = product(P4, P4)
+    boards = [
+        sc_shared_choice(S, T),
+        _sum_with(S, T, tuple(reversed(range(p))), tuple(range(p, p + q))),
+        _sum_with(S, T, tuple(range(0, 2 * p, 2)),
+                  tuple(sorted(set(range(p + q)) - set(range(0, 2 * p, 2))))),
+        SetColoringGame(pr, tuple(f"c{i}" for i in range(p + q + 1)),
+                        Compose(identity_fn(pr), (
+                            (S.payoff, tuple(range(p))),
+                            (T.payoff, tuple(range(p + 1, p + q + 1)))))),
+    ]
+    for B in boards:
+        assert B.size <= 6
+        ctx = SolverContext()
+        assert eval_board(ctx, B, simplify=False) is ref_eval(B)
+        assert ctx.stats["eval_parts"] == 1
+        assert ctx.stats["eval_flat_cells"] == B.size
+    # the same board read in order is valued at its two children
+    ctx = SolverContext()
+    assert eval_board(ctx, sc_sum(S, T), simplify=False) is \
+        ref_eval(sc_sum(S, T))
+    assert ctx.stats["eval_parts"] == 2
+
+
+def test_sums_of_realized_boards_evaluate_past_the_old_cap(ctx):
+    # two 10-cell and two 12-cell boards of coupling roots; each sum's
+    # largest brute-forced part is a coupling gadget or a shared choice
+    for texts, cells in ((("{{top|b}|b,top}", "{b|b,{bot|bot}}"), 20),
+                         (("{a,{top|a,b}|a}", "{top|{a,top|b,top}}"), 24)):
+        g, h = (parse(t) for t in texts)
+        S, T = (realize(ctx, x, verify_value=False).board for x in (g, h))
+        both = sc_sum(S, T)
+        assert both.size == cells > DEFAULT_EVAL_CAP
+        fresh = SolverContext()
+        value = eval_board(fresh, both)
+        assert fresh.stats["eval_flat_cells"] <= 10
+        assert equiv(ctx, value, sum_games(ctx, eval_board(ctx, S),
+                                           eval_board(ctx, T)))
+        assert equiv(ctx, value, sum_games(ctx, g, h))
+
+
+def test_a_part_above_the_cap_names_its_empty_cells(ctx):
+    rng = random.Random(3035)
+    big = random_threshold_board(rng, P4, DEFAULT_EVAL_CAP + 1)
+    S = sc_sum(sc_force_left(sc_const("a", P4)), big)
+    with pytest.raises(CarrierTooLarge) as e:
+        eval_board(ctx, S)
+    names = " ".join(f"r.c{i}" for i in range(DEFAULT_EVAL_CAP + 1))
+    assert str(e.value) == (f"{DEFAULT_EVAL_CAP + 1} empty cells exceeds the "
+                            f"cap of {DEFAULT_EVAL_CAP} in the part on "
+                            f"{names}")
+    # the cap is on each part's empty cells: one colored cell of the big
+    # part brings it under, and a colored board names only the empty ones
+    p = "." + "0" + "." * DEFAULT_EVAL_CAP
+    assert equiv(ctx, eval_position(ctx, S, p),
+                 sum_games(ctx, parse("{top|a}"),
+                           eval_position(ctx, big, p[1:])))
+    with pytest.raises(CarrierTooLarge, match="4 empty cells exceeds the "
+                       "cap of 3 in the part on r.c13 r.c14 r.c15 r.c16$"):
+        eval_position(ctx, S, "." + "1" * 13 + "....", max_cells=3)
 
 
 def test_map_rejects_wrong_domain():
