@@ -54,7 +54,7 @@ from .algebra import force_left, force_right
 from .games import (Game, PosetMismatch, SolverContext, atomic, composite,
                     dual, equiv, simplify, swap_ab, to_notation)
 from .notation import parse_game
-from .poset import builtin, poset_to_json
+from .poset import _bits, builtin, poset_to_json
 from .setcolor import (CarrierTooLarge, SetColoringGame, Threshold,
                        board_to_json, eval_board, mask_pattern)
 
@@ -210,19 +210,10 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
         if value is None:
             stats["layer_pairs"] += 1
             value = memo[key] = simplify(ctx, composite(
-                _members(left, distinct), _members(right, distinct), P4))
+                [distinct[i] for i in _bits(left)],
+                [distinct[i] for i in _bits(right)], P4))
         stats["layer_boards"] += 1
         yield value
-
-
-def _members(mask: int, values: list[Game]) -> list[Game]:
-    """The values whose bits are set in mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(values[low.bit_length() - 1])
-        mask ^= low
-    return out
 
 
 def census_layers(ctx: SolverContext, n: int) -> list[list[Game]]:

@@ -378,7 +378,8 @@ def eval_board(ctx: SolverContext, S: SetColoringGame,
     """The combinatorial value of the empty board: eval_position at the
     all-empty position, so a disjoint composition is valued from its
     children, and only thresholds, constants and compositions whose
-    children share cells are brute-forced, each under max_cells.
+    children share a cell or leave one unread are brute-forced, each
+    under max_cells.
 
     With simplify=True (the default) every position's value is simplified
     as it is built, which keeps the games small; simplify=False returns the
@@ -396,19 +397,18 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     The payoff tree, restricted to the position, is valued by one
     structural rule before anything is brute-forced:
 
-    - A ``Compose`` whose children's empty cells, read in child order and
-      embedding order, are exactly the position's empty cells in
-      increasing order (disjoint, covering, not interleaved) has the
+    - A ``Compose`` whose children's empty cells are pairwise disjoint
+      and together are the position's empty cells, in any order, has the
       value ``map_game(fn, sum_games of the child values, folded from the
       left)``, each child valued at its restriction of the position; with
       simplify=True that image is simplified once.
     - A ``Dual`` has the ``games.dual`` of its child's value at the
       color-swapped position.
     - Every other node (a ``Threshold``, a ``Const``, or a ``Compose``
-      whose children share, skip or interleave empty cells, such as a
-      shared choice) is a part, brute-forced on its residual payoff table
-      (see _eval_part); max_cells caps each part's empty cells, not the
-      carrier.
+      whose children share an empty cell, such as a shared choice, or
+      leave one unread) is a part, brute-forced on its residual payoff
+      table (see _eval_part); max_cells caps each part's empty cells, not
+      the carrier.
 
     The rule is exact on raw trees.  Every move colors one empty cell,
     which one child reads, so it moves that child's restricted position
@@ -417,18 +417,17 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     left (right) options are the images under fn of the sums with one
     child's left (right) option, which is the tree map_game(fn, sum_games
     ...) builds, leaf for leaf.  Option sets are deduplicated and sorted
-    by uid, so the trees are the same interned objects.  Cells read in
-    increasing order keep the test one list comparison; a permuted or
-    interleaved embedding, exact by the same argument, is brute-forced.
-    A ``Dual`` board's black move is its child's white move and its
-    outcomes are reversed, which is how games.dual rebuilds the child's
-    value.  With simplify=True each value is equivalent to its raw one:
-    every value in play is passable (board positions are monotone, hence
-    passable, and simplification keeps passability); sums respect
-    equivalence of passable summands (P. Selinger, *On the combinatorial
-    value of Hex positions*, 2021; tested in criterion 9), and so does
-    map_game (test_map_respects_equivalence_of_passable_games), by
-    congruence; dual reverses the order, so it respects equivalence too.
+    by uid, so the trees are the same interned objects wherever the
+    children's cells sit in the carrier.  A ``Dual`` board's black move is
+    its child's white move and its outcomes are reversed, which is how
+    games.dual rebuilds the child's value.  With simplify=True each value
+    is equivalent to its raw one: every value in play is passable (board
+    positions are monotone, hence passable, and simplification keeps
+    passability); sums respect equivalence of passable summands (P.
+    Selinger, *On the combinatorial value of Hex positions*, 2021; tested
+    in criterion 9), and so does map_game
+    (test_map_respects_equivalence_of_passable_games), by congruence; dual
+    reverses the order, so it respects equivalence too.
 
     A cell is dead in a part's table when its two colorings leave the same
     table (Björnsson, Hayward, Johanson and van Rijswijck, *Dead cell
@@ -477,8 +476,8 @@ def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
                            max_cells))
     if isinstance(payoff, Compose):
         fixed = black | white
-        read = [i for _, emb in payoff.children for i in emb
-                if not fixed >> i & 1]
+        read = sorted(i for _, emb in payoff.children for i in emb
+                      if not fixed >> i & 1)
         if read == [i for i in range(len(cells)) if not fixed >> i & 1]:
             parts = [_value(ctx, child, tuple(cells[i] for i in emb),
                             *_child_masks(emb, black, white), simplify,

@@ -21,9 +21,9 @@ from scgames.algebra import GadgetKind, sum_games
 from scgames.cli import main
 from scgames.games import SolverContext, equiv
 from scgames.notation import MAX_NESTING
-from scgames.poset import builtin, product, projector_f
+from scgames.poset import builtin, identity_fn, product, projector_f
 from scgames.realize import realize
-from scgames.setcolor import (Dual, SetColoringGame, Threshold, board_to_json,
+from scgames.setcolor import (Compose, Dual, SetColoringGame, Threshold, board_to_json,
                               eval_board, load_board, save_board, sc_base,
                               sc_const, sc_dual, sc_force_left, sc_map, sc_sum)
 
@@ -334,6 +334,35 @@ def test_eval_past_the_old_cap_and_a_part_above_it(capsys, tmp_path):
     assert err.startswith("error: 17 empty cells exceeds the cap of 16 in "
                           "the part on r.c0 ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_of_an_interleaved_board_past_the_old_cap(capsys, tmp_path):
+    # the same two 10-cell boards on the even and the odd cells of one
+    # carrier: their cells interleave, but no cell is shared or unread, so
+    # the board is still valued at its parts
+    ctx = SolverContext()
+    S, T = (realize(ctx, parse(t), verify_value=False).board
+            for t in ("{{top|b}|b,top}", "{b|b,{bot|bot}}"))
+    assert S.size == T.size == 10
+    pr = product(S.poset, T.poset)
+    embs = (tuple(range(0, 20, 2)), tuple(range(1, 20, 2)))
+    path = tmp_path / "interleaved.scg"
+    save_board(SetColoringGame(pr, tuple(f"c{i}" for i in range(20)), Compose(
+        identity_fn(pr), ((S.payoff, embs[0]), (T.payoff, embs[1])))), path)
+    board = load_board(path)
+    assert tuple(emb for _, emb in board.payoff.children) == embs
+    want = sum_games(ctx, eval_board(ctx, S), eval_board(ctx, T))
+    # the parts are those of the same sum laid out in order
+    counts = []
+    for B in (board, sc_sum(S, T)):
+        fresh = SolverContext()
+        assert equiv(ctx, eval_board(fresh, B), want)
+        counts.append((fresh.stats["eval_parts"],
+                       fresh.stats["eval_flat_cells"]))
+    assert counts == [(9, 5)] * 2
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == 0 and err == ""
+    assert equiv(ctx, parse(out.strip(), pr), want)
 
 
 def test_catalog_negative_cells(capsys):

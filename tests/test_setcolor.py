@@ -14,6 +14,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -539,39 +540,49 @@ def test_simplified_value_can_leave_the_monotone_class(ctx):
     assert not is_monotone(ctx, g)
 
 
+def _bool_power(k):
+    """Bool^k, folded from the left as sc_sum folds its posets."""
+    return reduce(product, [BOOL] * k)
+
+
 def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
-    # nine one-cell boards summed: every coloring scores its own element
+    # one threshold over Bool^9 whose unit atom k needs cell k: every
+    # coloring scores its own element, and the board is one part, so its
+    # residual tables take two bytes an entry.  Its value is the sum of
+    # nine one-cell values, summed from the left as product folds
+    wide = _bool_power(9)
+    assert len(wide) == 512
+    units = [reduce(lambda x, y: f"({x},{y})",
+                    ["top" if j == k else "bot" for j in range(9)])
+             for k in range(9)]
+    S = SetColoringGame(wide, tuple(f"c{k}" for k in range(9)), Threshold(
+        wide, 9, {u: ("0" * k + "1" + "0" * (8 - k),)
+                  for k, u in enumerate(units)}))
     cell = SetColoringGame(BOOL, ("c",), Threshold(BOOL, 1, {"top": ("1",)}))
-    S = cell
-    for _ in range(8):
-        S = sc_sum(S, cell)
-    assert S.size == 9 and len(S.poset) == 512
     one = eval_board(ctx, cell, simplify=False)
-    want = one
-    for _ in range(8):
-        want = sum_games(ctx, want, one)
-    assert eval_board(ctx, S, simplify=False) is want
+    parts = ctx.stats["eval_parts"]
+    assert eval_board(ctx, S, simplify=False) is \
+        reduce(partial(sum_games, ctx), [one] * 9)
+    assert ctx.stats["eval_parts"] == parts + 1
     # a colored cell contributes its atom to the sum, an empty one the cell
     part = {".": one, "1": atomic("top", BOOL), "0": atomic("bot", BOOL)}
     for position in ("1........", "........0", "...1.0..."):
-        want = part[position[0]]
-        for c in position[1:]:
-            want = sum_games(ctx, want, part[c])
+        want = reduce(partial(sum_games, ctx), [part[c] for c in position])
         assert eval_position(ctx, S, position, simplify=False) is want
 
 
 def test_eval_codes_few_outcomes_of_a_wide_poset_in_two_bytes(ctx):
-    # Bool boards mapped into Bool^9: two outcomes, but 512 elements, so
-    # every entry of a residual table takes two bytes
-    wide = BOOL
-    for _ in range(8):
-        wide = product(wide, BOOL)
-    assert len(wide) == 512
-    f = MonotoneFn(BOOL, wide, {"bot": wide.bot, "top": wide.top})
+    # threshold boards over Bool^9 with three atoms: a few outcomes, but
+    # 512 elements, so every entry of a residual table takes two bytes
+    wide = _bool_power(9)
     rng = random.Random(3017)
     for _ in range(6):
         n = rng.randint(3, 4)
-        S = sc_map(f, random_threshold_board(rng, BOOL, n))
+        sets = {a: (mask_pattern(rng.randrange(1, 1 << n), n),)
+                for a in rng.sample(
+                    [x for x in wide.elements if x != wide.bot], 3)}
+        S = SetColoringGame(wide, tuple(f"c{i}" for i in range(n)),
+                            Threshold(wide, n, sets))
         for k in range(3 ** n):
             position = "".join("01."[k // 3 ** i % 3] for i in range(n))
             got = eval_position(ctx, S, position, simplify=False)
@@ -810,10 +821,30 @@ def test_structural_eval_is_the_flat_eval_on_criterion_6_boards(ctx):
         assert equiv(ctx, eval_board(ctx, S), raw)
 
 
-def _structured_boards(rng):
-    """Seeded sums, maps, forced and coupled boards of at most 9 cells."""
-    f = projector_f(P4)
+def _sum_with(S, T, left, right):
+    """S and T side by side, read through the given embeddings."""
+    pr = product(S.poset, T.poset)
+    cells = tuple(f"c{i}" for i in range(S.size + T.size))
+    return SetColoringGame(pr, cells, Compose(
+        identity_fn(pr), ((S.payoff, left), (T.payoff, right))))
+
+
+def _layouts(S, T):
+    """S and T read disjointly out of carrier order: S reversed, then S on
+    the even cells and T on the others (T has at least S.size - 1 cells)."""
+    p, q = S.size, T.size
+    evens = tuple(range(0, 2 * p, 2))
     return [
+        _sum_with(S, T, tuple(reversed(range(p))), tuple(range(p, p + q))),
+        _sum_with(S, T, evens, tuple(sorted(set(range(p + q)) - set(evens)))),
+    ]
+
+
+def _structured_boards(rng):
+    """Seeded sums, maps, forced and coupled boards of at most 9 cells,
+    and sums laid out reversed and interleaved."""
+    f = projector_f(P4)
+    boards = [
         sc_sum(_small_board(rng, 3), _small_board(rng, 3)),
         sc_sum(sc_sum(_small_board(rng, 2), sc_const("a", P4)),
                sc_dual(_small_board(rng, 3))),
@@ -826,6 +857,8 @@ def _structured_boards(rng):
                     sc_shared_choice(_small_board(rng, 1),
                                      _small_board(rng, 2))),
     ]
+    S, T = (random_threshold_board(rng, P4, 3) for _ in range(2))
+    return boards + _layouts(S, T)
 
 
 def test_structural_eval_is_the_flat_eval_on_composed_boards(ctx):
@@ -859,17 +892,9 @@ def test_structural_eval_counts_its_parts():
     assert (ctx.stats["eval_parts"], ctx.stats["eval_flat_cells"]) == (4, 3)
 
 
-def _sum_with(S, T, left, right):
-    """S and T side by side, read through the given embeddings."""
-    pr = product(S.poset, T.poset)
-    cells = tuple(f"c{i}" for i in range(S.size + T.size))
-    return SetColoringGame(pr, cells, Compose(
-        identity_fn(pr), ((S.payoff, left), (T.payoff, right))))
-
-
-def test_structural_eval_falls_back_on_shared_skipped_or_interleaved_cells():
-    # each board is one part: its children overlap, read their cells out
-    # of order, or leave a cell unread; the whole board is brute-forced
+def test_structural_eval_falls_back_on_shared_or_unread_cells():
+    # each board is one part: its children overlap or leave a cell unread;
+    # the whole board is brute-forced
     rng = random.Random(3034)
     S, T = _small_board(rng, 2), _small_board(rng, 2)
     while S.size < 2 or T.size < 1:
@@ -878,9 +903,6 @@ def test_structural_eval_falls_back_on_shared_skipped_or_interleaved_cells():
     pr = product(P4, P4)
     boards = [
         sc_shared_choice(S, T),
-        _sum_with(S, T, tuple(reversed(range(p))), tuple(range(p, p + q))),
-        _sum_with(S, T, tuple(range(0, 2 * p, 2)),
-                  tuple(sorted(set(range(p + q)) - set(range(0, 2 * p, 2))))),
         SetColoringGame(pr, tuple(f"c{i}" for i in range(p + q + 1)),
                         Compose(identity_fn(pr), (
                             (S.payoff, tuple(range(p))),
@@ -892,11 +914,12 @@ def test_structural_eval_falls_back_on_shared_skipped_or_interleaved_cells():
         assert eval_board(ctx, B, simplify=False) is ref_eval(B)
         assert ctx.stats["eval_parts"] == 1
         assert ctx.stats["eval_flat_cells"] == B.size
-    # the same board read in order is valued at its two children
-    ctx = SolverContext()
-    assert eval_board(ctx, sc_sum(S, T), simplify=False) is \
-        ref_eval(sc_sum(S, T))
-    assert ctx.stats["eval_parts"] == 2
+    # the same two boards read disjointly, in order, reversed or
+    # interleaved, are valued at their two children
+    for B in [sc_sum(S, T), *_layouts(S, T)]:
+        ctx = SolverContext()
+        assert eval_board(ctx, B, simplify=False) is ref_eval(B)
+        assert ctx.stats["eval_parts"] == 2
 
 
 def test_sums_of_realized_boards_evaluate_past_the_old_cap(ctx):
