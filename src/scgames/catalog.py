@@ -176,8 +176,8 @@ def layer_values(ctx: SolverContext, n: int, below: Optional[list[Game]],
     options become two bitmasks over those numbers, and a memo that lives
     for this call maps the pair to its value.  Only a new pair builds its
     composite and simplifies it.  A repeat would have found its composite
-    already interned and its simplified form in ctx.simp, so skipping it
-    interns nothing, and new pairs are met in board order: every uid and
+    already interned and its simplified form on it (``Game.simple``), so
+    skipping it interns nothing, and new pairs are met in board order: every uid and
     every value is what the per-board composite gives.  ctx.stats counts
     the boards valued here in "layer_boards" and the pairs simplified in
     "layer_pairs".

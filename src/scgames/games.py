@@ -121,6 +121,11 @@ The global predicates quantify the local ones over all positions.  The
 atoms below and above a game, ``(masks[2], masks[0])``, are its atom
 signature; by L1 and L2 every game equivalent to it shares them, passable
 or not.
+
+A game's simplified form is a field of the game too (``simple``), set by
+the first :func:`simplify` that answers it and read by every later one in
+the process, whatever its context; ``SolverContext.simp`` is only the
+record of one run.
 """
 
 from __future__ import annotations
@@ -172,11 +177,12 @@ class Game:
     and uid-sorted tuples of Games otherwise.  ``masks``, ``depth`` and
     ``branching`` are fixed at interning; see the module docstring.
     ``passable`` and ``monotone`` stay None until :func:`is_passable` and
-    :func:`is_monotone` first answer them.
+    :func:`is_monotone` first answer them, and ``simple`` until
+    :func:`simplify` first does.
     """
 
     __slots__ = ("poset", "atom", "left", "right", "uid", "masks", "depth",
-                 "branching", "passable", "monotone")
+                 "branching", "passable", "monotone", "simple")
 
     def __init__(self, poset: AtomPoset, atom: Optional[str],
                  left: tuple["Game", ...], right: tuple["Game", ...],
@@ -192,6 +198,7 @@ class Game:
         self.branching = branching
         self.passable: Optional[bool] = None
         self.monotone: Optional[bool] = None
+        self.simple: Optional[Game] = None
 
     @property
     def is_atomic(self) -> bool:
@@ -336,10 +343,14 @@ class SolverContext:
     """The memo tables of one run, confined to one thread.
 
     What depends on one game alone (its atom masks, depth, branching,
-    passability and monotonicity) is a field of the game, not a memo
-    here.  Every table is a named attribute, and ``memo_sizes`` reports
-    them all.  Images of a game (``dual``, ``swap_ab``, ``map_game``) are
-    rebuilt per call and kept in no table.
+    passability, monotonicity and simplified form) is a field of the
+    game, not a memo here, so every later context in the process reuses
+    it.  ``simp`` is the run's record of what :func:`simplify` answered,
+    whether it built the answer or read it from ``Game.simple``; so
+    ``stats["simplify_fallback"]`` counts a fallback only in the first
+    context that meets the game.  Every table is a named attribute, and
+    ``memo_sizes`` reports them all.  Images of a game (``dual``,
+    ``swap_ab``, ``map_game``) are rebuilt per call and kept in no table.
     """
 
     __slots__ = ("leq", "tri", "simp", "sum", "realize", "realize_good",
@@ -534,11 +545,36 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     a node that pruning would change is never interned.  Each round of
     the loop prunes both sides and tries one bypass, and the pass cap
     counts those rounds.
+
+    Every answer is also kept on the game, as ``g.simple``, and a later
+    context reads it there instead of simplifying again (counted in
+    ``stats["simplify_reused"]``, and still recorded in ``ctx.simp``).  An
+    output that has no simplified form yet is kept as its own, since it is
+    one: an atom is, and on a composite output pruning is idempotent and
+    the last round of the loop found no bypass.  The reuse is exact within one process.
+    Which equivalent game the fold returns depends on the order in which
+    games were interned, so another process may return another one; but a
+    second simplification in the same process meets only games that
+    already exist, in the same order, and returns the first answer.
     """
     simp = ctx.simp
     hit = simp.get(G.uid)
     if hit is not None:     # most calls are hits: no fold to set up
         return hit
+    stats = ctx.stats
+    hit = G.simple
+    if hit is not None:
+        stats["simplify_reused"] += 1
+        simp[G.uid] = hit
+        return hit
+
+    def settle(g):
+        s = g.simple
+        if s is not None:
+            stats["simplify_reused"] += 1
+            return s
+        s = g.simple = _collapse(g)
+        return s
 
     def build(g):
         ls, rs = [], []
@@ -567,11 +603,14 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
             break
         if cur is not g and not equiv(ctx, cur, g):
             # only reachable through a transitivity failure; keep the input
-            ctx.stats["simplify_fallback"] += 1
+            stats["simplify_fallback"] += 1
             cur = g
+        g.simple = cur
+        if cur.simple is None:
+            cur.simple = cur
         return cur
 
-    return fold(G, simp, build, _collapse)
+    return fold(G, simp, build, settle)
 
 
 def _collapse(g: Game) -> Optional[Game]:

@@ -6,9 +6,10 @@ of a position is computed by the usual recursion: the left options color
 one empty cell black, the right options color one white, and exhausted
 boards score by the payoff.  A composition whose children read disjoint
 cells is valued from its children's values, through the game algebra's
-sum and map, so the recursion runs only on the other nodes (see
-eval_position).  Positions are written as strings over
-'1' (black), '0' (white) and '.' (empty), indexed by cell order; the
+sum and map, and one whose children overlap from the values of its
+groups of children that share cells, so the recursion runs only on the
+other nodes and on those groups (see eval_position).  Positions are
+written as strings over '1' (black), '0' (white) and '.' (empty), indexed by cell order; the
 aliases ●/⊤ (black), ○/◦/⊥ (white) and ⋆/* (empty) are accepted on input.
 
 Payoffs are expression trees rather than bare tables, so boards are
@@ -377,9 +378,9 @@ def eval_board(ctx: SolverContext, S: SetColoringGame,
                max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """The combinatorial value of the empty board: eval_position at the
     all-empty position, so a disjoint composition is valued from its
-    children, and only thresholds, constants and compositions whose
-    children share a cell or leave one unread are brute-forced, each
-    under max_cells.
+    children, and only thresholds, constants, groups of children that
+    share cells, and compositions that leave a cell unread are
+    brute-forced, each under max_cells.
 
     With simplify=True (the default) every position's value is simplified
     as it is built, which keeps the games small; simplify=False returns the
@@ -394,33 +395,48 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
                   max_cells: int = DEFAULT_EVAL_CAP) -> Game:
     """Value of an arbitrary partial coloring of the board.
 
-    The payoff tree, restricted to the position, is valued by one
-    structural rule before anything is brute-forced:
+    The payoff tree, restricted to the position, is valued by these
+    structural rules before anything is brute-forced:
 
     - A ``Compose`` whose children's empty cells are pairwise disjoint
       and together are the position's empty cells, in any order, has the
       value ``map_game(fn, sum_games of the child values, folded from the
       left)``, each child valued at its restriction of the position; with
       simplify=True that image is simplified once.
+    - A ``Compose`` whose children together read every empty cell but
+      share some, such as a shared choice, with more than _GROUP_ABOVE
+      empty cells, is split at the connected components of its children,
+      two children being joined when they read a common empty cell.  A
+      component of one child is valued alone, by these rules; a larger
+      one is a part, a ``Compose`` under ``identity_fn`` of its
+      children's product on the union of their cells.  The node's value
+      is the image, under fn read through that regrouping, of the sum of
+      the components' values.  A shared choice's two gadget cells, and
+      any sub-board no other child reads, thus leave the part.
     - A ``Dual`` has the ``games.dual`` of its child's value at the
       color-swapped position.
-    - Every other node (a ``Threshold``, a ``Const``, or a ``Compose``
-      whose children share an empty cell, such as a shared choice, or
-      leave one unread) is a part, brute-forced on its residual payoff
-      table (see _eval_part); max_cells caps each part's empty cells, not
-      the carrier.
+    - Every other node (a ``Threshold``, a ``Const``, a ``Compose`` that
+      leaves an empty cell unread, or one whose children all hang
+      together or have few empty cells) is a part, brute-forced on its
+      residual payoff table (see _eval_part); max_cells caps each part's
+      empty cells, not the carrier.
 
-    The rule is exact on raw trees.  Every move colors one empty cell,
+    The rules are exact on raw trees.  Every move colors one empty cell,
     which one child reads, so it moves that child's restricted position
     and no other: the position is the sum of its children's positions,
     scored through fn at the end, and by induction on the empty cells its
     left (right) options are the images under fn of the sums with one
     child's left (right) option, which is the tree map_game(fn, sum_games
-    ...) builds, leaf for leaf.  Option sets are deduplicated and sorted
-    by uid, so the trees are the same interned objects wherever the
-    children's cells sit in the carrier.  A ``Dual`` board's black move is
-    its child's white move and its outcomes are reversed, which is how
-    games.dual rebuilds the child's value.  With simplify=True each value
+    ...) builds, leaf for leaf.  The component rule is the same argument
+    with components in place of children: each empty cell is read by the
+    children of exactly one component, so a move moves that component's
+    restricted position and no other, and a component's children, read
+    together under identity_fn, give the product of their outcomes, which
+    the regrouped fn maps as fn maps the children's.  Option sets are
+    deduplicated and sorted by uid, so the trees are the same interned
+    objects wherever the children's cells sit in the carrier.  A ``Dual``
+    board's black move is its child's white move and its outcomes are
+    reversed, which is how games.dual rebuilds the child's value.  With simplify=True each value
     is equivalent to its raw one: every value in play is passable (board
     positions are monotone, hence passable, and simplification keeps
     passability); sums respect equivalence of passable summands (P.
@@ -450,11 +466,12 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     structural sum and map identities hold for the raw trees exactly.
 
     ``ctx.stats["eval_parts"]`` grows by the number of parts brute-forced,
-    and ``ctx.stats["eval_flat_cells"]`` is the most empty cells of any
-    part, a running maximum.  ``ctx.stats["eval_residuals"]`` grows by the
-    number of distinct tables expanded into a node (the one-entry tables
-    included), and ``ctx.stats["eval_dead"]`` by the number settled by a
-    dead cell.
+    ``ctx.stats["eval_groups"]`` by the number of compositions split at
+    their components, and ``ctx.stats["eval_flat_cells"]`` is the most
+    empty cells of any part, a running maximum.
+    ``ctx.stats["eval_residuals"]`` grows by the number of distinct tables
+    expanded into a node (the one-entry tables included), and
+    ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.
     """
     black, white = _position_masks(position, S.size)
     return _value(ctx, S.payoff, S.cells, black, white, simplify, max_cells)
@@ -467,25 +484,114 @@ def _child_masks(emb: tuple[int, ...], black: int,
             sum(1 << j for j, i in enumerate(emb) if white >> i & 1))
 
 
+# A composition whose children overlap is split at its groups of children
+# that share cells only when it has more empty cells than this: below it
+# the glue (a sum, its image under fn, a simplify) costs more than the
+# brute force it saves.  Measured on sc_shared_choice boards of realized
+# sub-boards over P4, 60 boards a size, one fresh context a board, Python
+# 3.11 on a 2-core Xeon: brute force against split, in ms a board, was
+# 0.5-0.65 against 0.9-1.2 at 5 and 6 cells, even (0.6-1.5) at 7 and 8,
+# and 2.1-3.3 against 2.0-2.3 at 9 and 10.  Splitting at every size made
+# the realize_verify benchmark 20% slower than this guard did.
+_GROUP_ABOVE = 6
+
+
 def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
            black: int, white: int, simplify: bool, max_cells: int) -> Game:
     """The value of the payoff on these cells at the position (black,
-    white), by eval_position's structural rule."""
+    white), by eval_position's structural rules."""
     if isinstance(payoff, Dual):
         return dual(_value(ctx, payoff.child, cells, white, black, simplify,
                            max_cells))
     if isinstance(payoff, Compose):
         fixed = black | white
-        read = sorted(i for _, emb in payoff.children for i in emb
-                      if not fixed >> i & 1)
-        if read == [i for i in range(len(cells)) if not fixed >> i & 1]:
-            parts = [_value(ctx, child, tuple(cells[i] for i in emb),
-                            *_child_masks(emb, black, white), simplify,
-                            max_cells)
-                     for child, emb in payoff.children]
-            g = map_game(payoff.fn, reduce(partial(sum_games, ctx), parts))
-            return simplify_game(ctx, g) if simplify else g
+        reads = [[i for i in emb if not fixed >> i & 1]
+                 for _, emb in payoff.children]
+        read = sorted(i for r in reads for i in r)
+        empty = [i for i in range(len(cells)) if not fixed >> i & 1]
+        if read != empty:   # the children overlap or leave a cell unread
+            if (len(empty) <= _GROUP_ABOVE or len(set(read)) != len(empty)
+                    or len(groups := _overlap_groups(reads)) == 1):
+                return _eval_part(ctx, payoff, cells, black, white, simplify,
+                                  max_cells)
+            ctx.stats["eval_groups"] += 1
+            payoff = _regroup(payoff, groups)
+        parts = [_value(ctx, child, tuple(cells[i] for i in emb),
+                        *_child_masks(emb, black, white), simplify, max_cells)
+                 for child, emb in payoff.children]
+        g = map_game(payoff.fn, reduce(partial(sum_games, ctx), parts))
+        return simplify_game(ctx, g) if simplify else g
     return _eval_part(ctx, payoff, cells, black, white, simplify, max_cells)
+
+
+def _overlap_groups(reads: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The connected components of the children, two children being joined
+    when they read a common cell: tuples of child indices, each in order,
+    ordered by their first child."""
+    groups: list[tuple[set[int], list[int]]] = []
+    for k, r in enumerate(reads):
+        cells, members, apart = set(r), [k], []
+        for group in groups:
+            if group[0] & cells:
+                cells |= group[0]
+                members += group[1]
+            else:
+                apart.append(group)
+        groups = apart + [(cells, members)]
+    return tuple(sorted(tuple(sorted(m)) for _, m in groups))
+
+
+def _regroup(payoff: Compose, groups: tuple[tuple[int, ...], ...]) -> Compose:
+    """The same payoff with each group of children as one child.
+
+    A group of one child keeps it; a larger group becomes a ``Compose``
+    under ``identity_fn`` of its children's product, on the union of their
+    cells, in carrier order.  The function is payoff.fn read through the
+    regrouping (_regrouped_fn).
+    """
+    children = []
+    for group in groups:
+        if len(group) == 1:
+            children.append(payoff.children[group[0]])
+            continue
+        kids = [payoff.children[k] for k in group]
+        cells = sorted({i for _, emb in kids for i in emb})
+        at = {i: j for j, i in enumerate(cells)}
+        dom = reduce(product, [child.poset for child, _ in kids])
+        children.append((Compose(identity_fn(dom), tuple(
+            (child, tuple(at[i] for i in emb)) for child, emb in kids)),
+            tuple(cells)))
+    fn = _regrouped_fn(payoff.fn, tuple(c.poset for c, _ in payoff.children),
+                       groups)
+    return Compose(fn, tuple(children))
+
+
+@cache
+def _regrouped_fn(fn: MonotoneFn, posets: tuple[AtomPoset, ...],
+                  groups: tuple[tuple[int, ...], ...]) -> MonotoneFn:
+    """fn on the product of the groups' products, each folded from the left.
+
+    A product numbers its elements x-major (poset.product), so an element
+    of a left-folded product is a mixed-radix number whose last factor
+    varies fastest.  Each element of the new domain is taken apart into
+    its groups' elements, those into their children's, and fn reads the
+    children in their own order.  Built once per function and grouping.
+    """
+    sizes = [len(p) for p in posets]
+    group_doms = [reduce(product, [posets[k] for k in g]) for g in groups]
+    dom = reduce(product, group_doms)
+    table = {}
+    for e, name in enumerate(dom.elements):
+        digit = [0] * len(posets)
+        for group, gd in zip(reversed(groups), reversed(group_doms)):
+            e, x = divmod(e, len(gd))
+            for k in reversed(group):
+                x, digit[k] = divmod(x, sizes[k])
+        orig = 0
+        for size, d in zip(sizes, digit):
+            orig = orig * size + d
+        table[name] = fn.table[fn.domain.elements[orig]]
+    return MonotoneFn(dom, fn.codomain, table)
 
 
 def _eval_part(ctx: SolverContext, payoff: PayoffExpr,

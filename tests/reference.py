@@ -112,24 +112,31 @@ def ref_eval(S, position=None):
     """Raw board value by the textbook recursion, no simplification.
 
     position is a string over 1/0/. in cell order; defaults to all empty.
-    Exponential twice over; keep carriers at 5 or fewer cells.
+    Each partial coloring is valued once, so a carrier of n cells costs
+    3^n positions; keep carriers at 10 or fewer cells.
     """
     from scgames.games import atomic, composite
 
     n = len(S.cells)
-    cells = list(position if position is not None else "." * n)
+    cells = position if position is not None else "." * n
     assert len(cells) == n
+    memo = {}
 
     def rec(state):
+        if state in memo:
+            return memo[state]
         if "." not in state:
             black = sum(1 << i for i, c in enumerate(state) if c == "1")
-            return atomic(ref_value_at(S.payoff, black, n), S.poset)
-        lefts, rights = [], []
-        for i, c in enumerate(state):
-            if c == ".":
-                lefts.append(rec(state[:i] + ["1"] + state[i + 1:]))
-                rights.append(rec(state[:i] + ["0"] + state[i + 1:]))
-        return composite(lefts, rights, S.poset)
+            out = atomic(ref_value_at(S.payoff, black, n), S.poset)
+        else:
+            lefts, rights = [], []
+            for i, c in enumerate(state):
+                if c == ".":
+                    lefts.append(rec(state[:i] + "1" + state[i + 1:]))
+                    rights.append(rec(state[:i] + "0" + state[i + 1:]))
+            out = composite(lefts, rights, S.poset)
+        memo[state] = out
+        return out
 
     return rec(cells)
 

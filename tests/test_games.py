@@ -598,6 +598,41 @@ def test_simplify_never_grows_on_passable_samples(ctx):
         assert equiv(ctx, s, g)
 
 
+def _seeded_sums(ctx, seed, count):
+    """Sums of consecutive seeded passable games of depth 2 and branching
+    3 whose roots are not atoms, over P4 x P4, as the benchmark sums."""
+    rng = random.Random(seed)
+    gs = []
+    while len(gs) < 2 * count:
+        g = random_passable_game(ctx, rng, P4, max_depth=2, max_branch=3)
+        if not g.is_atomic:
+            gs.append(g)
+    return [sum_games(ctx, g, h) for g, h in zip(gs[::2], gs[1::2])]
+
+
+def test_a_fresh_context_reads_simplified_forms_off_the_games():
+    ctx = SolverContext()
+    sums = _seeded_sums(ctx, 1011, 25)
+    first = [simplify(ctx, s) for s in sums]
+    assert all(s.simple is v and v.simple is v for s, v in zip(sums, first))
+    # a second context returns the same objects and asks the order nothing
+    fresh = SolverContext()
+    assert all(simplify(fresh, s) is v for s, v in zip(sums, first))
+    assert not fresh.leq and not fresh.tri
+    assert fresh.simp == {s.uid: v for s, v in zip(sums, first)}
+    assert fresh.stats["simplify_reused"] == len(set(sums))
+
+
+def test_a_simplified_form_is_its_own_with_no_build():
+    ctx = SolverContext()
+    for v in {simplify(ctx, s) for s in _seeded_sums(ctx, 1012, 10)}:
+        fresh = SolverContext()
+        assert simplify(fresh, v) is v
+        # read off the game: nothing folded, nothing compared
+        assert fresh.simp == {v.uid: v}
+        assert not fresh.leq and not fresh.tri
+
+
 def test_simplify_interns_no_discarded_node():
     # over a diamond no other test builds, {top|top} simplifies to top, so
     # the children of {{top|top},s|bot} give {top,s|bot}; s is dominated,

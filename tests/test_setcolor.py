@@ -44,6 +44,7 @@ from scgames.poset import (
     product,
     projector_f,
 )
+from scgames import setcolor
 from scgames.realize import realize
 from scgames.sampling import random_passable_game
 from scgames.setcolor import (
@@ -920,6 +921,132 @@ def test_structural_eval_falls_back_on_shared_or_unread_cells():
         ctx = SolverContext()
         assert eval_board(ctx, B, simplify=False) is ref_eval(B)
         assert ctx.stats["eval_parts"] == 2
+
+
+def _shared_choices(ctx):
+    """Shared choices above the group guard: of a 1-cell and a 6-cell
+    board, both ways round, and the realized {bot,{a|a}|bot}."""
+    one, six = (realize(ctx, parse(t), verify_value=False).board
+                for t in ("{b|bot}", "{top|a,{a,bot|bot}}"))
+    assert (one.size, six.size) == (1, 6)
+    realized = realize(ctx, parse("{bot,{a|a}|bot}"), verify_value=False)
+    return [sc_shared_choice(one, six), sc_shared_choice(six, one),
+            realized.board]
+
+
+def test_shared_choices_are_valued_at_their_overlap_groups(ctx):
+    # the gadget's two cells leave the part; the pool is brute-forced as
+    # one group, and the raw value is still the very tree of the whole
+    # board brute-forced, and of the textbook recursion
+    for B in _shared_choices(ctx):
+        assert B.size > setcolor._GROUP_ABOVE
+        fresh = SolverContext()
+        raw = eval_board(fresh, B, simplify=False)
+        assert raw is _flat(SolverContext(), B) is ref_eval(B)
+        assert (fresh.stats["eval_groups"], fresh.stats["eval_parts"],
+                fresh.stats["eval_flat_cells"]) == (1, 2, B.size - 2)
+        assert equiv(ctx, eval_board(SolverContext(), B),
+                     _eval_part(SolverContext(), B.payoff, B.cells, 0, 0,
+                                True, DEFAULT_EVAL_CAP))
+        assert equiv(ctx, eval_board(SolverContext(), B), raw)
+
+
+@pytest.mark.parametrize("text", [
+    "{top,{a|a}|bot}", "{top|top,{a|a}}", "{{a|a},{top|top}|bot}",
+    "{top|{b|b},{top|b}}", "{a,{bot|bot,top}|bot}",
+    "{top|bot,{bot|a,bot}}", "{top|{b|bot,top},{top|b,bot}}",
+])
+def test_realized_boards_split_at_overlap_groups_are_the_flat_eval(ctx,
+                                                                    text):
+    # realized boards of 10 and 12 cells with a shared choice above the
+    # guard: raw, the split value is the whole board brute-forced
+    S = realize(ctx, parse(text), verify_value=False).board
+    assert S.size in (10, 12)
+    fresh = SolverContext()
+    raw = eval_board(fresh, S, simplify=False)
+    assert fresh.stats["eval_groups"] >= 1
+    assert raw is _flat(SolverContext(), S)
+    assert equiv(ctx, eval_board(SolverContext(), S), raw)
+
+
+def test_a_composition_split_out_of_child_order_is_the_flat_eval(ctx):
+    # X and Z share a cell and Y reads its own, so the groups are (X, Z)
+    # and (Y,): the regrouped function reads its domain out of child
+    # order, over factors of three sizes.  A shared choice would not show
+    # a mix-up of its two boards, which the choice gadget treats alike
+    rng = random.Random(3037)
+
+    def board(poset, n):
+        while True:
+            S = random_threshold_board(rng, poset, n)
+            if len(set(S.payoff.compiled(n))) > 1:
+                return S
+
+    X, Y, Z = board(P4, 4), board(BOOL, 3), board(P3, 2)
+    dom = reduce(product, [P4, BOOL, P3])
+    B = SetColoringGame(dom, tuple(f"c{i}" for i in range(8)), Compose(
+        identity_fn(dom), ((X.payoff, (0, 1, 2, 3)), (Y.payoff, (4, 5, 6)),
+                           (Z.payoff, (3, 7)))))
+    fresh = SolverContext()
+    raw = eval_board(fresh, B, simplify=False)
+    assert (fresh.stats["eval_groups"], fresh.stats["eval_parts"],
+            fresh.stats["eval_flat_cells"]) == (1, 2, 5)
+    assert raw is _flat(SolverContext(), B) is ref_eval(B)
+    assert equiv(ctx, eval_board(SolverContext(), B), raw)
+
+
+def test_the_parts_of_a_realized_shared_choice(monkeypatch):
+    # {bot,{a|a}|bot} is a shared choice of a 1-cell and an 8-cell board:
+    # its largest part falls from the whole 10 cells to the 8-cell pool
+    ctx = SolverContext()
+    B = _shared_choices(ctx)[-1]
+    assert B.size == 10
+    reads = [list(emb) for _, emb in B.payoff.children]
+    groups = setcolor._overlap_groups(reads)
+    assert groups == ((0,), (1, 2))
+    pool = setcolor._regroup(B.payoff, groups).children[1]
+    assert isinstance(pool[0], Compose)
+    assert [B.cells[i] for i in pool[1]] == [f"p{i}" for i in range(8)]
+    split = SolverContext()
+    value = eval_board(split, B, simplify=False)
+    assert (split.stats["eval_parts"], split.stats["eval_flat_cells"]) \
+        == (2, 8)
+    # with the guard above the board, it is one part of 10 cells
+    monkeypatch.setattr(setcolor, "_GROUP_ABOVE", B.size)
+    whole = SolverContext()
+    assert eval_board(whole, B, simplify=False) is value
+    assert (whole.stats["eval_groups"], whole.stats["eval_parts"],
+            whole.stats["eval_flat_cells"]) == (0, 1, 10)
+
+
+def test_a_shared_choice_at_the_group_guard_stays_one_part(ctx):
+    # a shared choice of exactly _GROUP_ABOVE cells has the same groups,
+    # but too few empty cells to split
+    one, four = (realize(ctx, parse(t), verify_value=False).board
+                 for t in ("{b|bot}", "{a,{top|a}|bot}"))
+    B = sc_shared_choice(one, four)
+    assert B.size == setcolor._GROUP_ABOVE
+    fresh = SolverContext()
+    assert eval_board(fresh, B, simplify=False) is ref_eval(B)
+    assert (fresh.stats["eval_groups"], fresh.stats["eval_parts"],
+            fresh.stats["eval_flat_cells"]) == (0, 1, B.size)
+
+
+def test_realized_boards_evaluate_to_one_object_in_fresh_contexts():
+    # simplified forms persist on the games, so a second fresh context
+    # returns the very objects the first one built
+    ctx = SolverContext()
+    rng = random.Random(3035)
+    boards = []
+    while len(boards) < 12:
+        g = random_passable_game(ctx, rng, P4, 2, 2)
+        S = realize(ctx, g, verify_value=False).board
+        if 6 <= S.size <= 12:
+            boards.append(S)
+    first = [eval_board(SolverContext(), S) for S in boards]
+    again = SolverContext()
+    assert all(eval_board(again, S) is v for S, v in zip(boards, first))
+    assert again.stats["simplify_reused"] > 0
 
 
 def test_sums_of_realized_boards_evaluate_past_the_old_cap(ctx):
