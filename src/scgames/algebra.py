@@ -2,7 +2,8 @@
 
 The sum of games over posets A and B lives over product(A, B); both
 players keep their options in either summand.  Mapping a monotone function
-over a game relabels its leaves.  Composing the two with the projector
+over a game relabels its leaves, and map_sum builds the image of a sum
+without building the sum.  Composing the two with the projector
 functions gives "gadget application": a game X over P3 (or P4) with marked
 atom a (and b) acts on games G (and H), and for the four gadget games this
 action agrees, up to equivalence, with the corresponding direct constructor
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Iterable, Optional
+from functools import reduce
+from typing import Iterable, Optional, Sequence
 
 from .games import (
     Game,
@@ -99,11 +101,62 @@ def map_game(f: MonotoneFn, G: Game) -> Game:
     return rebuild(G, lambda a: atomic(table[a], cod), cod, False)
 
 
+def map_sum(f: MonotoneFn, parts: Sequence[Game]) -> Game:
+    """``map_game(f, sum_games of the parts, folded from the left)``, built
+    from the tuples of the parts' positions; the sum is never interned.
+
+    A position of the sum is a tuple of the parts' positions.  Its left
+    (right) options are the tuples with one coordinate moved to one of its
+    left (right) options, and a tuple of atoms is the product element whose
+    index is the mixed-radix number of the atoms' indices, the first part's
+    digit the most significant (poset.product numbers x-major).  So each
+    tuple's image is the composite of its options' images, and a tuple of
+    atoms maps to its element's entry in f's table: the tree map_game
+    rebuilds from the sum, node for node, hence the same interned object.
+    Recursive, like sum_games: one Python frame a level.
+    """
+    posets = [g.poset for g in parts]
+    if f.domain is not reduce(product, posets):
+        raise PosetMismatch("function domain differs from the parts' product")
+    digits = [(len(p), p._index) for p in posets]
+    names, table, cod = f.domain.elements, f.table, f.codomain
+    # a tuple is keyed on its uids, the k-th part's from bit 32k up (exact
+    # while uids stay below games.UID_LIMIT, as pair_key is)
+    memo: dict[int, Game] = {}
+
+    def rec(t: tuple[Game, ...], key: int) -> Game:
+        # plain loops, one Python frame a level; the options of each part
+        # in turn, left then right
+        lefts, rights = [], []
+        for k, g in enumerate(t):
+            if g.atom is not None:
+                continue
+            shift = 32 * k
+            rest = key ^ g.uid << shift
+            for opts, images in ((g.left, lefts), (g.right, rights)):
+                for x in opts:
+                    u = rest | x.uid << shift
+                    s = memo.get(u)
+                    images.append(rec(t[:k] + (x,) + t[k + 1:], u)
+                                  if s is None else s)
+        if lefts:
+            out = composite(lefts, rights, cod)
+        else:           # no part moves: every part is an atom
+            i = 0
+            for (size, index), g in zip(digits, t):
+                i = i * size + index[g.atom]
+            out = atomic(table[names[i]], cod)
+        memo[key] = out
+        return out
+
+    return rec(tuple(parts), sum(g.uid << 32 * k for k, g in enumerate(parts)))
+
+
 def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
     """X + G collapsed back to G's poset through the P3 projector."""
     if X.poset is not builtin("P3"):
         raise PosetMismatch("gadget must live over P3")
-    return map_game(projector_f(G.poset), sum_games(ctx, X, G))
+    return map_sum(projector_f(G.poset), (X, G))
 
 
 def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
@@ -112,8 +165,7 @@ def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
         raise PosetMismatch("gadget must live over P4")
     if G.poset is not H.poset:
         raise PosetMismatch("the two argument games must share a poset")
-    return map_game(projector_g(G.poset),
-                    sum_games(ctx, sum_games(ctx, X, G), H))
+    return map_sum(projector_g(G.poset), (X, G, H))
 
 
 # -- the four direct constructors ---------------------------------------------

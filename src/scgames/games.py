@@ -113,7 +113,8 @@ duplicates, non-empty and over one poset, calls ``_intern`` directly.
 depth: simplify, rebuild (so dual, swap_ab, map_game, substitute_atoms),
 to_notation and positions use it.  Still recursive, in Python frames a
 level: the order kernel, two; is_passable and is_monotone, one plus the
-kernel's; algebra.sum_games, one; realize._realize, three.
+kernel's; algebra.sum_games and algebra.map_sum, one; realize._realize,
+three.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.

@@ -5,8 +5,8 @@ final colorings (every cell black or white) into an atom poset.  The value
 of a position is computed by the usual recursion: the left options color
 one empty cell black, the right options color one white, and exhausted
 boards score by the payoff.  A composition whose children read disjoint
-cells is valued from its children's values, through the game algebra's
-sum and map, and one whose children overlap from the values of its
+cells is valued from its children's values, as the image of their sum
+(algebra.map_sum), and one whose children overlap from the values of its
 groups of children that share cells, so the recursion runs only on the
 other nodes and on those groups (see eval_position).  Positions are
 written as strings over '1' (black), '0' (white) and '.' (empty), indexed by cell order; the
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import GadgetKind, map_game, sum_games
+from .algebra import GadgetKind, map_sum
 from .games import (
     Game,
     NoDualityMap,
@@ -401,8 +401,10 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     - A ``Compose`` whose children's empty cells are pairwise disjoint
       and together are the position's empty cells, in any order, has the
       value ``map_game(fn, sum_games of the child values, folded from the
-      left)``, each child valued at its restriction of the position; with
-      simplify=True that image is simplified once.
+      left)``, each child valued at its restriction of the position.
+      ``algebra.map_sum`` builds that image straight from the tuples of
+      the children's positions, so the sum is never interned; with
+      simplify=True the image is simplified once.
     - A ``Compose`` whose children together read every empty cell but
       share some, such as a shared choice, with more than _GROUP_ABOVE
       empty cells, is split at the connected components of its children,
@@ -419,7 +421,9 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
       leaves an empty cell unread, or one whose children all hang
       together or have few empty cells) is a part, brute-forced on its
       residual payoff table (see _eval_part); max_cells caps each part's
-      empty cells, not the carrier.
+      empty cells, not the carrier.  A part's value is kept for the
+      process, keyed on its poset, simplify and residual table, and read
+      back by every later evaluation whatever its context.
 
     The rules are exact on raw trees.  Every move colors one empty cell,
     which one child reads, so it moves that child's restricted position
@@ -434,9 +438,15 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     together under identity_fn, give the product of their outcomes, which
     the regrouped fn maps as fn maps the children's.  Option sets are
     deduplicated and sorted by uid, so the trees are the same interned
-    objects wherever the children's cells sit in the carrier.  A ``Dual``
-    board's black move is its child's white move and its outcomes are
-    reversed, which is how games.dual rebuilds the child's value.  With simplify=True each value
+    objects wherever the children's cells sit in the carrier, and the
+    image of a tuple of the children's positions is the image of their
+    sum's position, node for node (see map_sum).  A ``Dual`` board's black
+    move is its child's white move and its outcomes are reversed, which
+    is how games.dual rebuilds the child's value.  A part's value depends
+    on its poset and residual table alone, and the kept value is exact for the
+    reason ``Game.simple`` is: expanding the same table again in the same
+    process meets only games that already exist, in the same order, so
+    it returns the same object.  With simplify=True each value
     is equivalent to its raw one: every value in play is passable (board
     positions are monotone, hence passable, and simplification keeps
     passability); sums respect equivalence of passable summands (P.
@@ -471,7 +481,10 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     empty cells of any part, a running maximum.
     ``ctx.stats["eval_residuals"]`` grows by the number of distinct tables
     expanded into a node (the one-entry tables included), and
-    ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.
+    ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.  A
+    part read back from the process counts in ``ctx.stats["eval_reused"]``
+    and adds the residual and dead counts of its first expansion, so no
+    count depends on what ran before.
     """
     black, white = _position_masks(position, S.size)
     return _value(ctx, S.payoff, S.cells, black, white, simplify, max_cells)
@@ -486,13 +499,17 @@ def _child_masks(emb: tuple[int, ...], black: int,
 
 # A composition whose children overlap is split at its groups of children
 # that share cells only when it has more empty cells than this: below it
-# the glue (a sum, its image under fn, a simplify) costs more than the
-# brute force it saves.  Measured on sc_shared_choice boards of realized
-# sub-boards over P4, 60 boards a size, one fresh context a board, Python
-# 3.11 on a 2-core Xeon: brute force against split, in ms a board, was
-# 0.5-0.65 against 0.9-1.2 at 5 and 6 cells, even (0.6-1.5) at 7 and 8,
-# and 2.1-3.3 against 2.0-2.3 at 9 and 10.  Splitting at every size made
-# the realize_verify benchmark 20% slower than this guard did.
+# the glue (the image of the groups' sum, a simplify) costs more than the
+# brute force it saves.  Measured with the image built by map_sum, on
+# sc_shared_choice boards of two random P4 threshold boards, 60 boards a
+# size, a fresh context and no kept part values a board, Python 3.11 on a
+# 2-core host: brute force against split, in ms a board, was 0.27-0.29
+# against 0.46 at 5 cells, 0.53-0.55 against 0.87-1.1 at 6, 0.94 against
+# 1.1-1.3 at 7, 2.1 against 2.2-2.8 at 8, and 4.1-4.7 against 4.1 at 9
+# and 12.6-13.1 against 11.4-11.5 at 10.  The realize_verify benchmark
+# timed guards of 4, 5, 6 and 8 alike (539-600 ops/s, three runs each).
+# Splitting at every size made it 20% slower when the sum was built
+# before its image.
 _GROUP_ABOVE = 6
 
 
@@ -519,7 +536,7 @@ def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
         parts = [_value(ctx, child, tuple(cells[i] for i in emb),
                         *_child_masks(emb, black, white), simplify, max_cells)
                  for child, emb in payoff.children]
-        g = map_game(payoff.fn, reduce(partial(sum_games, ctx), parts))
+        g = map_sum(payoff.fn, parts)
         return simplify_game(ctx, g) if simplify else g
     return _eval_part(ctx, payoff, cells, black, white, simplify, max_cells)
 
@@ -594,6 +611,12 @@ def _regrouped_fn(fn: MonotoneFn, posets: tuple[AtomPoset, ...],
     return MonotoneFn(dom, fn.codomain, table)
 
 
+# Every part's value, kept for the process like Game.simple and exact for
+# the same reason: (poset, simplify, residual table) -> (value, tables
+# expanded, tables a dead cell settled).
+_PARTS: dict[tuple[AtomPoset, bool, bytes], tuple[Game, int, int]] = {}
+
+
 def _eval_part(ctx: SolverContext, payoff: PayoffExpr,
                cells: tuple[str, ...], black: int, white: int,
                simplify: bool, max_cells: int) -> Game:
@@ -615,7 +638,9 @@ def _eval_part(ctx: SolverContext, payoff: PayoffExpr,
     empty cell up, so games are interned in the same order on every run.
     With simplify=True a table is split at its empty cells before any
     option is recursed into, and a table with a dead cell takes the value
-    of its filled table (eval_position's docstring has the proof).
+    of its filled table (eval_position's docstring has the proof).  The
+    value is kept in _PARTS, and a table met again in the process is read
+    back from there, after the cap is checked.
     """
     n = len(cells)
     empty = [c for i, c in enumerate(cells) if not (black | white) >> i & 1]
@@ -629,11 +654,19 @@ def _eval_part(ctx: SolverContext, payoff: PayoffExpr,
     pay = payoff.compiled(n, black, white)
     poset = payoff.poset
     width = ((len(poset) - 1).bit_length() + 7) // 8 or 1
+    table = b"".join([v.to_bytes(width, "big") for v in pay])
+    key = (poset, simplify, table)
+    hit = _PARTS.get(key)
+    if hit is not None:
+        out, residuals, dead = hit
+        stats["eval_reused"] += 1
+        stats["eval_residuals"] += residuals
+        stats["eval_dead"] += dead
+        return out
     memo: dict[bytes, Game] = {
         v.to_bytes(width, "big"): atomic(poset.elements[v], poset)
         for v in dict.fromkeys(pay)}
     known = memo.get
-    table = b"".join([v.to_bytes(width, "big") for v in pay])
 
     plans = {width << k: _split_plan(width << k, width)
              for k in range(len(empty) + 1)}
@@ -669,6 +702,7 @@ def _eval_part(ctx: SolverContext, payoff: PayoffExpr,
         return g
 
     out = known(table) or rec(table)
+    _PARTS[key] = out, len(memo) - dead, dead
     stats["eval_residuals"] += len(memo) - dead
     stats["eval_dead"] += dead
     # rec reaches itself through its closure; clearing the name breaks that

@@ -1,10 +1,11 @@
+import inspect
 import random
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
-from conftest import P3, P4, parse
+from conftest import BOOL, CHAIN4, P3, P4, parse
 from scgames.algebra import (
     GadgetKind,
     NotAGiftHorse,
@@ -19,6 +20,7 @@ from scgames.algebra import (
     gadget_apply2,
     gadget_game,
     map_game,
+    map_sum,
     substitute_atoms,
     sum_games,
     upl,
@@ -147,10 +149,12 @@ def test_map_memo_is_keyed_by_the_function_object():
 
 
 def test_memo_sizes_count_the_sum_table(ctx):
-    # a sum reaches every pair of positions once; the projection of the
-    # sum back onto G's poset fills no table
+    # a sum reaches every pair of positions once; a gadget application
+    # builds the image of the sum without the sum, so it fills no table
     X, G = gadget_game(GadgetKind.LEFT_FORCE), parse("{a,{top|b}|b}")
     gadget_apply(ctx, X, G)
+    assert set(ctx.memo_sizes().values()) == {0}
+    sum_games(ctx, X, G)
     sizes = ctx.memo_sizes()
     assert sizes["sum"] == len(positions(X)) * len(positions(G))
     assert (sizes["realize"], sizes["realize_good"]) == (0, 0)
@@ -195,6 +199,66 @@ def test_chain_of_600_levels_through_printing_branching_and_sum(ctx):
 def test_map_rejects_wrong_domain():
     with pytest.raises(PosetMismatch):
         map_game(projector_f(P4), top(P4))
+    with pytest.raises(PosetMismatch):
+        map_sum(projector_f(P4), (top(P3), top(P3)))
+
+
+def _ranked_fn(rng, dom, cod=CHAIN4):
+    # a seeded monotone map onto a chain: an element's down-set grows with
+    # it, and its size is cut at three sorted thresholds
+    cuts = sorted(rng.randrange(len(dom) + 1) for _ in range(3))
+    table = {}
+    for e in dom.elements:
+        size = sum(dom.le(d, e) for d in dom.elements)
+        table[e] = cod.elements[sum(c < size for c in cuts)]
+    return MonotoneFn(dom, cod, table)
+
+
+def test_map_sum_is_the_image_of_the_left_folded_sum(ctx):
+    # raw trees over mixed posets, atoms among the parts: the image is built
+    # without the sum, and is the same interned object
+    rng = random.Random(3501)
+    posets = (BOOL, P3, P4)
+    for trial in range(120):
+        k = 1 + trial % 3
+        ps = [posets[rng.randrange(3)] for _ in range(k)]
+        parts = [atomic(rng.choice(p.elements), p) if rng.random() < 0.25
+                 else random_game(rng, p, 2, 2) for p in ps]
+        fn = _ranked_fn(rng, reduce(product, ps))
+        want = map_game(fn, reduce(partial(sum_games, ctx), parts))
+        assert map_sum(fn, parts) is want
+
+
+def test_map_sum_reads_a_regrouped_function(ctx):
+    # children (0, 2) and (1,) regrouped: the image of the regrouped sum is
+    # the image of the sum in child order
+    from scgames.setcolor import _regrouped_fn
+
+    rng = random.Random(3502)
+    posets, groups = (BOOL, P3, P4), ((0, 2), (1,))
+    for _ in range(40):
+        fn = _ranked_fn(rng, reduce(product, posets))
+        regrouped = _regrouped_fn(fn, posets, groups)
+        g = [random_game(rng, p, 2, 2) for p in posets]
+        parts = [sum_games(ctx, g[0], g[2]), g[1]]
+        want = map_game(regrouped, reduce(partial(sum_games, ctx), parts))
+        assert map_sum(regrouped, parts) is want
+        assert map_sum(fn, g) is want
+
+
+def test_map_sum_of_a_400_level_chain_takes_a_frame_a_level(ctx):
+    # room for one Python frame a level and some to spare: sum_games and
+    # map_sum both fit, and two frames a level would not
+    parts = [_chain(400)[-1], parse("{top|bot}", BOOL)]
+    fn = _ranked_fn(random.Random(3503), product(P4, BOOL))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 450)
+    try:
+        want = map_game(fn, sum_games(ctx, *parts))
+        got = map_sum(fn, parts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got is want and want.depth == 401
 
 
 def test_gadget_game_shapes():
@@ -257,6 +321,23 @@ def test_coupling_equation(ctx):
         g = random_passable_game(ctx, rng, P4, 2, 2)
         h = random_passable_game(ctx, rng, P4, 2, 2)
         assert equiv(ctx, gadget_apply2(ctx, x, g, h), coupling(g, h))
+
+
+def test_gadget_application_is_the_image_of_the_sum(ctx):
+    rng = random.Random(3504)
+    for kind in GadgetKind:
+        x = gadget_game(kind)
+        for _ in range(15):
+            if x.poset is P3:
+                g = random_passable_game(ctx, rng, P4, 2, 2)
+                assert gadget_apply(ctx, x, g) is \
+                    map_game(projector_f(P4), sum_games(ctx, x, g))
+            else:
+                g, h = (random_passable_game(ctx, rng, P4, 2, 2)
+                        for _ in range(2))
+                assert gadget_apply2(ctx, x, g, h) is map_game(
+                    projector_g(P4),
+                    sum_games(ctx, sum_games(ctx, x, g), h))
 
 
 def test_binary_equations_need_passability(ctx):

@@ -1049,6 +1049,50 @@ def test_realized_boards_evaluate_to_one_object_in_fresh_contexts():
     assert again.stats["simplify_reused"] > 0
 
 
+def test_a_part_is_valued_once_a_process():
+    # a second evaluation in a fresh context reads every part off the
+    # process-wide cache: the same object, and the same counts, as if the
+    # parts were expanded again
+    counts = ("eval_parts", "eval_residuals", "eval_dead", "eval_flat_cells")
+    rng = random.Random(3505)
+    S = sc_sum(sc_coupling(random_threshold_board(rng, P4, 4),
+                           random_threshold_board(rng, P4, 3)),
+               sc_force_left(random_threshold_board(rng, P4, 5)))
+    for simplify in (True, False):
+        first, again = SolverContext(), SolverContext()
+        v = eval_board(first, S, simplify)
+        assert eval_board(again, S, simplify) is v
+        assert [again.stats[k] for k in counts] == \
+            [first.stats[k] for k in counts]
+        assert again.stats["eval_reused"] == again.stats["eval_parts"] > 1
+        assert again.stats["eval_residuals"] > 0
+
+
+def test_a_cached_part_still_meets_the_cap(ctx):
+    big = random_threshold_board(random.Random(3506), P4, 6)
+    eval_board(ctx, big)
+    fresh = SolverContext()
+    with pytest.raises(CarrierTooLarge, match="6 empty cells exceeds the "
+                       "cap of 5"):
+        eval_board(fresh, big, max_cells=5)
+    assert fresh.stats["eval_reused"] == fresh.stats["eval_parts"] == 0
+
+
+def test_cached_raw_and_simplified_parts_are_kept_apart():
+    # the same residual table in both modes, simplified first: the raw value
+    # is still the textbook tree
+    rng = random.Random(3507)
+    boards = [random_threshold_board(rng, P4, 5) for _ in range(8)]
+    differ = 0
+    for S in boards:
+        simple = eval_board(SolverContext(), S)
+        raw = eval_board(SolverContext(), S, simplify=False)
+        assert raw is ref_eval(S)
+        assert eval_board(SolverContext(), S) is simple
+        differ += raw is not simple
+    assert differ > 4
+
+
 def test_sums_of_realized_boards_evaluate_past_the_old_cap(ctx):
     # two 10-cell and two 12-cell boards of coupling roots; each sum's
     # largest brute-forced part is a coupling gadget or a shared choice
