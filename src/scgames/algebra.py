@@ -9,6 +9,11 @@ atom a (and b) acts on games G (and H), and for the four gadget games this
 action agrees, up to equivalence, with the corresponding direct constructor
 below.
 
+map_sum is the one walk over a sum's positions: sum_games is its image
+under the product's identity and keeps its memo in the context
+(``ctx.sum``); gadget application and composed boards give it a fresh
+memo each call.
+
 Scope warning: the agreement is guaranteed for passable arguments only.
 Sum does not respect equivalence of arbitrary games, and the agreement for
 the binary gadgets genuinely fails on non-passable inputs (smallest found:
@@ -32,13 +37,12 @@ from .games import (
     bot,
     composite,
     equiv,
-    pair_key,
     rebuild,
     top,
     tri,
 )
-from .poset import AtomPoset, MonotoneFn, builtin, product, projector_f, \
-    projector_g
+from .poset import AtomPoset, MonotoneFn, builtin, identity_fn, product, \
+    projector_f, projector_g
 from .sampling import random_passable_game
 
 
@@ -55,41 +59,9 @@ class GadgetKind(enum.Enum):
 
 
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
-    """Disjunctive sum over the product poset.
-
-    Its walk stays recursive: it runs over pairs of positions, not over
-    one game's DAG, so games.fold does not carry it.
-    """
-    memo = ctx.sum
-    hit = memo.get(pair_key(G, H))
-    if hit is not None:
-        return hit
-    pr = product(G.poset, H.poset)
-    pair = pr.pair
-
-    def rec(G: Game, H: Game) -> Game:
-        # plain loops, one Python frame a level; G's options are summed
-        # before H's on each side, left side first, which fixes the
-        # interning order.  Keys are pair_key, spelled out.
-        if G.atom is not None and H.atom is not None:
-            out = atomic(pair(G.atom, H.atom), pr)
-        else:
-            gu, hu = G.uid << 32, H.uid
-            sides = []
-            for g_opts, h_opts in ((G.left, H.left), (G.right, H.right)):
-                opts = []
-                for x in g_opts:
-                    s = memo.get(x.uid << 32 | hu)
-                    opts.append(rec(x, H) if s is None else s)
-                for y in h_opts:
-                    s = memo.get(gu | y.uid)
-                    opts.append(rec(G, y) if s is None else s)
-                sides.append(opts)
-            out = composite(sides[0], sides[1], pr)
-        memo[G.uid << 32 | H.uid] = out
-        return out
-
-    return rec(G, H)
+    """Disjunctive sum over the product poset: the image of the sum under
+    the product's identity, kept in ``ctx.sum`` for the context's life."""
+    return map_sum(identity_fn(product(G.poset, H.poset)), (G, H), ctx.sum)
 
 
 def map_game(f: MonotoneFn, G: Game) -> Game:
@@ -101,7 +73,8 @@ def map_game(f: MonotoneFn, G: Game) -> Game:
     return rebuild(G, lambda a: atomic(table[a], cod), cod, False)
 
 
-def map_sum(f: MonotoneFn, parts: Sequence[Game]) -> Game:
+def map_sum(f: MonotoneFn, parts: Sequence[Game],
+            memo: dict[int, Game]) -> Game:
     """``map_game(f, sum_games of the parts, folded from the left)``, built
     from the tuples of the parts' positions; the sum is never interned.
 
@@ -113,34 +86,44 @@ def map_sum(f: MonotoneFn, parts: Sequence[Game]) -> Game:
     tuple's image is the composite of its options' images, and a tuple of
     atoms maps to its element's entry in f's table: the tree map_game
     rebuilds from the sum, node for node, hence the same interned object.
-    Recursive, like sum_games: one Python frame a level.
+
+    Every part's left options come before any right option, parts in
+    order, so a sum (the image under the identity) interns its nodes in
+    the textbook order: G's options before H's, the left side first.  A
+    tuple is keyed on its parts' uids, the k-th part's from bit 32k up
+    (exact below games.UID_LIMIT); the key does not name f, so ``memo``
+    serves one function: sum_games passes ``ctx.sum``, every other caller
+    a fresh dict.  Recursive: one Python frame a level.
     """
     posets = [g.poset for g in parts]
     if f.domain is not reduce(product, posets):
         raise PosetMismatch("function domain differs from the parts' product")
+    key = sum(g.uid << 32 * k for k, g in enumerate(parts))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     digits = [(len(p), p._index) for p in posets]
     names, table, cod = f.domain.elements, f.table, f.codomain
-    # a tuple is keyed on its uids, the k-th part's from bit 32k up (exact
-    # while uids stay below games.UID_LIMIT, as pair_key is)
-    memo: dict[int, Game] = {}
 
     def rec(t: tuple[Game, ...], key: int) -> Game:
-        # plain loops, one Python frame a level; the options of each part
-        # in turn, left then right
-        lefts, rights = [], []
-        for k, g in enumerate(t):
-            if g.atom is not None:
-                continue
-            shift = 32 * k
-            rest = key ^ g.uid << shift
-            for opts, images in ((g.left, lefts), (g.right, rights)):
-                for x in opts:
+        # plain loops, one Python frame a level: every part's left options,
+        # then every part's right options, parts in order
+        sides = []
+        for right in (False, True):
+            images = []
+            for k, g in enumerate(t):
+                if g.atom is not None:
+                    continue
+                shift = 32 * k
+                rest = key ^ g.uid << shift
+                for x in g.right if right else g.left:
                     u = rest | x.uid << shift
                     s = memo.get(u)
                     images.append(rec(t[:k] + (x,) + t[k + 1:], u)
                                   if s is None else s)
-        if lefts:
-            out = composite(lefts, rights, cod)
+            sides.append(images)
+        if sides[0]:
+            out = composite(sides[0], sides[1], cod)
         else:           # no part moves: every part is an atom
             i = 0
             for (size, index), g in zip(digits, t):
@@ -149,14 +132,14 @@ def map_sum(f: MonotoneFn, parts: Sequence[Game]) -> Game:
         memo[key] = out
         return out
 
-    return rec(tuple(parts), sum(g.uid << 32 * k for k, g in enumerate(parts)))
+    return rec(tuple(parts), key)
 
 
 def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
     """X + G collapsed back to G's poset through the P3 projector."""
     if X.poset is not builtin("P3"):
         raise PosetMismatch("gadget must live over P3")
-    return map_sum(projector_f(G.poset), (X, G))
+    return map_sum(projector_f(G.poset), (X, G), {})
 
 
 def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
@@ -165,7 +148,7 @@ def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
         raise PosetMismatch("gadget must live over P4")
     if G.poset is not H.poset:
         raise PosetMismatch("the two argument games must share a poset")
-    return map_sum(projector_g(G.poset), (X, G, H))
+    return map_sum(projector_g(G.poset), (X, G, H), {})
 
 
 # -- the four direct constructors ---------------------------------------------

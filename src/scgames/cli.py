@@ -10,8 +10,9 @@ out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded or
 negative, input nested deeper than the interpreter's recursion limit
 allows: the order kernel takes two frames a level, is_passable,
-is_monotone, sum_games and the board-file reader recurse too, while
-printing and simplify walk on games.fold's own stack).  With ``--stats``
+is_monotone, algebra.map_sum (the walk behind sums and composed boards)
+and the board-file reader recurse too, while printing and simplify walk
+on games.fold's own stack).  With ``--stats``
 (before the verb), the counters of the verb's SolverContext, the size of
 every table it holds (under ``memo``, from ``memo_sizes()``) and the
 number of games the verb added to the intern table (``interned``) are

@@ -7,10 +7,11 @@ game carries a small integer ``uid``.  The table keys a leaf on
 ``(poset, atom)`` and a composite on ``(poset, left, right)``, its
 uid-sorted option tuples; posets and games hash by identity, and each key
 holds the objects it names.  Memo tables key on uids, which are never
-reused; a table over pairs of games (leq, tri, sum) keys on one int,
-``G.uid << 32 | H.uid``.  That packing is exact while every uid is below
-2^32, so interning a new game past that bound raises :class:`UidOverflow`
-instead of wrapping.
+reused; a table over pairs of games (leq, tri) keys on one int,
+``G.uid << 32 | H.uid``, and one over tuples of games (algebra.map_sum's,
+the sum table among them) puts the k-th game's uid at bit 32k.  That
+packing is exact while every uid is below 2^32, so interning a new game
+past that bound raises :class:`UidOverflow` instead of wrapping.
 
 The order is a pair of mutually recursive relations.  ``leq(G, H)`` holds
 iff every left option of G is ``tri``-below H, G is ``tri``-below every
@@ -113,7 +114,7 @@ duplicates, non-empty and over one poset, calls ``_intern`` directly.
 depth: simplify, rebuild (so dual, swap_ab, map_game, substitute_atoms),
 to_notation and positions use it.  Still recursive, in Python frames a
 level: the order kernel, two; is_passable and is_monotone, one plus the
-kernel's; algebra.sum_games and algebra.map_sum, one; realize._realize,
+kernel's; algebra.map_sum (so algebra.sum_games), one; realize._realize,
 three.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
@@ -163,12 +164,12 @@ class SimplificationDiverged(RuntimeError):
 
 
 class UidOverflow(OverflowError):
-    """No uid below UID_LIMIT is left, so pair keys would collide."""
+    """No uid below UID_LIMIT is left, so packed memo keys would collide."""
 
 
 _GAMES: dict[tuple, "Game"] = {}
 _NEXT_UID = [0]
-UID_LIMIT = 1 << 32     # pair_key is exact only for uids below this
+UID_LIMIT = 1 << 32     # packed memo keys are exact only for uids below this
 
 
 class Game:
@@ -359,9 +360,10 @@ class SolverContext:
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # pairs the masks leave open,
-        self.tri: dict[int, bool] = {}      # by pair_key
+        self.tri: dict[int, bool] = {}      # by G.uid << 32 | H.uid
         self.simp: dict[int, Game] = {}
-        self.sum: dict[int, Game] = {}      # by pair_key
+        self.sum: dict[int, Game] = {}      # sum_games' map_sum memo,
+                                            # by H.uid << 32 | G.uid
         self.realize: dict = {}             # uid -> SetColoringGame
         self.realize_good: dict = {}        # uid -> (side, index) of a good
                                             # option a gift horse came from
@@ -371,11 +373,6 @@ class SolverContext:
         """Entries in every table of the context."""
         return {name: len(getattr(self, name))
                 for name in self.__slots__ if name != "stats"}
-
-
-def pair_key(G: Game, H: Game) -> int:
-    """Memo key of an ordered pair of games; exact while uids < UID_LIMIT."""
-    return G.uid << 32 | H.uid
 
 
 def _check_pair(G: Game, H: Game) -> None:
@@ -399,8 +396,8 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     # The masks decide the pair when they can (module docstring), an open
     # pair costs one lookup in ctx.leq, and a miss evaluates the clauses,
     # each option through _tri.  Plain loops rather than all()/any() over
-    # generators: one Python frame a relation call.  Keys are pair_key,
-    # spelled out to save a call per lookup.
+    # generators: one Python frame a relation call.  Keys are
+    # G.uid << 32 | H.uid (module docstring).
     g, h = G.masks, H.masks
     if g[2] & ~h[2] or h[0] & ~g[0]:
         return False

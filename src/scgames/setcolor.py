@@ -484,8 +484,11 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
     ``ctx.stats["eval_dead"]`` by the number settled by a dead cell.  A
     part read back from the process counts in ``ctx.stats["eval_reused"]``
     and adds the residual and dead counts of its first expansion, so no
-    count depends on what ran before.
+    count depends on what ran before.  A negative max_cells raises
+    ValueError.
     """
+    if max_cells < 0:
+        raise ValueError(f"max_cells must be 0 or more, not {max_cells}")
     black, white = _position_masks(position, S.size)
     return _value(ctx, S.payoff, S.cells, black, white, simplify, max_cells)
 
@@ -536,7 +539,7 @@ def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
         parts = [_value(ctx, child, tuple(cells[i] for i in emb),
                         *_child_masks(emb, black, white), simplify, max_cells)
                  for child, emb in payoff.children]
-        g = map_sum(payoff.fn, parts)
+        g = map_sum(payoff.fn, parts, {})
         return simplify_game(ctx, g) if simplify else g
     return _eval_part(ctx, payoff, cells, black, white, simplify, max_cells)
 

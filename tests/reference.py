@@ -76,6 +76,31 @@ def ref_is_monotone(G):
     return True
 
 
+def ref_sum(G, H):
+    """The disjunctive sum by its definition, as an interned raw tree: each
+    side's options are G's options summed with H, then G summed with H's
+    options, the left side built before the right, each pair once."""
+    from scgames.games import atomic, composite
+    from scgames.poset import product
+
+    pr = product(G.poset, H.poset)
+    memo = {}
+
+    def rec(g, h):
+        key = (g.uid, h.uid)
+        if key not in memo:
+            if g.is_atomic and h.is_atomic:
+                memo[key] = atomic(pr.pair(g.atom, h.atom), pr)
+            else:
+                memo[key] = composite(
+                    [rec(x, h) for x in g.left] + [rec(g, y) for y in h.left],
+                    [rec(x, h) for x in g.right]
+                    + [rec(g, y) for y in h.right], pr)
+        return memo[key]
+
+    return rec(G, H)
+
+
 def ref_value_at(expr, black, n):
     """The payoff at one coloring of n cells, black being the mask of black
     cells, by name: each payoff class by its definition, read off the

@@ -1,11 +1,16 @@
 import inspect
+import os
 import random
+import subprocess
 import sys
-from functools import partial, reduce
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
+import scgames
 from conftest import BOOL, CHAIN4, P3, P4, parse
+from reference import ref_sum
 from scgames.algebra import (
     GadgetKind,
     NotAGiftHorse,
@@ -200,7 +205,7 @@ def test_map_rejects_wrong_domain():
     with pytest.raises(PosetMismatch):
         map_game(projector_f(P4), top(P4))
     with pytest.raises(PosetMismatch):
-        map_sum(projector_f(P4), (top(P3), top(P3)))
+        map_sum(projector_f(P4), (top(P3), top(P3)), {})
 
 
 def _ranked_fn(rng, dom, cod=CHAIN4):
@@ -214,6 +219,63 @@ def _ranked_fn(rng, dom, cod=CHAIN4):
     return MonotoneFn(dom, cod, table)
 
 
+def _part(rng, p):
+    # a seeded summand over p: an atom one time in four
+    return (atomic(rng.choice(p.elements), p) if rng.random() < 0.25
+            else random_game(rng, p, 2, 2))
+
+
+def test_sum_is_the_textbook_sum(ctx):
+    # raw trees over mixed posets, atoms among the summands: the walk
+    # builds the very tree the definition does, read from ctx.sum or not
+    rng = random.Random(3601)
+    posets = (BOOL, P3, P4)
+    for _ in range(150):
+        g, h = (_part(rng, rng.choice(posets)) for _ in range(2))
+        want = ref_sum(g, h)
+        assert sum_games(ctx, g, h) is want
+        assert sum_games(ctx, g, h) is want
+
+
+_INTERN_ORDER = """
+import sys
+from scgames import games
+from scgames.algebra import sum_games
+from scgames.notation import parse_game
+from scgames.poset import builtin
+from reference import ref_sum
+
+G = parse_game("{a,{top|b}|{a|bot},b}", builtin("P4"))
+H = parse_game("{{top|a},a|bot,{a|{a|bot}}}", builtin("P3"))
+before = len(games._GAMES)
+ctx = games.SolverContext()
+add = (lambda g, h: sum_games(ctx, g, h)) if sys.argv[1] == "walk" \
+    else ref_sum
+add(add(G, H), G)
+add(H, H)
+for g in list(games._GAMES.values())[before:]:
+    print(games.to_notation(g))
+"""
+
+
+def test_sum_interns_in_the_textbook_order():
+    # what simplify returns among equivalent forms, and so the benchmark's
+    # digests, depends on the order games are first interned in: two fresh
+    # interpreters, one summing through the walk and one by the definition,
+    # must intern the same games in the same order
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(scgames.__file__).parent.parent),
+                            str(here)])
+    runs = [subprocess.run([sys.executable, "-c", _INTERN_ORDER, how],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+            for how in ("walk", "reference")]
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    walk, ref = (proc.stdout.splitlines() for proc in runs)
+    assert len(walk) > 30 and walk == ref
+
+
 def test_map_sum_is_the_image_of_the_left_folded_sum(ctx):
     # raw trees over mixed posets, atoms among the parts: the image is built
     # without the sum, and is the same interned object
@@ -222,11 +284,10 @@ def test_map_sum_is_the_image_of_the_left_folded_sum(ctx):
     for trial in range(120):
         k = 1 + trial % 3
         ps = [posets[rng.randrange(3)] for _ in range(k)]
-        parts = [atomic(rng.choice(p.elements), p) if rng.random() < 0.25
-                 else random_game(rng, p, 2, 2) for p in ps]
+        parts = [_part(rng, p) for p in ps]
         fn = _ranked_fn(rng, reduce(product, ps))
-        want = map_game(fn, reduce(partial(sum_games, ctx), parts))
-        assert map_sum(fn, parts) is want
+        want = map_game(fn, reduce(ref_sum, parts))
+        assert map_sum(fn, parts, {}) is want
 
 
 def test_map_sum_reads_a_regrouped_function(ctx):
@@ -240,10 +301,10 @@ def test_map_sum_reads_a_regrouped_function(ctx):
         fn = _ranked_fn(rng, reduce(product, posets))
         regrouped = _regrouped_fn(fn, posets, groups)
         g = [random_game(rng, p, 2, 2) for p in posets]
-        parts = [sum_games(ctx, g[0], g[2]), g[1]]
-        want = map_game(regrouped, reduce(partial(sum_games, ctx), parts))
-        assert map_sum(regrouped, parts) is want
-        assert map_sum(fn, g) is want
+        parts = [ref_sum(g[0], g[2]), g[1]]
+        want = map_game(regrouped, reduce(ref_sum, parts))
+        assert map_sum(regrouped, parts, {}) is want
+        assert map_sum(fn, g, {}) is want
 
 
 def test_map_sum_of_a_400_level_chain_takes_a_frame_a_level(ctx):
@@ -255,7 +316,7 @@ def test_map_sum_of_a_400_level_chain_takes_a_frame_a_level(ctx):
     sys.setrecursionlimit(len(inspect.stack(0)) + 450)
     try:
         want = map_game(fn, sum_games(ctx, *parts))
-        got = map_sum(fn, parts)
+        got = map_sum(fn, parts, {})
     finally:
         sys.setrecursionlimit(limit)
     assert got is want and want.depth == 401
@@ -331,13 +392,12 @@ def test_gadget_application_is_the_image_of_the_sum(ctx):
             if x.poset is P3:
                 g = random_passable_game(ctx, rng, P4, 2, 2)
                 assert gadget_apply(ctx, x, g) is \
-                    map_game(projector_f(P4), sum_games(ctx, x, g))
+                    map_game(projector_f(P4), ref_sum(x, g))
             else:
                 g, h = (random_passable_game(ctx, rng, P4, 2, 2)
                         for _ in range(2))
-                assert gadget_apply2(ctx, x, g, h) is map_game(
-                    projector_g(P4),
-                    sum_games(ctx, sum_games(ctx, x, g), h))
+                assert gadget_apply2(ctx, x, g, h) is \
+                    map_game(projector_g(P4), ref_sum(ref_sum(x, g), h))
 
 
 def test_binary_equations_need_passability(ctx):

@@ -611,6 +611,17 @@ def test_eval_cap(ctx):
         eval_position(ctx, S, ".....", max_cells=4)
 
 
+def test_a_negative_cap_is_refused_up_front(ctx):
+    # a plain ValueError naming the cap, not a CarrierTooLarge from a part
+    S = sc_const("a", P4)
+    for run in (partial(eval_board, ctx, S),
+                partial(eval_position, ctx, S, "")):
+        with pytest.raises(ValueError) as e:
+            run(max_cells=-1)
+        assert e.type is ValueError
+        assert str(e.value) == "max_cells must be 0 or more, not -1"
+
+
 def _compiled_boards():
     rng = random.Random(3016)
     yield from (sc_base(kind) for kind in GadgetKind)
@@ -810,9 +821,8 @@ def _criterion_6_boards(ctx):
 
 def test_structural_eval_is_the_flat_eval_on_criterion_6_boards(ctx):
     # raw, the structural value is the very tree the whole board gives
-    # brute-forced; simplified, it is equivalent.  The six boards of 13
-    # and 14 cells take some 20 s raw, both ways, so they are left to
-    # criterion 6, which checks their simplified values against the games
+    # brute-forced; simplified, it is equivalent.  The boards of 13 and 14
+    # cells are left to the slow test below
     boards = [S for S in _criterion_6_boards(ctx) if S.size <= 12]
     assert len(boards) == 31
     assert sum(isinstance(S.payoff, Compose) for S in boards) >= 20
@@ -820,6 +830,18 @@ def test_structural_eval_is_the_flat_eval_on_criterion_6_boards(ctx):
         raw = _flat(ctx, S)
         assert eval_board(ctx, S, simplify=False) is raw
         assert equiv(ctx, eval_board(ctx, S), raw)
+
+
+@pytest.mark.slow
+def test_structural_eval_is_the_flat_eval_on_criterion_6_large_boards(ctx):
+    # the six boards of 13 and 14 cells, each in fresh contexts: raw, a
+    # coupling's image is built at every triple of its children's
+    # positions, so they take some 5 s structural and 5 s flat in all
+    boards = [S for S in _criterion_6_boards(ctx) if 12 < S.size <= 14]
+    assert len(boards) == 6
+    for S in boards:
+        assert eval_board(SolverContext(), S, simplify=False) \
+            is _flat(SolverContext(), S)
 
 
 def _sum_with(S, T, left, right):
