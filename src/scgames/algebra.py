@@ -9,10 +9,11 @@ atom a (and b) acts on games G (and H), and for the four gadget games this
 action agrees, up to equivalence, with the corresponding direct constructor
 below.
 
-map_sum is the one walk over a sum's positions: sum_games is its image
-under the product's identity and keeps its memo in the context
-(``ctx.sum``); gadget application and composed boards give it a fresh
-memo each call.
+map_sum is the one walk over a sum's positions, and every image it builds
+is kept in the context, one table per function (``ctx.images[f]``):
+sum_games is the image under the product's identity, gadget application
+the image under a projector, and a composed board's value the image under
+its payoff's function.
 
 Scope warning: the agreement is guaranteed for passable arguments only.
 Sum does not respect equivalence of arbitrary games, and the agreement for
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import random
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .games import (
     Game,
@@ -60,8 +61,8 @@ class GadgetKind(enum.Enum):
 
 def sum_games(ctx: SolverContext, G: Game, H: Game) -> Game:
     """Disjunctive sum over the product poset: the image of the sum under
-    the product's identity, kept in ``ctx.sum`` for the context's life."""
-    return map_sum(identity_fn(product(G.poset, H.poset)), (G, H), ctx.sum)
+    the product's identity."""
+    return map_sum(ctx, identity_fn(product(G.poset, H.poset)), (G, H))
 
 
 def map_game(f: MonotoneFn, G: Game) -> Game:
@@ -73,8 +74,7 @@ def map_game(f: MonotoneFn, G: Game) -> Game:
     return rebuild(G, lambda a: atomic(table[a], cod), cod, False)
 
 
-def map_sum(f: MonotoneFn, parts: Sequence[Game],
-            memo: dict[int, Game]) -> Game:
+def map_sum(ctx: SolverContext, f: MonotoneFn, parts: Sequence[Game]) -> Game:
     """``map_game(f, sum_games of the parts, folded from the left)``, built
     from the tuples of the parts' positions; the sum is never interned.
 
@@ -89,15 +89,20 @@ def map_sum(f: MonotoneFn, parts: Sequence[Game],
 
     Every part's left options come before any right option, parts in
     order, so a sum (the image under the identity) interns its nodes in
-    the textbook order: G's options before H's, the left side first.  A
-    tuple is keyed on its parts' uids, the k-th part's from bit 32k up
-    (exact below games.UID_LIMIT); the key does not name f, so ``memo``
-    serves one function: sum_games passes ``ctx.sum``, every other caller
-    a fresh dict.  Recursive: one Python frame a level.
+    the textbook order: G's options before H's, the left side first.
+    Each image is kept for the context's life in ``ctx.images[f]``, one
+    table per function, keyed on its tuple's uids, the k-th part's from
+    bit 32k up (exact below games.UID_LIMIT).  Tuples of different
+    lengths cannot share a key: their posets fold to f's domain, and a
+    product is never one of its own factors.  No parts raise ValueError.
+    Recursive: one Python frame a level.
     """
+    if not parts:
+        raise ValueError("map_sum needs at least one part")
     posets = [g.poset for g in parts]
     if f.domain is not reduce(product, posets):
         raise PosetMismatch("function domain differs from the parts' product")
+    memo = ctx.images.setdefault(f, {})
     key = sum(g.uid << 32 * k for k, g in enumerate(parts))
     hit = memo.get(key)
     if hit is not None:
@@ -135,20 +140,20 @@ def map_sum(f: MonotoneFn, parts: Sequence[Game],
     return rec(tuple(parts), key)
 
 
-def gadget_apply(ctx: SolverContext, X: Game, G: Game) -> Game:
-    """X + G collapsed back to G's poset through the P3 projector."""
-    if X.poset is not builtin("P3"):
-        raise PosetMismatch("gadget must live over P3")
-    return map_sum(projector_f(G.poset), (X, G), {})
-
-
-def gadget_apply2(ctx: SolverContext, X: Game, G: Game, H: Game) -> Game:
-    """X + G + H collapsed through the P4 projector; sums associate left."""
-    if X.poset is not builtin("P4"):
-        raise PosetMismatch("gadget must live over P4")
-    if G.poset is not H.poset:
+def gadget_apply(ctx: SolverContext, X: Game, *games: Game) -> Game:
+    """X + G collapsed back to G's poset through the P3 projector, or
+    X + G + H through the P4 projector; sums associate left.  Any other
+    number of games raises ValueError."""
+    if not 1 <= len(games) <= 2:
+        raise ValueError(f"a gadget acts on one or two games, "
+                         f"not {len(games)}")
+    gadget, project = (("P3", projector_f) if len(games) == 1
+                       else ("P4", projector_g))
+    if X.poset is not builtin(gadget):
+        raise PosetMismatch(f"gadget must live over {gadget}")
+    if games[-1].poset is not games[0].poset:
         raise PosetMismatch("the two argument games must share a poset")
-    return map_sum(projector_g(G.poset), (X, G, H), {})
+    return map_sum(ctx, project(games[0].poset), (X,) + games)
 
 
 # -- the four direct constructors ---------------------------------------------
@@ -178,23 +183,6 @@ def gadget_game(kind: GadgetKind) -> Game:
             else force_right(a)
     a, b = atomic("a", builtin("P4")), atomic("b", builtin("P4"))
     return choice(a, b) if kind is GadgetKind.CHOICE else coupling(a, b)
-
-
-def upl(S: Iterable[Game]) -> Game:
-    """A package of left options: one forced entry into the whole set."""
-    opts = tuple(S)
-    if not opts:
-        raise ValueError("need at least one game")
-    p = opts[0].poset
-    return force_left(composite(opts, [bot(p)], p))
-
-
-def downr(S: Iterable[Game]) -> Game:
-    opts = tuple(S)
-    if not opts:
-        raise ValueError("need at least one game")
-    p = opts[0].poset
-    return force_right(composite([top(p)], opts, p))
 
 
 def add_gift_horse(ctx: SolverContext, G: Game, H: Game, side: str) -> Game:
@@ -263,11 +251,10 @@ def falsify_gadget_game(ctx: SolverContext, X: Game,
     binary = X.poset is builtin("P4")
     if not binary and X.poset is not builtin("P3"):
         raise PosetMismatch("gadget candidates live over P3 or P4")
-    apply = gadget_apply2 if binary else gadget_apply
     for _ in range(_FALSIFY_TRIALS):
         args = tuple(random_passable_game(ctx, rng, target, 2, 2)
                      for _ in range(1 + binary))
-        if not equiv(ctx, apply(ctx, X, *args),
+        if not equiv(ctx, gadget_apply(ctx, X, *args),
                      substitute_atoms(X, dict(zip("ab", args)), target)):
             return args
     return None

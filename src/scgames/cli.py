@@ -57,10 +57,7 @@ def _parse(args, text):
 
 
 def cmd_value(args, ctx: SolverContext) -> int:
-    if args.game.endswith(".scg"):
-        v = eval_board(ctx, load_board(args.game), max_cells=args.max_cells)
-    else:
-        v = simplify(ctx, _parse(args, args.game))
+    v = simplify(ctx, _parse(args, args.game))
     print(to_notation(v, unicode=args.unicode))
     return 0
 
@@ -151,10 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print top/bot as symbols")
 
     p = sub.add_parser("value", parents=[poset_flag, uni_flag],
-                       help="simplified value of a notation or a .scg board")
-    p.add_argument("game", help="game notation, or a board file ending "
-                                "in .scg")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_EVAL_CAP)
+                       help="simplified value of a game notation")
+    p.add_argument("game", help="game notation (a board file: use eval)")
     p.set_defaults(fn=cmd_value)
 
     p = sub.add_parser("leq", parents=[poset_flag],

@@ -8,10 +8,11 @@ game carries a small integer ``uid``.  The table keys a leaf on
 uid-sorted option tuples; posets and games hash by identity, and each key
 holds the objects it names.  Memo tables key on uids, which are never
 reused; a table over pairs of games (leq, tri) keys on one int,
-``G.uid << 32 | H.uid``, and one over tuples of games (algebra.map_sum's,
-the sum table among them) puts the k-th game's uid at bit 32k.  That
-packing is exact while every uid is below 2^32, so interning a new game
-past that bound raises :class:`UidOverflow` instead of wrapping.
+``G.uid << 32 | H.uid``, and one over tuples of games (a function's
+images in ``SolverContext.images``) puts the k-th game's uid at bit
+32k.  That packing is exact while every uid is below 2^32, so interning
+a new game past that bound raises :class:`UidOverflow` instead of
+wrapping.
 
 The order is a pair of mutually recursive relations.  ``leq(G, H)`` holds
 iff every left option of G is ``tri``-below H, G is ``tri``-below every
@@ -350,20 +351,23 @@ class SolverContext:
     it.  ``simp`` is the run's record of what :func:`simplify` answered,
     whether it built the answer or read it from ``Game.simple``; so
     ``stats["simplify_fallback"]`` counts a fallback only in the first
-    context that meets the game.  Every table is a named attribute, and
-    ``memo_sizes`` reports them all.  Images of a game (``dual``,
-    ``swap_ab``, ``map_game``) are rebuilt per call and kept in no table.
+    context that meets the game.  ``images`` holds every image of a sum
+    that algebra.map_sum built (sums, gadget applications, composed
+    boards), one table per function.  Every table is a named attribute,
+    and ``memo_sizes`` reports them all, ``images`` as its entries across
+    all functions.  Images of one game (``dual``, ``swap_ab``,
+    ``map_game``) are rebuilt per call and kept in no table.
     """
 
-    __slots__ = ("leq", "tri", "simp", "sum", "realize", "realize_good",
+    __slots__ = ("leq", "tri", "simp", "images", "realize", "realize_good",
                  "stats")
 
     def __init__(self):
         self.leq: dict[int, bool] = {}      # pairs the masks leave open,
         self.tri: dict[int, bool] = {}      # by G.uid << 32 | H.uid
         self.simp: dict[int, Game] = {}
-        self.sum: dict[int, Game] = {}      # sum_games' map_sum memo,
-                                            # by H.uid << 32 | G.uid
+        self.images: dict = {}              # MonotoneFn -> {key of a tuple
+                                            # of games: its image}
         self.realize: dict = {}             # uid -> SetColoringGame
         self.realize_good: dict = {}        # uid -> (side, index) of a good
                                             # option a gift horse came from
@@ -371,8 +375,10 @@ class SolverContext:
 
     def memo_sizes(self) -> dict[str, int]:
         """Entries in every table of the context."""
-        return {name: len(getattr(self, name))
-                for name in self.__slots__ if name != "stats"}
+        sizes = {name: len(getattr(self, name))
+                 for name in self.__slots__ if name != "stats"}
+        sizes["images"] = sum(map(len, self.images.values()))
+        return sizes
 
 
 def _check_pair(G: Game, H: Game) -> None:

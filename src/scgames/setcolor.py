@@ -403,8 +403,9 @@ def eval_position(ctx: SolverContext, S: SetColoringGame, position: str,
       value ``map_game(fn, sum_games of the child values, folded from the
       left)``, each child valued at its restriction of the position.
       ``algebra.map_sum`` builds that image straight from the tuples of
-      the children's positions, so the sum is never interned; with
-      simplify=True the image is simplified once.
+      the children's positions, so the sum is never interned, and keeps
+      it in ``ctx.images``; with simplify=True the image is simplified
+      once.
     - A ``Compose`` whose children together read every empty cell but
       share some, such as a shared choice, with more than _GROUP_ABOVE
       empty cells, is split at the connected components of its children,
@@ -539,7 +540,7 @@ def _value(ctx: SolverContext, payoff: PayoffExpr, cells: tuple[str, ...],
         parts = [_value(ctx, child, tuple(cells[i] for i in emb),
                         *_child_masks(emb, black, white), simplify, max_cells)
                  for child, emb in payoff.children]
-        g = map_sum(payoff.fn, parts, {})
+        g = map_sum(ctx, payoff.fn, parts)
         return simplify_game(ctx, g) if simplify else g
     return _eval_part(ctx, payoff, cells, black, white, simplify, max_cells)
 

@@ -17,18 +17,15 @@ from scgames.algebra import (
     add_gift_horse,
     choice,
     coupling,
-    downr,
     falsify_gadget_game,
     force_left,
     force_right,
     gadget_apply,
-    gadget_apply2,
     gadget_game,
     map_game,
     map_sum,
     substitute_atoms,
     sum_games,
-    upl,
 )
 from scgames.games import (
     PosetMismatch,
@@ -154,15 +151,27 @@ def test_map_memo_is_keyed_by_the_function_object():
 
 
 def test_memo_sizes_count_the_sum_table(ctx):
-    # a sum reaches every pair of positions once; a gadget application
-    # builds the image of the sum without the sum, so it fills no table
+    # a sum and a gadget application each reach every pair of positions
+    # once, each in its own function's table, and images counts both
     X, G = gadget_game(GadgetKind.LEFT_FORCE), parse("{a,{top|b}|b}")
+    pairs = len(positions(X)) * len(positions(G))
     gadget_apply(ctx, X, G)
-    assert set(ctx.memo_sizes().values()) == {0}
+    sizes = ctx.memo_sizes()
+    assert sizes.pop("images") == pairs and set(sizes.values()) == {0}
     sum_games(ctx, X, G)
     sizes = ctx.memo_sizes()
-    assert sizes["sum"] == len(positions(X)) * len(positions(G))
+    assert sizes["images"] == 2 * pairs
     assert (sizes["realize"], sizes["realize_good"]) == (0, 0)
+
+
+def test_sum_games_fills_only_the_identity_table(ctx):
+    G, H = parse("{a,{top|b}|b}"), parse("{top|bot}", P3)
+    s = sum_games(ctx, G, H)
+    fn = identity_fn(product(P4, P3))
+    assert list(ctx.images) == [fn]
+    assert len(ctx.images[fn]) == len(positions(G)) * len(positions(H))
+    assert sum_games(ctx, G, H) is s
+    assert list(ctx.images) == [fn]
 
 
 def _chain(n):
@@ -201,11 +210,11 @@ def test_chain_of_600_levels_through_printing_branching_and_sum(ctx):
     assert sum_games(ctx, levels[600], atomic("a", P4)).depth == 600
 
 
-def test_map_rejects_wrong_domain():
+def test_map_rejects_wrong_domain(ctx):
     with pytest.raises(PosetMismatch):
         map_game(projector_f(P4), top(P4))
     with pytest.raises(PosetMismatch):
-        map_sum(projector_f(P4), (top(P3), top(P3)), {})
+        map_sum(ctx, projector_f(P4), (top(P3), top(P3)))
 
 
 def _ranked_fn(rng, dom, cod=CHAIN4):
@@ -227,7 +236,7 @@ def _part(rng, p):
 
 def test_sum_is_the_textbook_sum(ctx):
     # raw trees over mixed posets, atoms among the summands: the walk
-    # builds the very tree the definition does, read from ctx.sum or not
+    # builds the very tree the definition does, read from ctx.images or not
     rng = random.Random(3601)
     posets = (BOOL, P3, P4)
     for _ in range(150):
@@ -287,7 +296,7 @@ def test_map_sum_is_the_image_of_the_left_folded_sum(ctx):
         parts = [_part(rng, p) for p in ps]
         fn = _ranked_fn(rng, reduce(product, ps))
         want = map_game(fn, reduce(ref_sum, parts))
-        assert map_sum(fn, parts, {}) is want
+        assert map_sum(ctx, fn, parts) is want
 
 
 def test_map_sum_reads_a_regrouped_function(ctx):
@@ -303,8 +312,8 @@ def test_map_sum_reads_a_regrouped_function(ctx):
         g = [random_game(rng, p, 2, 2) for p in posets]
         parts = [ref_sum(g[0], g[2]), g[1]]
         want = map_game(regrouped, reduce(ref_sum, parts))
-        assert map_sum(regrouped, parts, {}) is want
-        assert map_sum(fn, g, {}) is want
+        assert map_sum(ctx, regrouped, parts) is want
+        assert map_sum(ctx, fn, g) is want
 
 
 def test_map_sum_of_a_400_level_chain_takes_a_frame_a_level(ctx):
@@ -316,7 +325,7 @@ def test_map_sum_of_a_400_level_chain_takes_a_frame_a_level(ctx):
     sys.setrecursionlimit(len(inspect.stack(0)) + 450)
     try:
         want = map_game(fn, sum_games(ctx, *parts))
-        got = map_sum(fn, parts, {})
+        got = map_sum(ctx, fn, parts)
     finally:
         sys.setrecursionlimit(limit)
     assert got is want and want.depth == 401
@@ -342,9 +351,9 @@ def test_gadget_apply_requires_gadget_poset(ctx):
     with pytest.raises(PosetMismatch):
         gadget_apply(ctx, top(P4), top(P4))
     with pytest.raises(PosetMismatch):
-        gadget_apply2(ctx, top(P3), top(P4), top(P4))
+        gadget_apply(ctx, top(P3), top(P4), top(P4))
     with pytest.raises(PosetMismatch, match="share a poset"):
-        gadget_apply2(ctx, top(P4), top(P4), top(P3))
+        gadget_apply(ctx, top(P4), top(P4), top(P3))
 
 
 def _samples(rng, n, **kw):
@@ -372,7 +381,7 @@ def test_choice_equation(ctx):
     for _ in range(50):
         g = random_passable_game(ctx, rng, P4, 2, 2)
         h = random_passable_game(ctx, rng, P4, 2, 2)
-        assert equiv(ctx, gadget_apply2(ctx, x, g, h), choice(g, h))
+        assert equiv(ctx, gadget_apply(ctx, x, g, h), choice(g, h))
 
 
 def test_coupling_equation(ctx):
@@ -381,7 +390,7 @@ def test_coupling_equation(ctx):
     for _ in range(50):
         g = random_passable_game(ctx, rng, P4, 2, 2)
         h = random_passable_game(ctx, rng, P4, 2, 2)
-        assert equiv(ctx, gadget_apply2(ctx, x, g, h), coupling(g, h))
+        assert equiv(ctx, gadget_apply(ctx, x, g, h), coupling(g, h))
 
 
 def test_gadget_application_is_the_image_of_the_sum(ctx):
@@ -396,7 +405,7 @@ def test_gadget_application_is_the_image_of_the_sum(ctx):
             else:
                 g, h = (random_passable_game(ctx, rng, P4, 2, 2)
                         for _ in range(2))
-                assert gadget_apply2(ctx, x, g, h) is \
+                assert gadget_apply(ctx, x, g, h) is \
                     map_game(projector_g(P4), ref_sum(ref_sum(x, g), h))
 
 
@@ -408,7 +417,7 @@ def test_binary_equations_need_passability(ctx):
     g, h = parse("{bot|bot}"), parse("{bot|a}")
     assert is_passable(ctx, g) and not is_passable(ctx, h)
     xc = gadget_game(GadgetKind.COUPLING)
-    assert not equiv(ctx, gadget_apply2(ctx, xc, g, h), coupling(g, h))
+    assert not equiv(ctx, gadget_apply(ctx, xc, g, h), coupling(g, h))
     xi = parse("{{top|a}|a}", P3)
     assert not equiv(ctx, gadget_apply(ctx, xi, h), h)
 
@@ -442,7 +451,7 @@ def test_falsify_refutes_a_binary_non_gadget(ctx):
     found = falsify_gadget_game(ctx, x, rng=random.Random(2015))
     assert found is not None
     g, h = found
-    assert not equiv(ctx, gadget_apply2(ctx, x, g, h),
+    assert not equiv(ctx, gadget_apply(ctx, x, g, h),
                      substitute_atoms(x, {"a": g, "b": h}, P4))
 
 
@@ -481,31 +490,6 @@ def test_locally_monotone_pair_equals_its_coupling(ctx):
             hits += 1
             assert equiv(ctx, k, coupling(g, h))
     assert hits > 5
-
-
-def test_upl_structure():
-    assert upl([atomic("a", P4)]) is parse("{top|{a|bot}}")
-    assert downr([atomic("a", P4)]) is parse("{{top|a}|bot}")
-    with pytest.raises(ValueError):
-        upl([])
-
-
-def test_upl_is_left_equivalent_replacement(ctx):
-    rng = random.Random(2014)
-    for _ in range(30):
-        s = [random_game(rng, P4, 1, 2) for _ in range(rng.randint(1, 2))]
-        x = random_game(rng, P4, 1, 2)
-        y = random_game(rng, P4, 1, 2)
-        with_upl = composite([upl(s), x], [y], P4)
-        plain = composite(s + [x], [y], P4)
-        assert equiv(ctx, with_upl, plain)
-
-
-def test_downr_is_dual_of_upl():
-    rng = random.Random(2015)
-    for _ in range(20):
-        g = random_game(rng, P4, 2, 2)
-        assert dual(upl([g])) is downr([dual(g)])
 
 
 def test_gift_horse_example(ctx):

@@ -48,9 +48,11 @@ def test_value_unicode(capsys):
     assert code == 0 and out.strip() == "{⊤|⊥}"
 
 
-def test_value_of_board_file(capsys):
-    code, out, _ = run(capsys, "value", HEX)
-    assert code == 0 and out.strip() == "{top|bot}"
+def test_value_rejects_a_board_file(capsys):
+    # value reads notation only; a board is eval's
+    code, out, err = run(capsys, "value", HEX)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_value_of_long_notation(capsys):
@@ -70,8 +72,8 @@ def test_eval_shipped_hex(capsys):
 
 
 # memo_sizes() of a context that filled no table
-NO_MEMO = {"leq": 0, "realize": 0, "realize_good": 0, "simp": 0, "sum": 0,
-           "tri": 0}
+NO_MEMO = {"images": 0, "leq": 0, "realize": 0, "realize_good": 0,
+           "simp": 0, "tri": 0}
 
 
 def test_stats_flag_prints_counters_on_stderr(capsys):
@@ -134,6 +136,19 @@ def test_stats_of_catalog_count_boards_and_option_set_pairs():
     assert len(json.loads(proc.stdout)["entries"]) == 50
     stats = json.loads(proc.stderr)
     assert (stats["layer_boards"], stats["layer_pairs"]) == (2435, 717)
+
+
+def test_stats_of_a_composed_board_count_its_images(capsys, tmp_path):
+    # the realized coupling board is a composition of disjoint children,
+    # valued as the image of their sum, and eval reports those images
+    board = tmp_path / "coupling.scg"
+    assert run(capsys, "realize", "{a,{top|b}|{a|bot},b}", "-o",
+               str(board))[0] == 0
+    code, out, err = run(capsys, "--stats", "eval", str(board))
+    ctx = SolverContext()
+    assert code == 0 and equiv(ctx, parse(out.strip()),
+                               parse("{a,{top|b}|{a|bot},b}"))
+    assert json.loads(err)["memo"]["images"] > 0
 
 
 def test_leq_exit_codes(capsys):
@@ -372,9 +387,9 @@ def test_catalog_negative_cells(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["value", "{top|bot}", "--max-cells", "-1"],
-    ["value", HEX, "--max-cells", "-1"],
     ["eval", HEX, "--max-cells", "-1"],
+    ["eval", "--unicode", "--max-cells", "-1", HEX],
+    ["realize", "{top|bot}", "--max-cells", "-1"],
     ["realize", "{top|bot}", "--verify", "--max-cells", "-1"],
 ])
 def test_negative_max_cells(capsys, argv):

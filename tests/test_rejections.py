@@ -2,8 +2,8 @@
 
 import pytest
 
-from scgames.algebra import (NotAGiftHorse, add_gift_horse, downr,
-                             falsify_gadget_game)
+from scgames.algebra import (NotAGiftHorse, add_gift_horse,
+                             falsify_gadget_game, gadget_apply, map_sum)
 from scgames.catalog import ValueIndex
 from scgames.games import (NoDualityMap, NotAnOption, PosetMismatch,
                            SolverContext, atomic, is_good_right)
@@ -44,8 +44,16 @@ CASES = {
         lambda: is_good_right(SolverContext(), parse("{a|b}"),
                               parse("a")),
         NotAnOption, "not a right option of the game"),
-    "downr-of-nothing": (
-        lambda: downr([]), ValueError, "need at least one game"),
+    "map-sum-of-no-parts": (
+        lambda: map_sum(SolverContext(), identity_fn(P4), []), ValueError,
+        "map_sum needs at least one part"),
+    "gadget-apply-to-no-games": (
+        lambda: gadget_apply(SolverContext(), atomic("a", P3)), ValueError,
+        "a gadget acts on one or two games, not 0"),
+    "gadget-apply-to-three-games": (
+        lambda: gadget_apply(SolverContext(), atomic("a", P4),
+                             *[atomic("a", P4)] * 3),
+        ValueError, "a gadget acts on one or two games, not 3"),
     "right-gift-horse-failing-tri": (
         lambda: add_gift_horse(SolverContext(), parse("{a|b}"), parse("a"),
                                "right"),

@@ -1090,6 +1090,22 @@ def test_a_part_is_valued_once_a_process():
         assert again.stats["eval_residuals"] > 0
 
 
+def test_a_second_evaluation_reads_the_context_images():
+    # the composed board's images are kept in the context, so evaluating
+    # it again adds no image and returns the same object
+    rng = random.Random(3508)
+    S = sc_sum(sc_coupling(random_threshold_board(rng, P4, 3),
+                           random_threshold_board(rng, P4, 3)),
+               sc_force_left(random_threshold_board(rng, P4, 4)))
+    for simplify in (True, False):
+        ctx = SolverContext()
+        v = eval_board(ctx, S, simplify)
+        images = ctx.memo_sizes()["images"]
+        assert images > 0
+        assert eval_board(ctx, S, simplify) is v
+        assert ctx.memo_sizes()["images"] == images
+
+
 def test_a_cached_part_still_meets_the_cap(ctx):
     big = random_threshold_board(random.Random(3506), P4, 6)
     eval_board(ctx, big)
