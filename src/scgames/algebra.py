@@ -71,7 +71,7 @@ def map_game(f: MonotoneFn, G: Game) -> Game:
     if f.domain is not G.poset:
         raise PosetMismatch("function domain differs from the game's poset")
     table, cod = f.table, f.codomain
-    return rebuild(G, lambda a: atomic(table[a], cod), cod, False)
+    return rebuild(G, lambda a: atomic(table[a], cod), False)
 
 
 def map_sum(ctx: SolverContext, f: MonotoneFn, parts: Sequence[Game]) -> Game:
@@ -228,7 +228,7 @@ def substitute_atoms(X: Game, subst: dict[str, Game],
             return subst[a]
         raise UnknownAtom(f"no substitution image for {a!r}")
 
-    return rebuild(X, leaf, poset, False)
+    return rebuild(X, leaf, False)
 
 
 _FALSIFY_TRIALS = 50

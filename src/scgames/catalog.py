@@ -101,7 +101,7 @@ def _patterns(n: int) -> tuple[tuple[str, ...], ...]:
 def _threshold_board(n: int, a, b) -> SetColoringGame:
     """The P4 threshold board on cells c0..c(n-1) with these a- and
     b-patterns; Threshold refuses patterns that do not fit."""
-    return SetColoringGame(P4, tuple(f"c{i}" for i in range(n)),
+    return SetColoringGame(tuple(f"c{i}" for i in range(n)),
                            Threshold(P4, n, {"a": a, "b": b}))
 
 

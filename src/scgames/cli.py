@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scgames",
         description="Game values, set coloring boards, and realizations.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="accepted for script compatibility; every command "
-                         "here is deterministic")
     ap.add_argument("--stats", action="store_true",
                     help="print the solver's counters, memo sizes and "
                          "newly interned games as one JSON line on stderr "
@@ -175,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[uni_flag],
                        help="evaluate a .scg board file")
     p.add_argument("board")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_EVAL_CAP)
+    p.add_argument("--max-cells", type=int, default=DEFAULT_EVAL_CAP,
+                   help="cap on the empty cells of each part that eval_board "
+                        "brute-forces (default %(default)s)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("realize", parents=[poset_flag],
@@ -185,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-evaluate the board and compare with the input")
     p.add_argument("-o", "--out", default=None, help="write the board here")
     p.add_argument("--max-cells", type=int, default=DEFAULT_VERIFY_CAP,
-                   help="carrier cap for brute-force verification")
+                   help="carrier cap for brute-force verification, and the "
+                        "cap on the empty cells of each part brute-forced "
+                        "during it (default %(default)s)")
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("verify-appendix",

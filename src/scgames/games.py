@@ -705,7 +705,7 @@ def dual(G: Game) -> Game:
     dm = p.dual_atom_map()
     if dm is None:
         raise NoDualityMap("poset has no order-reversing self-map")
-    return rebuild(G, lambda a: atomic(dm[a], p), p, True)
+    return rebuild(G, lambda a: atomic(dm[a], p), True)
 
 
 def swap_ab(G: Game) -> Game:
@@ -716,14 +716,14 @@ def swap_ab(G: Game) -> Game:
     m = {e: e for e in p.elements}
     m["a"], m["b"] = "b", "a"
     MonotoneFn(p, p, m)   # a monotone involution is an order automorphism
-    return rebuild(G, lambda a: atomic(m[a], p), p, False)
+    return rebuild(G, lambda a: atomic(m[a], p), False)
 
 
-def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
-            swap_sides: bool) -> Game:
+def rebuild(G: Game, leaf: Callable[[str], Game], swap_sides: bool) -> Game:
     """G with every leaf replaced by ``leaf(atom)``, rebuilt bottom-up.
 
-    Composites are re-interned over ``poset``, with left and right options
+    Composites are re-interned over the poset their rebuilt options share,
+    which :func:`composite` infers and checks, with left and right options
     exchanged when ``swap_sides``, in :func:`fold`'s finish order.  The
     images live in the fold's memo, which dies with the call.
     """
@@ -734,8 +734,7 @@ def rebuild(G: Game, leaf: Callable[[str], Game], poset: AtomPoset,
             return leaf(g.atom)
         ls = [memo[x.uid] for x in g.left]
         rs = [memo[x.uid] for x in g.right]
-        return composite(rs, ls, poset) if swap_sides else \
-            composite(ls, rs, poset)
+        return composite(rs, ls) if swap_sides else composite(ls, rs)
 
     return fold(G, memo, build)
 

@@ -305,7 +305,6 @@ PayoffExpr = Const | Threshold | Compose | Dual
 
 @dataclass(frozen=True)
 class SetColoringGame:
-    poset: AtomPoset
     cells: tuple[str, ...]
     payoff: PayoffExpr
 
@@ -313,10 +312,12 @@ class SetColoringGame:
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("duplicate cell names")
-        if self.payoff.poset is not self.poset:
-            raise PosetMismatch("payoff lands in a different poset")
         if not self.payoff.fits(len(self.cells)):
             raise ValueError("payoff does not fit the carrier")
+
+    @property
+    def poset(self) -> AtomPoset:
+        return self.payoff.poset
 
     @property
     def size(self) -> int:
@@ -757,14 +758,13 @@ _GADGETS = {
 def sc_base(kind: GadgetKind) -> SetColoringGame:
     """The gadget board of this kind, on cells c1..cn."""
     t = _GADGETS[kind]
-    return SetColoringGame(t.poset, tuple(f"c{i}" for i in range(1, t.n + 1)),
-                           t)
+    return SetColoringGame(tuple(f"c{i}" for i in range(1, t.n + 1)), t)
 
 
 # -- combinators ---------------------------------------------------------------
 
 def sc_const(a: str, poset: AtomPoset) -> SetColoringGame:
-    return SetColoringGame(poset, (), Const(poset, a))
+    return SetColoringGame((), Const(poset, a))
 
 
 def _prefixed(prefix: str, cells: Iterable[str]) -> list[str]:
@@ -774,14 +774,13 @@ def _prefixed(prefix: str, cells: Iterable[str]) -> list[str]:
 def sc_sum(S: SetColoringGame, T: SetColoringGame) -> SetColoringGame:
     """Disjoint union of carriers; the value is the sum of the values,
     as raw game trees, not just up to equivalence."""
-    pr = product(S.poset, T.poset)
     cells = _prefixed("l.", S.cells) + _prefixed("r.", T.cells)
     p = S.size
-    payoff = Compose(identity_fn(pr), (
+    payoff = Compose(identity_fn(product(S.poset, T.poset)), (
         (S.payoff, tuple(range(p))),
         (T.payoff, tuple(range(p, p + T.size))),
     ))
-    return SetColoringGame(pr, tuple(cells), payoff)
+    return SetColoringGame(tuple(cells), payoff)
 
 
 def sc_map(f: MonotoneFn, S: SetColoringGame) -> SetColoringGame:
@@ -789,11 +788,11 @@ def sc_map(f: MonotoneFn, S: SetColoringGame) -> SetColoringGame:
     if f.domain is not S.poset:
         raise PosetMismatch("function domain differs from the board poset")
     payoff = Compose(f, ((S.payoff, tuple(range(S.size))),))
-    return SetColoringGame(f.codomain, S.cells, payoff)
+    return SetColoringGame(S.cells, payoff)
 
 
 def sc_dual(S: SetColoringGame) -> SetColoringGame:
-    return SetColoringGame(S.poset, S.cells, Dual(S.payoff))
+    return SetColoringGame(S.cells, Dual(S.payoff))
 
 
 def _fresh_cell(taken: Sequence[str]) -> str:
@@ -818,7 +817,7 @@ def _wire(kind: GadgetKind, cells: Sequence[str],
     children = [(gadget, tuple(range(gadget.n)))]
     children += [(S.payoff, tuple(range(start, start + S.size)))
                  for S, start in args]
-    return SetColoringGame(poset, tuple(cells),
+    return SetColoringGame(tuple(cells),
                            Compose(project(poset), tuple(children)))
 
 
@@ -920,8 +919,8 @@ def random_threshold_board(rng, poset: AtomPoset, n: int) -> SetColoringGame:
             masks.append(m)
         if masks:
             sets[a] = tuple(mask_pattern(m, n) for m in masks)
-    return SetColoringGame(
-        poset, tuple(f"c{i}" for i in range(n)), Threshold(poset, n, sets))
+    return SetColoringGame(tuple(f"c{i}" for i in range(n)),
+                           Threshold(poset, n, sets))
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -1040,7 +1039,7 @@ def board_from_json(obj) -> SetColoringGame:
                 and all(isinstance(c, str) for c in cells)):
             raise BoardFormatError("board cells must be a list of strings")
         payoff = payoff_from_json(obj["payoff"], poset, len(cells))
-        return SetColoringGame(poset, tuple(cells), payoff)
+        return SetColoringGame(tuple(cells), payoff)
     except BoardFormatError:
         raise
     except KeyError as e:

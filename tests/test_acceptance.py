@@ -16,7 +16,7 @@ from scgames.catalog import (build_catalog, expand_fixture, load_fixture,
                              verify_appendix)
 from scgames.games import (SolverContext, atomic, dual, equiv, is_monotone,
                            is_passable, leq, simplify, to_notation)
-from scgames.poset import antichain_poset, builtin
+from scgames.poset import antichain_poset
 from scgames.realize import VerifiedHow, realize, size_bound
 from scgames.sampling import random_game, random_passable_game
 from scgames.setcolor import (eval_board, projector_f, random_threshold_board,

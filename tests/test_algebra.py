@@ -44,8 +44,8 @@ from scgames.games import (
     to_notation,
     top,
 )
-from scgames.poset import MonotoneFn, builtin, identity_fn, product, \
-    projector_f, projector_g
+from scgames.poset import MonotoneFn, identity_fn, product, projector_f, \
+    projector_g
 from scgames.sampling import random_game, random_passable_game
 
 

@@ -253,8 +253,18 @@ def test_orbit_build_matches_full_scan(n):
 
 
 @pytest.fixture(scope="module")
-def five():
-    return build_catalog(SolverContext(), 5)
+def five_ctx():
+    return SolverContext()
+
+
+@pytest.fixture(scope="module")
+def five(five_ctx):
+    return build_catalog(five_ctx, 5)
+
+
+def test_five_cell_census_counts_boards_and_pairs(five, five_ctx):
+    assert five_ctx.stats["layer_boards"] == 587_470
+    assert five_ctx.stats["layer_pairs"] == 69_357
 
 
 def test_catalog_matches_expanded_table_at_five(five, fixture):
@@ -435,7 +445,7 @@ def test_verify_appendix_flags_corruption(mctx, fixture):
     sec1 = sections[1]
     # claim {top|a} for the board that always pays top
     first = sec1.entries[0]
-    top_board = SetColoringGame(P4, ("c0",),
+    top_board = SetColoringGame(("c0",),
                                 Threshold(P4, 1, {"a": ("0",), "b": ("0",)}))
     bad = FixtureEntry(first.value, first.game, top_board)
     sections[1] = FixtureSection(1, sec1.closure_forms,

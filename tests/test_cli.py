@@ -341,7 +341,7 @@ def test_eval_past_the_old_cap_and_a_part_above_it(capsys, tmp_path):
     assert code == 0 and err == ""
     assert equiv(ctx, parse(out.strip(), product(P4, P4)),
                  sum_games(ctx, eval_board(ctx, S), eval_board(ctx, T)))
-    big = SetColoringGame(P4, tuple(f"c{i}" for i in range(17)),
+    big = SetColoringGame(tuple(f"c{i}" for i in range(17)),
                           Threshold(P4, 17, {"a": ("1" * 17,)}))
     save_board(sc_sum(sc_force_left(sc_const("a", P4)), big), path)
     code, out, err = run(capsys, "eval", str(path))
@@ -362,7 +362,7 @@ def test_eval_of_an_interleaved_board_past_the_old_cap(capsys, tmp_path):
     pr = product(S.poset, T.poset)
     embs = (tuple(range(0, 20, 2)), tuple(range(1, 20, 2)))
     path = tmp_path / "interleaved.scg"
-    save_board(SetColoringGame(pr, tuple(f"c{i}" for i in range(20)), Compose(
+    save_board(SetColoringGame(tuple(f"c{i}" for i in range(20)), Compose(
         identity_fn(pr), ((S.payoff, embs[0]), (T.payoff, embs[1])))), path)
     board = load_board(path)
     assert tuple(emb for _, emb in board.payoff.children) == embs
@@ -412,7 +412,7 @@ def test_product_board_reads_back_in_a_fresh_process(tmp_path):
     # the dual payoff needs the factors of the product poset, which a
     # process that never built the product learns only from the file
     pr = product(builtin("Bool"), builtin("P3"))
-    S = SetColoringGame(pr, ("c0", "c1"), Dual(Threshold(
+    S = SetColoringGame(("c0", "c1"), Dual(Threshold(
         pr, 2, {"(top,a)": ("10",), "(bot,top)": ("01",)})))
     want = "{{top|(bot,a)},{top|(top,bot)}|{(bot,a)|bot},{(top,bot)|bot}}"
     assert games.to_notation(eval_board(SolverContext(), S)) == want
@@ -498,9 +498,12 @@ def test_realize_caps_the_projector_over_a_file_poset(capsys, tmp_path):
     assert err == "error: " + _CAPPED.format(16384) + "\n"
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "value", "a")
-    assert code == 0 and out.strip() == "a"
+def test_there_is_no_seed_flag(capsys):
+    # every command is deterministic, so there is nothing to seed
+    with pytest.raises(SystemExit) as e:
+        main(["--seed", "7", "value", "a"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # -- malformed files and fuzzed input -----------------------------------------

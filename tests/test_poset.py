@@ -4,7 +4,6 @@ import pytest
 
 from scgames import poset as poset_mod
 from scgames.poset import (
-    AtomPoset,
     MonotoneFn,
     NoTopOrBottom,
     NotAPartialOrder,

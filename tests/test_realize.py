@@ -10,16 +10,12 @@ from scgames.games import (
     atomic,
     equiv,
     is_monotone,
-    is_passable,
     local_class,
     to_notation,
 )
-from scgames.poset import antichain_poset, builtin
+from scgames.poset import antichain_poset
 from scgames.realize import (
-    DEFAULT_VERIFY_CAP,
     NotPassable,
-    RealizationReport,
-    VerificationFailed,
     VerifiedHow,
     realize,
     size_bound,

@@ -18,7 +18,7 @@ from conftest import BOOL, BOWTIE6, P3, P4, parse
 
 
 def _board(poset, n):
-    return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+    return SetColoringGame(tuple(f"c{i}" for i in range(n)),
                            Threshold(poset, n, {"a": ("1" * n,)}))
 
 
@@ -77,9 +77,6 @@ CASES = {
     "compose-domain-not-the-children-product": (
         lambda: Compose(identity_fn(P4), ((Const(P3, "a"), ()),)),
         PosetMismatch, "function domain is not the product of the children"),
-    "board-payoff-in-another-poset": (
-        lambda: SetColoringGame(P4, (), Const(P3, "a")), PosetMismatch,
-        "payoff lands in a different poset"),
     "eval-position-wrong-length": (
         lambda: eval_position(SolverContext(), _board(P4, 2), "..."),
         ValueError, "position length differs from carrier size"),

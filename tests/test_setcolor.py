@@ -38,7 +38,6 @@ from scgames.poset import (
     MonotoneFn,
     SupremumUndefined,
     antichain_poset,
-    builtin,
     identity_fn,
     make_poset,
     product,
@@ -414,7 +413,7 @@ def _planted_board(rng, poset, n):
     c = rng.randrange(n)
     sets = {a: tuple(s[:c] + "0" + s[c:] for s in ps)
             for a, ps in T.sets.items()}
-    return SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+    return SetColoringGame(tuple(f"c{i}" for i in range(n)),
                            Threshold(poset, n, sets))
 
 
@@ -491,7 +490,7 @@ def test_eval_position_caps_the_empty_cells_not_the_carrier(ctx):
     free = [i for i in range(n) if i not in black | white]
     sets = {a: [{rng.choice(colored), *rng.sample(free, 2)} for _ in range(4)]
             for a in ("a", "b", "top")}
-    S = SetColoringGame(P4, tuple(f"c{i}" for i in range(n)), Threshold(
+    S = SetColoringGame(tuple(f"c{i}" for i in range(n)), Threshold(
         P4, n, {a: tuple({"".join("1" if i in req else "0"
                                   for i in range(n))
                           for req in reqs}) for a, reqs in sets.items()}))
@@ -505,7 +504,7 @@ def test_eval_position_caps_the_empty_cells_not_the_carrier(ctx):
         if kept:
             restricted[a] = tuple("".join("1" if i in r else "0"
                                           for i in free) for r in kept)
-    small = SetColoringGame(P4, tuple(f"c{i}" for i in free),
+    small = SetColoringGame(tuple(f"c{i}" for i in free),
                             Threshold(P4, len(free), restricted))
     got = eval_position(ctx, S, position)
     assert got is eval_board(ctx, small)
@@ -556,10 +555,10 @@ def test_eval_codes_more_than_256_outcomes_in_two_bytes(ctx):
     units = [reduce(lambda x, y: f"({x},{y})",
                     ["top" if j == k else "bot" for j in range(9)])
              for k in range(9)]
-    S = SetColoringGame(wide, tuple(f"c{k}" for k in range(9)), Threshold(
+    S = SetColoringGame(tuple(f"c{k}" for k in range(9)), Threshold(
         wide, 9, {u: ("0" * k + "1" + "0" * (8 - k),)
                   for k, u in enumerate(units)}))
-    cell = SetColoringGame(BOOL, ("c",), Threshold(BOOL, 1, {"top": ("1",)}))
+    cell = SetColoringGame(("c",), Threshold(BOOL, 1, {"top": ("1",)}))
     one = eval_board(ctx, cell, simplify=False)
     parts = ctx.stats["eval_parts"]
     assert eval_board(ctx, S, simplify=False) is \
@@ -582,7 +581,7 @@ def test_eval_codes_few_outcomes_of_a_wide_poset_in_two_bytes(ctx):
         sets = {a: (mask_pattern(rng.randrange(1, 1 << n), n),)
                 for a in rng.sample(
                     [x for x in wide.elements if x != wide.bot], 3)}
-        S = SetColoringGame(wide, tuple(f"c{i}" for i in range(n)),
+        S = SetColoringGame(tuple(f"c{i}" for i in range(n)),
                             Threshold(wide, n, sets))
         for k in range(3 ** n):
             position = "".join("01."[k // 3 ** i % 3] for i in range(n))
@@ -676,7 +675,7 @@ def _restriction_boards():
     square = product(BOOL, BOOL)
     for poset in (P4, P3, BOOL, square):
         n = rng.randint(3, 6)
-        yield SetColoringGame(poset, tuple(f"c{i}" for i in range(n)),
+        yield SetColoringGame(tuple(f"c{i}" for i in range(n)),
                               Const(poset, poset.elements[1]))
         T = random_threshold_board(rng, poset, n)
         yield T
@@ -751,7 +750,7 @@ def test_eval_position_compiles_only_the_empty_cells(ctx):
     rng = random.Random(3031)
     S = sc_coupling(_small_board(rng, 3), sc_dual(_small_board(rng, 3)))
     spy = _Spy(S.payoff)
-    T = SetColoringGame(S.poset, S.cells, spy)
+    T = SetColoringGame(S.cells, spy)
     for k in (0, 1, 2, 4, S.size):
         cells = rng.sample(range(S.size), k)
         p = "".join("." if i in cells else rng.choice("01")
@@ -848,7 +847,7 @@ def _sum_with(S, T, left, right):
     """S and T side by side, read through the given embeddings."""
     pr = product(S.poset, T.poset)
     cells = tuple(f"c{i}" for i in range(S.size + T.size))
-    return SetColoringGame(pr, cells, Compose(
+    return SetColoringGame(cells, Compose(
         identity_fn(pr), ((S.payoff, left), (T.payoff, right))))
 
 
@@ -926,7 +925,7 @@ def test_structural_eval_falls_back_on_shared_or_unread_cells():
     pr = product(P4, P4)
     boards = [
         sc_shared_choice(S, T),
-        SetColoringGame(pr, tuple(f"c{i}" for i in range(p + q + 1)),
+        SetColoringGame(tuple(f"c{i}" for i in range(p + q + 1)),
                         Compose(identity_fn(pr), (
                             (S.payoff, tuple(range(p))),
                             (T.payoff, tuple(range(p + 1, p + q + 1)))))),
@@ -1006,7 +1005,7 @@ def test_a_composition_split_out_of_child_order_is_the_flat_eval(ctx):
 
     X, Y, Z = board(P4, 4), board(BOOL, 3), board(P3, 2)
     dom = reduce(product, [P4, BOOL, P3])
-    B = SetColoringGame(dom, tuple(f"c{i}" for i in range(8)), Compose(
+    B = SetColoringGame(tuple(f"c{i}" for i in range(8)), Compose(
         identity_fn(dom), ((X.payoff, (0, 1, 2, 3)), (Y.payoff, (4, 5, 6)),
                            (Z.payoff, (3, 7)))))
     fresh = SolverContext()
@@ -1350,12 +1349,12 @@ def test_board_rejects_out_of_range_indices():
         (Const(P4, "a"), ()),
     ))
     with pytest.raises(ValueError):
-        SetColoringGame(P4, ("c1",), payoff)
+        SetColoringGame(("c1",), payoff)
 
 
 def test_board_rejects_duplicate_cells():
     with pytest.raises(ValueError):
-        SetColoringGame(P4, ("c", "c"), Threshold(P4, 2, {}))
+        SetColoringGame(("c", "c"), Threshold(P4, 2, {}))
 
 
 def test_payoff_monotonicity_holds_by_construction():
@@ -1384,8 +1383,8 @@ def test_payoff_monotonicity_check_reads_the_order():
     # over Bool, element 0 is bot and 1 is top: the one-cell table that
     # scores black below white is the one that fails
     assert BOOL.elements == ("bot", "top")
-    up = SetColoringGame(BOOL, ("c",), _TablePayoff(BOOL, (0, 1)))
-    down = SetColoringGame(BOOL, ("c",), _TablePayoff(BOOL, (1, 0)))
+    up = SetColoringGame(("c",), _TablePayoff(BOOL, (0, 1)))
+    down = SetColoringGame(("c",), _TablePayoff(BOOL, (1, 0)))
     assert check_payoff_monotone(up)
     assert not check_payoff_monotone(down)
 
@@ -1399,9 +1398,9 @@ def test_payoff_monotonicity_check_reaches_the_eval_cap():
     majority = tuple(int(2 * m.bit_count() >= n) for m in range(1 << n))
     dip = majority[:-1] + (0,)
     for table, want in ((majority, True), (dip, False)):
-        S = SetColoringGame(BOOL, cells[:n], _TablePayoff(BOOL, table))
+        S = SetColoringGame(cells[:n], _TablePayoff(BOOL, table))
         assert check_payoff_monotone(S) is want
-    S = SetColoringGame(BOOL, cells, _TablePayoff(BOOL, (0,) * (2 << n)))
+    S = SetColoringGame(cells, _TablePayoff(BOOL, (0,) * (2 << n)))
     with pytest.raises(CarrierTooLarge):
         check_payoff_monotone(S)
 

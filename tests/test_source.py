@@ -8,13 +8,17 @@ import pytest
 import scgames
 from scgames.setcolor import Compose, Const, Dual, Threshold
 
-MODULES = sorted(p.name for p in Path(scgames.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SRC = Path(scgames.__file__).parent
+TESTS = Path(__file__).parent
+# the package's modules by name, the test files as tests/<name>
+SOURCES = {p.name: p for p in sorted(SRC.glob("*.py"))
+           if p.name != "__init__.py"}
+SOURCES.update({f"tests/{p.name}": p for p in sorted(TESTS.glob("*.py"))})
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    tree = ast.parse((Path(scgames.__file__).parent / module).read_text())
+@pytest.mark.parametrize("source", SOURCES.values(), ids=list(SOURCES))
+def test_no_unused_imports(source):
+    tree = ast.parse(source.read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and \
@@ -30,7 +34,7 @@ def test_games_walks_recurse_only_where_pinned():
     # walks over a game's positions go through games.fold, on its own
     # stack; is_passable and is_monotone recurse on purpose (their
     # docstrings say why)
-    tree = ast.parse((Path(scgames.__file__).parent / "games.py").read_text())
+    tree = ast.parse((SRC / "games.py").read_text())
     recursive = {fn.name for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef)
                  and any(isinstance(n, ast.Call)
