@@ -12,7 +12,8 @@ negative, input nested deeper than the interpreter's recursion limit
 allows: the order kernel takes two frames a level, is_passable,
 is_monotone, algebra.map_sum (the walk behind sums and composed boards)
 and the board-file reader recurse too, while printing and simplify walk
-on games.fold's own stack).  With ``--stats``
+on games.fold's own stack).  Every exit-2 error, a usage error included,
+is one ``error:`` line on stderr.  With ``--stats``
 (before the verb), the counters of the verb's SolverContext, the size of
 every table it holds (under ``memo``, from ``memo_sizes()``) and the
 number of games the verb added to the intern table (``interned``) are
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 from functools import reduce
+from itertools import takewhile
 from pathlib import Path
 
 from . import games
@@ -126,21 +128,35 @@ def cmd_catalog(args, ctx: SolverContext) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="scgames",
-        description="Game values, set coloring boards, and realizations.")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr and exits 2,
+    with no usage block; the verbs' subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _global_flags() -> argparse.ArgumentParser:
+    """The options that go before the verb; none takes a value."""
+    ap = _Parser(add_help=False)
     ap.add_argument("--stats", action="store_true",
                     help="print the solver's counters, memo sizes and "
                          "newly interned games as one JSON line on stderr "
                          "after the command")
+    return ap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(
+        prog="scgames", parents=[_global_flags()],
+        description="Game values, set coloring boards, and realizations.")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    poset_flag = argparse.ArgumentParser(add_help=False)
+    poset_flag = _Parser(add_help=False)
     poset_flag.add_argument("--poset", default="P4",
                             help="builtin poset name or a JSON poset file "
                                  "(default P4)")
-    uni_flag = argparse.ArgumentParser(add_help=False)
+    uni_flag = _Parser(add_help=False)
     uni_flag.add_argument("--unicode", action="store_true",
                           help="print top/bot as symbols")
 
@@ -204,7 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser()
+    # argparse would read the word after an unknown option before the verb
+    # as the verb, and reject that; name the option instead (a help flag
+    # there prints the help first)
+    head = list(takewhile(lambda a: a.startswith("-") and a != "--", argv))
+    unknown = _global_flags().parse_known_args(head)[1]
+    if unknown and not {"-h", "--help"} & set(head):
+        ap.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = ap.parse_args(argv)
     ctx = SolverContext()
     interned = len(games._GAMES)
     try:

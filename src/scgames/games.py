@@ -4,13 +4,14 @@ A game is an atomic leaf [a] (a an atom of the poset) or a composite node
 with non-empty sets of left and right options.  Nodes are hash-consed into
 a global table: structurally equal games are the same object, and every
 game carries a small integer ``uid``.  The table keys a leaf on
-``(poset, atom)`` and a composite on ``(poset, left, right)``, its
-uid-sorted option tuples; posets and games hash by identity, and each key
-holds the objects it names.  Memo tables key on uids, which are never
-reused; a table over pairs of games (leq, tri) keys on one int,
-``G.uid << 32 | H.uid``, and one over tuples of games (a function's
-images in ``SolverContext.images``) puts the k-th game's uid at bit
-32k.  That packing is exact while every uid is below 2^32, so interning
+``(poset, atom)`` and a composite on ``(left, right)``, its uid-sorted
+option tuples, which fix its poset; posets and games hash by identity, no
+key of one kind equals one of the other, and each key holds the objects
+it names.  Memo tables key on uids, which are never reused; a table over
+pairs of games (leq, tri) keys on one int, ``G.uid << 32 | H.uid``, and
+one over tuples of games (a function's images in
+``SolverContext.images``) puts the k-th game's uid at bit 32k.  That
+packing is exact while every uid is below 2^32, so interning
 a new game past that bound raises :class:`UidOverflow` instead of
 wrapping.
 
@@ -37,7 +38,9 @@ against an atom gives, for composite G,
     leq(., G) = tri(., G) AND the AND over right options gr of tri(., gr)
 
 so a game's masks come from its options' in one pass.  They depend on the
-game alone, so every game gets them when it is interned, together with
+game alone, so every game gets them when it is interned, through a second
+process-wide table that hands every game with the same four masks one
+shared tuple (few signatures cover many games), together with
 its ``depth`` (the longest run of moves to an atom) and its ``branching``
 (the most options on either side of any position, 0 for an atom), each
 also read off its options' fields.
@@ -169,6 +172,7 @@ class UidOverflow(OverflowError):
 
 
 _GAMES: dict[tuple, "Game"] = {}
+_MASKS: dict[tuple, tuple] = {}     # each signature's one shared masks tuple
 _NEXT_UID = [0]
 UID_LIMIT = 1 << 32     # packed memo keys are exact only for uids below this
 
@@ -178,7 +182,9 @@ class Game:
 
     ``atom`` is None for composites; ``left``/``right`` are () for leaves
     and uid-sorted tuples of Games otherwise.  ``masks``, ``depth`` and
-    ``branching`` are fixed at interning; see the module docstring.
+    ``branching`` are fixed at interning; see the module docstring.  Games
+    with equal masks share one ``masks`` tuple, which only :func:`atomic`
+    and ``_intern`` hand out, so build a Game through them alone.
     ``passable`` and ``monotone`` stay None until :func:`is_passable` and
     :func:`is_monotone` first answer them, and ``simple`` until
     :func:`simplify` first does.
@@ -222,8 +228,9 @@ def atomic(a: str, poset: AtomPoset) -> Game:
         down = 0
         for j, row in enumerate(poset._up):
             down |= (row >> i & 1) << j
+        m = (up, up, down, down)
         g = _GAMES[key] = Game(poset, a, (), (), _new_uid(),
-                               (up, up, down, down), 0, 0)
+                               _MASKS.setdefault(m, m), 0, 0)
     return g
 
 
@@ -251,11 +258,13 @@ def _intern(poset: AtomPoset, ls: tuple[Game, ...],
 
     The caller guarantees what :func:`composite` checks: both tuples are
     non-empty, uid-sorted and free of duplicates, and every option lives
-    over ``poset``.  Nothing is re-checked here.  A new node's masks,
-    depth and branching come from its options' by the module docstring's
-    recurrences.
+    over ``poset``.  Nothing is re-checked here.  The node is keyed on
+    ``(ls, rs)`` alone, since the options fix the poset.  A new node's
+    masks, depth and branching come from its options' by the module
+    docstring's recurrences; its masks tuple is the one shared by every
+    game with those masks.
     """
-    key = (poset, ls, rs)
+    key = (ls, rs)
     g = _GAMES.get(key)
     if g is None:
         # leq(G, .) starts from the AND over left options, leq(., G) from
@@ -279,9 +288,9 @@ def _intern(poset: AtomPoset, ls: tuple[Game, ...],
                 depth = x.depth
             if x.branching > branching:
                 branching = x.branching
+        m = (tri_g & leq_g, tri_g, below & leq_b, below)
         g = _GAMES[key] = Game(poset, None, ls, rs, _new_uid(),
-                               (tri_g & leq_g, tri_g, below & leq_b, below),
-                               depth + 1, branching)
+                               _MASKS.setdefault(m, m), depth + 1, branching)
     return g
 
 

@@ -784,9 +784,8 @@ def sc_sum(S: SetColoringGame, T: SetColoringGame) -> SetColoringGame:
 
 
 def sc_map(f: MonotoneFn, S: SetColoringGame) -> SetColoringGame:
-    """Same carrier, payoff post-composed with f."""
-    if f.domain is not S.poset:
-        raise PosetMismatch("function domain differs from the board poset")
+    """Same carrier, payoff post-composed with f; Compose raises
+    PosetMismatch unless f's domain is the board's poset."""
     payoff = Compose(f, ((S.payoff, tuple(range(S.size))),))
     return SetColoringGame(S.cells, payoff)
 

@@ -16,6 +16,7 @@ from scgames.catalog import (DEDEKIND, FixtureEntry, FixtureParseError,
                              load_fixture, orbit_representatives,
                              verify_appendix)
 from scgames import catalog as catalog_mod
+from scgames import games as games_mod
 from scgames.algebra import sum_games
 from scgames.games import (SolverContext, bot, composite, equiv, is_passable,
                            simplify, to_notation, top)
@@ -213,6 +214,12 @@ def test_catalog_matches_expanded_table_at_four(mctx, fixture):
     ex = expand_fixture(fixture, 4, mctx)
     same_values_mod_equiv(mctx, cat.values(), ex)
     assert len(cat) == len(ex) == 50
+
+
+def test_every_interned_game_holds_its_signatures_one_masks_tuple(mctx):
+    build_catalog(mctx, 4)
+    table = games_mod._MASKS
+    assert all(table[g.masks] is g.masks for g in games_mod._GAMES.values())
 
 
 def test_catalog_rejects_cell_counts_outside_the_table():

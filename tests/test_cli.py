@@ -506,6 +506,21 @@ def test_there_is_no_seed_flag(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--seed", "7", "value", "a"], "--seed"),
+    (["frob", "a"], "frob"),
+    (["value"], "game"),
+    (["eval", "F", "--max-cells", "x"], "--max-cells"),
+], ids=["option-before-verb", "unknown-verb", "no-game", "bad-int"])
+def test_a_usage_error_is_one_error_line(capsys, argv, named):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert named in out.err
+
+
 # -- malformed files and fuzzed input -----------------------------------------
 
 def _board(cells, payoff):

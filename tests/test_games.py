@@ -73,6 +73,17 @@ def test_composite_interning_ignores_order_and_dupes():
     assert composite([t, b], [b]) is composite([b, t, b], [b])
 
 
+def test_games_with_one_signature_share_one_masks_tuple():
+    # {t|t} and {{t|t}|t} are two games, each with the masks of the atom
+    # t; interning hands all three one tuple, so its ints are held once
+    t = top(product(P4, P4))
+    g = composite([t], [t])
+    h = composite([g], [t])
+    assert len({t, g, h}) == 3
+    assert g.masks is h.masks is t.masks
+    assert games_mod._MASKS[t.masks] is t.masks
+
+
 def test_composite_empty_side_rejected():
     with pytest.raises(EmptyOptionSet):
         composite([], [top(P4)], P4)
@@ -645,8 +656,10 @@ def test_simplify_interns_no_discarded_node():
     assert out is parse("{top|bot}", p)
     added = [games_mod._GAMES[k] for k in set(games_mod._GAMES) - before]
     assert added and set(added) <= set(positions(out))
-    pre_prune = (p, games_mod._dedup([top(p), atomic("s", p)]), (bot(p),))
+    # the table keys a composite on its option tuples alone
+    pre_prune = (games_mod._dedup([top(p), atomic("s", p)]), (bot(p),))
     assert pre_prune not in games_mod._GAMES
+    assert (out.left, out.right) in games_mod._GAMES
 
 
 def _prune_stepwise(ctx, options, keep_large):

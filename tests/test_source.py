@@ -44,6 +44,23 @@ def test_games_walks_recurse_only_where_pinned():
         "walk a game's positions with games.fold, not by recursion")
 
 
+def test_games_are_built_only_where_their_masks_are_shared():
+    # games.atomic and games._intern pass each new node's masks through
+    # the shared table; a Game built anywhere else would skip it
+    calls = []
+    for name, source in SOURCES.items():
+        tree = ast.parse(source.read_text())
+        owner = {}      # node -> innermost enclosing function
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        calls += [(name, owner.get(n)) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and "Game" in (getattr(n.func, "id", None),
+                                 getattr(n.func, "attr", None))]
+    assert sorted(calls) == [("games.py", "_intern"), ("games.py", "atomic")]
+
+
 @pytest.mark.parametrize("cls", [Const, Threshold, Compose, Dual],
                          ids=lambda cls: cls.__name__)
 def test_payoff_classes_bind_value_at_in_their_own_dict(cls):
