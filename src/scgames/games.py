@@ -21,10 +21,12 @@ right option of H, and additionally ``tri(G, H)`` whenever G or H is
 atomic.  ``tri(G, H)`` holds iff some right option of G is leq-below H, or
 G is leq-below some left option of H, or both are atomic and G's atom is
 below H's in the poset.  Equivalence is leq both ways.  leq is reflexive
-on all games.  Transitivity through an atom (L1, L2 and S1 below) is
-proven for all games, passable or not; transitivity through a composite
-game is known on passable games only, and off them the code never relies
-on it (see simplify).
+on all games, by induction on depth: each left option gl of G has
+tri(gl, G) through leq(gl, gl), each right option gr has tri(G, gr)
+through leq(gr, gr), and an atom has a <= a.  Transitivity through an
+atom (L1, L2 and S1 below) is proven for all games, passable or not;
+transitivity through a composite game is known on passable games only,
+and off them the code never relies on it (see simplify).
 
 Every game carries four atom masks (``G.masks``): bitmasks over the
 poset's elements, bit i for the atom a_i, holding ``leq(G, a_i)``,
@@ -106,8 +108,12 @@ Every pair, option pairs included, goes through its relation's one
 function, ``_leq`` or ``_tri``: the rules first, then, for a pair they
 leave open (always a composite pair), one lookup in the pair memo
 (``ctx.leq``, ``ctx.tri``), and on a miss the clauses, each option
-through the other relation's function.  So the pair memos hold only pairs
-the masks leave open.
+through the other relation's function.  ``_leq`` answers ``leq(G, G)``
+True right after the rules, by reflexivity, before the memo.  The one
+other way in is simplify's final check, ``_leq_matched``, which applies
+the same rules to its top pair and then goes through ``_leq`` and
+``_tri``.  So the pair memos hold only pairs the masks leave open, and
+never a reflexive leq pair.
 
 :func:`composite` sorts, deduplicates and checks its options, then hands
 them to ``_intern``, the one place a composite node is made.
@@ -137,6 +143,7 @@ record of one run.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cache
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -418,6 +425,8 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
         return False
     if g[0] & h[2]:
         return True
+    if G is H:      # reflexive (module docstring), so never stored
+        return True
     key = G.uid << 32 | H.uid
     res = ctx.leq.get(key)
     if res is None:
@@ -456,6 +465,47 @@ def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
                     res = True
                     break
         ctx.tri[key] = res
+    return res
+
+
+def _leq_matched(ctx: SolverContext, G: Game, H: Game) -> bool:
+    """leq(G, H) as _leq answers it, for distinct games whose options
+    mostly match (simplify's final check).
+
+    Each tri clause first looks for its witness at the other game's
+    options on the same side: leq(gl, hl) over the left options of H,
+    leq(gr, hr) over the right options of G.  A witness found there stores
+    no tri entry; only a clause with none falls back to _tri.  The mask
+    rules are repeated because the pair's entry is stored, as _leq stores
+    it, and the pair memo holds no pair the masks decide.
+    """
+    g, h = G.masks, H.masks
+    if g[2] & ~h[2] or h[0] & ~g[0]:
+        return False
+    if g[0] & h[2]:
+        return True
+    key = G.uid << 32 | H.uid
+    res = ctx.leq.get(key)
+    if res is None:
+        res = True
+        for gl in G.left:
+            for hl in H.left:
+                if _leq(ctx, gl, hl):
+                    break
+            else:
+                if not _tri(ctx, gl, H):
+                    res = False
+                    break
+        else:
+            for hr in H.right:
+                for gr in G.right:
+                    if _leq(ctx, gr, hr):
+                        break
+                else:
+                    if not _tri(ctx, G, hr):
+                        res = False
+                        break
+        ctx.leq[key] = res
     return res
 
 
@@ -553,6 +603,15 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     result is checked against the input; if that last check fails we
     return the input unchanged rather than a wrong answer.
 
+    The final check is leq both ways, with each tri clause tried first at
+    the other game's options (``_leq_matched``): most options of the
+    result are the simplified forms of the input's, so leq(gl, hl) for
+    the matching left option, or leq(gr, hr) for the matching right one,
+    is an identical game or a memo hit, set by the check that simplified
+    that option.  Only a clause with no such witness falls back to tri,
+    which walks the input's raw positions.  The order of an OR changes,
+    not its value, so the check answers as equiv does.
+
     Pruning compares options with each other only, so the current node is
     interned once both sides are pruned, right before a bypass needs it;
     a node that pruning would change is never interned.  Each round of
@@ -614,7 +673,8 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
                 rs = new_rs
                 continue
             break
-        if cur is not g and not equiv(ctx, cur, g):
+        if cur is not g and not (_leq_matched(ctx, cur, g)
+                                 and _leq_matched(ctx, g, cur)):
             # only reachable through a transitivity failure; keep the input
             stats["simplify_fallback"] += 1
             cur = g
@@ -720,12 +780,19 @@ def dual(G: Game) -> Game:
 def swap_ab(G: Game) -> Game:
     """Relabel the atoms a and b into each other; needs them incomparable."""
     p = G.poset
+    m = _ab_swap(p)
+    return rebuild(G, lambda a: atomic(m[a], p), False)
+
+
+@cache
+def _ab_swap(p: AtomPoset) -> dict[str, str]:
+    """The atom map of swap_ab over p, built and checked once per poset."""
     if "a" not in p or "b" not in p or p.le("a", "b") or p.le("b", "a"):
         raise ValueError("poset has no a/b exchange symmetry")
     m = {e: e for e in p.elements}
     m["a"], m["b"] = "b", "a"
     MonotoneFn(p, p, m)   # a monotone involution is an order automorphism
-    return rebuild(G, lambda a: atomic(m[a], p), False)
+    return m
 
 
 def rebuild(G: Game, leaf: Callable[[str], Game], swap_sides: bool) -> Game:

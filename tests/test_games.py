@@ -391,6 +391,80 @@ def test_pair_memos_hold_composite_pairs_only():
                 if v != ref_tri(by_uid[k >> 32], by_uid[k & low])]
 
 
+@pytest.fixture
+def cold_games():
+    """Every interned game's kept predicates and simplified form cleared
+    for the test, so that it computes them in its own context, then put
+    back, and those of games it interned dropped, so that no later test
+    reads a field set here."""
+    kept = [(g, g.passable, g.monotone, g.simple)
+            for g in list(games_mod._GAMES.values())]
+    for g, *_ in kept:
+        g.passable = g.monotone = g.simple = None
+    yield
+    for g in list(games_mod._GAMES.values()):
+        g.passable = g.monotone = g.simple = None
+    for g, passable, monotone, simple in kept:
+        g.passable, g.monotone, g.simple = passable, monotone, simple
+
+
+def test_pair_memos_agree_with_a_fresh_context(cold_games):
+    # the sums of test_pair_memos_hold_composite_pairs_only, with every
+    # simplified form computed here: each entry simplify's checks wrote,
+    # those of its final check in their own clause order, is what a
+    # second context answers for the pair, and no leq entry is reflexive
+    ctx = SolverContext()
+    rng = random.Random(1013)
+    for _ in range(60):
+        simplify(ctx, sum_games(ctx, _composite_passable(ctx, rng),
+                                _composite_passable(ctx, rng)))
+    assert len(ctx.leq) > 1000 and len(ctx.tri) > 1000
+    by_uid = {g.uid: g for g in list(games_mod._GAMES.values())}
+    low = UID_LIMIT - 1
+    fresh = SolverContext()
+    for memo, rel in ((ctx.leq, leq), (ctx.tri, tri)):
+        assert not [k for k, v in memo.items()
+                    if rel(fresh, by_uid[k >> 32], by_uid[k & low]) != v]
+    assert not [k for k in ctx.leq if k >> 32 == k & low]
+
+
+def test_leq_of_a_2000_level_chain_with_itself(ctx):
+    # _leq answers a game against itself right after the mask rules, so
+    # a chain whose every level the masks leave open compares with itself
+    # far past the depth the order kernel's recursion reaches
+    assert sys.getrecursionlimit() <= 1000
+    a, b = atomic("a", P4), atomic("b", P4)
+    g = bot(P4)
+    for _ in range(2000):
+        g = composite([a, b], [g])      # {a,b|...{a,b|bot}...}
+    assert not _masks_decide_leq(g, g)
+    assert leq(ctx, g, g) and equiv(ctx, g, g)
+    assert not ctx.leq and not ctx.tri
+
+
+def test_simplify_falls_back_to_its_input_when_the_check_fails(
+        monkeypatch, cold_games):
+    # a prune that also drops its last survivor changes the value of many
+    # nodes, so simplify's final check against the input must catch each
+    # one and return the input instead; every answer stays equivalent
+    pruned = games_mod._prune_dominated
+
+    def lossy(ctx, options, keep_large):
+        out = pruned(ctx, options, keep_large)
+        return out[:-1] if len(out) > 1 else out
+
+    monkeypatch.setattr(games_mod, "_prune_dominated", lossy)
+    rng = random.Random(5)
+    gs = [random_game(rng, P4, 2, 3) for _ in range(400)]
+    ctx = SolverContext()
+    out = [simplify(ctx, g) for g in gs]
+    monkeypatch.undo()
+    assert ctx.stats["simplify_fallback"] > 50
+    assert sum(s is not g for s, g in zip(out, gs)) > 100
+    fresh = SolverContext()
+    assert not [g for s, g in zip(out, gs) if not equiv(fresh, s, g)]
+
+
 def test_leq_decides_chain_of_300_levels():
     # two Python frames per level of the recursion, so 300 levels fit
     # the default recursion limit; the masks leave every level of these
@@ -907,5 +981,7 @@ def test_simplify_equivalence_property(g):
 @settings(max_examples=150, deadline=None)
 @given(games_over(P4, max_leaves=6))
 def test_leq_reflexive_property(g):
-    from scgames.games import SolverContext
-    assert leq(SolverContext(), g, g)
+    # answered by reflexivity, so stored in no pair memo
+    local = SolverContext()
+    assert leq(local, g, g)
+    assert not local.leq and not local.tri
