@@ -9,7 +9,7 @@ Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded or
 negative, input nested deeper than the interpreter's recursion limit
-allows: the order kernel takes two frames a level, is_passable,
+allows: the order kernel takes up to two frames a level, is_passable,
 is_monotone, algebra.map_sum (the walk behind sums and composed boards)
 and the board-file reader recurse too, while printing and simplify walk
 on games.fold's own stack).  Every exit-2 error, a usage error included,

@@ -107,13 +107,16 @@ always decided, by the one bit that holds its answer.
 Every pair, option pairs included, goes through its relation's one
 function, ``_leq`` or ``_tri``: the rules first, then, for a pair they
 leave open (always a composite pair), one lookup in the pair memo
-(``ctx.leq``, ``ctx.tri``), and on a miss the clauses, each option
-through the other relation's function.  ``_leq`` answers ``leq(G, G)``
-True right after the rules, by reflexivity, before the memo.  The one
-other way in is simplify's final check, ``_leq_matched``, which applies
-the same rules to its top pair and then goes through ``_leq`` and
-``_tri``.  So the pair memos hold only pairs the masks leave open, and
-never a reflexive leq pair.
+(``ctx.leq``, ``ctx.tri``), and on a miss the clauses.  ``_tri`` takes
+each option through ``_leq``.  ``_leq`` tries each of its tri clauses
+first at the other game's options on the same side: tri(gl, H) holds if
+leq(gl, hl) for a left option hl of H, and tri(G, hr) holds if
+leq(gr, hr) for a right option gr of G.  Each is one disjunct of the
+clause, so trying it first changes the order of an OR, not its value,
+and a witness found there stores no tri entry; only a clause with none
+goes through ``_tri``.  ``_leq`` answers ``leq(G, G)`` True right after
+the rules, by reflexivity, before the memo.  So the pair memos hold only
+pairs the masks leave open, and never a reflexive leq pair.
 
 :func:`composite` sorts, deduplicates and checks its options, then hands
 them to ``_intern``, the one place a composite node is made.
@@ -123,9 +126,9 @@ duplicates, non-empty and over one poset, calls ``_intern`` directly.
 :func:`fold` walks positions in post-order on its own stack, at any
 depth: simplify, rebuild (so dual, swap_ab, map_game, substitute_atoms),
 to_notation and positions use it.  Still recursive, in Python frames a
-level: the order kernel, two; is_passable and is_monotone, one plus the
-kernel's; algebra.map_sum (so algebra.sum_games), one; realize._realize,
-three.
+level: the order kernel, at most two; is_passable and is_monotone, one
+plus the kernel's; algebra.map_sum (so algebra.sum_games), one;
+realize._realize, three.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
 option on at least one side; atomic games are locally passable by fiat.
@@ -415,11 +418,11 @@ def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
-    # The masks decide the pair when they can (module docstring), an open
-    # pair costs one lookup in ctx.leq, and a miss evaluates the clauses,
-    # each option through _tri.  Plain loops rather than all()/any() over
-    # generators: one Python frame a relation call.  Keys are
-    # G.uid << 32 | H.uid (module docstring).
+    # The masks decide the pair when they can, an open pair costs one
+    # lookup in ctx.leq, and a miss evaluates the clauses, each tri clause
+    # tried first at the other game's options on the same side (module
+    # docstring).  Plain loops rather than all()/any() over generators:
+    # one Python frame a relation call.  Keys are G.uid << 32 | H.uid.
     g, h = G.masks, H.masks
     if g[2] & ~h[2] or h[0] & ~g[0]:
         return False
@@ -432,14 +435,22 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     if res is None:
         res = True
         for gl in G.left:
-            if not _tri(ctx, gl, H):
-                res = False
-                break
-        else:
-            for hr in H.right:
-                if not _tri(ctx, G, hr):
+            for hl in H.left:
+                if _leq(ctx, gl, hl):
+                    break
+            else:
+                if not _tri(ctx, gl, H):
                     res = False
                     break
+        else:
+            for hr in H.right:
+                for gr in G.right:
+                    if _leq(ctx, gr, hr):
+                        break
+                else:
+                    if not _tri(ctx, G, hr):
+                        res = False
+                        break
         ctx.leq[key] = res
     return res
 
@@ -468,47 +479,6 @@ def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
     return res
 
 
-def _leq_matched(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """leq(G, H) as _leq answers it, for distinct games whose options
-    mostly match (simplify's final check).
-
-    Each tri clause first looks for its witness at the other game's
-    options on the same side: leq(gl, hl) over the left options of H,
-    leq(gr, hr) over the right options of G.  A witness found there stores
-    no tri entry; only a clause with none falls back to _tri.  The mask
-    rules are repeated because the pair's entry is stored, as _leq stores
-    it, and the pair memo holds no pair the masks decide.
-    """
-    g, h = G.masks, H.masks
-    if g[2] & ~h[2] or h[0] & ~g[0]:
-        return False
-    if g[0] & h[2]:
-        return True
-    key = G.uid << 32 | H.uid
-    res = ctx.leq.get(key)
-    if res is None:
-        res = True
-        for gl in G.left:
-            for hl in H.left:
-                if _leq(ctx, gl, hl):
-                    break
-            else:
-                if not _tri(ctx, gl, H):
-                    res = False
-                    break
-        else:
-            for hr in H.right:
-                for gr in G.right:
-                    if _leq(ctx, gr, hr):
-                        break
-                else:
-                    if not _tri(ctx, G, hr):
-                        res = False
-                        break
-        ctx.leq[key] = res
-    return res
-
-
 def equiv(ctx: SolverContext, G: Game, H: Game) -> bool:
     _check_pair(G, H)
     return _leq(ctx, G, H) and _leq(ctx, H, G)
@@ -530,7 +500,7 @@ def is_good_right(ctx: SolverContext, G: Game, option: Game) -> bool:
 def local_class(ctx: SolverContext, G: Game) -> str:
     """Strongest local label: atomic, monotone, semi_monotone, passable, none.
 
-    Its only recursion is the order kernel's, two frames a level.
+    Its only recursion is the order kernel's, up to two frames a level.
     """
     if G.is_atomic:
         return "atomic"
@@ -603,14 +573,13 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     result is checked against the input; if that last check fails we
     return the input unchanged rather than a wrong answer.
 
-    The final check is leq both ways, with each tri clause tried first at
-    the other game's options (``_leq_matched``): most options of the
-    result are the simplified forms of the input's, so leq(gl, hl) for
-    the matching left option, or leq(gr, hr) for the matching right one,
-    is an identical game or a memo hit, set by the check that simplified
-    that option.  Only a clause with no such witness falls back to tri,
-    which walks the input's raw positions.  The order of an OR changes,
-    not its value, so the check answers as equiv does.
+    The final check is :func:`equiv`, whose leq tries each tri clause
+    first at the other game's options on the same side: most options of
+    the result are the simplified forms of the input's, so leq(gl, hl)
+    for the matching left option, or leq(gr, hr) for the matching right
+    one, is an identical game or a memo hit, set by the check that
+    simplified that option.  Only a clause with no such witness goes
+    through tri, which walks the input's raw positions.
 
     Pruning compares options with each other only, so the current node is
     interned once both sides are pruned, right before a bypass needs it;
@@ -673,8 +642,7 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
                 rs = new_rs
                 continue
             break
-        if cur is not g and not (_leq_matched(ctx, cur, g)
-                                 and _leq_matched(ctx, g, cur)):
+        if cur is not g and not equiv(ctx, cur, g):
             # only reachable through a transitivity failure; keep the input
             stats["simplify_fallback"] += 1
             cur = g

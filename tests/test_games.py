@@ -409,13 +409,15 @@ def cold_games():
 
 
 def test_pair_memos_agree_with_a_fresh_context(cold_games):
-    # the sums of test_pair_memos_hold_composite_pairs_only, with every
-    # simplified form computed here: each entry simplify's checks wrote,
-    # those of its final check in their own clause order, is what a
-    # second context answers for the pair, and no leq entry is reflexive
+    # the 60 sums of test_pair_memos_hold_composite_pairs_only and 140
+    # more, with every simplified form computed here: each entry simplify's
+    # checks wrote is what a second context answers for the pair, and no
+    # leq entry is reflexive.  leq finds most tri witnesses at the
+    # matching options, which stores no tri entry, so it takes 200 sums
+    # for more than 1000 tri entries
     ctx = SolverContext()
     rng = random.Random(1013)
-    for _ in range(60):
+    for _ in range(200):
         simplify(ctx, sum_games(ctx, _composite_passable(ctx, rng),
                                 _composite_passable(ctx, rng)))
     assert len(ctx.leq) > 1000 and len(ctx.tri) > 1000
@@ -498,9 +500,12 @@ def test_chain_of_400_levels_through_the_order_kernel():
     # query gets a fresh context, so no memo answers it from another's
     # recursion, and the answers match the reference on a shallow chain.
     # The masks leave every level of the {a,b|...} chains open, so each
-    # order query memoizes at least one pair a level.  Games keep their
-    # predicates, so the deep-chain tests here each ask them of a chain no
-    # other test asks them of.
+    # order query memoizes at least one pair a level of the shorter,
+    # 399-level chain.  The masks decide every level of the monotone
+    # chain {top|...{top|a}...}, so that arm checks is_monotone's own walk
+    # and nothing of the order kernel.  Games keep their predicates, so
+    # the deep-chain tests here each ask them of a chain no other test
+    # asks them of.
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
 
@@ -528,9 +533,31 @@ def test_chain_of_400_levels_through_the_order_kernel():
         got.append(query(local))
         grown.append(len(local.leq) + len(local.tri))
     assert got == [False, True, False, True]
-    assert min(grown) >= 400
+    assert min(grown) >= 399
     assert simplify(SolverContext(), g) is g
     assert is_monotone(SolverContext(), monotone_chain(400))
+
+
+def test_leq_finds_tri_witnesses_at_the_matching_options():
+    # h = {a,b|h'} and g = {a,b|h}: leq(h, g) finds the witnesses of its
+    # left clauses at g's own a and b, and that of tri(h, h) at
+    # leq(h', h), the same query a level down, so it stores one leq entry
+    # a level and no tri entry, however deep the chains
+    a, b = atomic("a", P4), atomic("b", P4)
+
+    def chain(n):
+        g = bot(P4)
+        for _ in range(n):
+            g = composite([a, b], [g])      # {a,b|...{a,b|bot}...}
+        return g
+
+    for n in (4, 400):
+        g, h = chain(n), chain(n - 1)
+        local = SolverContext()
+        got = leq(local, h, g)
+        if n == 4:
+            assert got == ref_leq(h, g)
+        assert got and len(local.leq) == n - 1 and not local.tri
 
 
 def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scgames.catalog import build_catalog
+from scgames.catalog import build_catalog, expand_fixture, load_fixture
 from scgames.games import (
     SolverContext,
     atomic,
@@ -248,3 +248,23 @@ def test_census_values_round_trip_at_four_cells():
         "{{top|a},{top|b}|{a,b|bot}}": 16,
         "{{top|a,b}|{a|bot},{b|bot}}": 16,
     }
+
+
+@pytest.mark.slow
+def test_census_values_round_trip_at_five_cells():
+    # the converse theorem on every value the table implies through 5
+    # cells: each is realized by the plain synthesizer within its size
+    # bound, and each board's value is checked by eval_board, which
+    # brute-forces every part, the largest of 15 cells.  Each check gets
+    # a fresh context, which keeps the peak under 250 MB
+    ctx = SolverContext()
+    values = sorted(expand_fixture(load_fixture(), 5, ctx), key=to_notation)
+    assert len(values) == 178
+    largest = 0
+    for v in values:
+        r = realize(ctx, v, verify_value=False)
+        assert r.carrier_size <= r.bound
+        vctx = SolverContext()
+        assert verify(vctx, r.board, v, max_cells=16), to_notation(v)
+        largest = max(largest, vctx.stats["eval_flat_cells"])
+    assert largest == 15
