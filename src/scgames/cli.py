@@ -9,11 +9,11 @@ Exit codes are script-friendly: 0 for success, 1 when a predicate comes
 out false or a verification fails, 2 for unusable input (syntax errors,
 unknown posets or atoms, missing or malformed files, caps exceeded or
 negative, input nested deeper than the interpreter's recursion limit
-allows: the order kernel takes up to two frames a level, is_passable,
-is_monotone, algebra.map_sum (the walk behind sums and composed boards)
-and the board-file reader recurse too, while printing and simplify walk
-on games.fold's own stack).  Every exit-2 error, a usage error included,
-is one ``error:`` line on stderr.  With ``--stats``
+allows: the order kernel takes one frame a level and realize three,
+is_passable, is_monotone, algebra.map_sum (the walk behind sums and
+composed boards) and the board-file reader recurse too, while printing
+and simplify walk on games.fold's own stack).  Every exit-2 error, a
+usage error included, is one ``error:`` line on stderr.  With ``--stats``
 (before the verb), the counters of the verb's SolverContext, the size of
 every table it holds (under ``memo``, from ``memo_sizes()``) and the
 number of games the verb added to the intern table (``interned``) are
@@ -37,8 +37,7 @@ from .games import SolverContext, is_monotone, is_passable, leq, equiv, \
     simplify, to_notation
 from .notation import parse_game
 from .poset import UnknownPoset, builtin, poset_from_json, read_product
-from .realize import DEFAULT_VERIFY_CAP, NotPassable, VerificationFailed, \
-    realize
+from .realize import NotPassable, VerificationFailed, realize
 from .setcolor import DEFAULT_EVAL_CAP, eval_board, load_board, save_board
 
 
@@ -199,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="re-evaluate the board and compare with the input")
     p.add_argument("-o", "--out", default=None, help="write the board here")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_VERIFY_CAP,
+    p.add_argument("--max-cells", type=int, default=DEFAULT_EVAL_CAP,
                    help="carrier cap for brute-force verification, and the "
                         "cap on the empty cells of each part brute-forced "
-                        "during it (default %(default)s)")
+                        "during it, as for eval (default %(default)s)")
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("verify-appendix",

@@ -104,19 +104,22 @@ When G is the atom a_i, bit i is set in g[0] and in g[2], so the rules
 answer leq by bit i of h[2] and tri by bit i of h[3]; when H is a_i,
 likewise by bit i of g[0] or g[1].  A pair with an atomic side is thus
 always decided, by the one bit that holds its answer.
-Every pair, option pairs included, goes through its relation's one
-function, ``_leq`` or ``_tri``: the rules first, then, for a pair they
-leave open (always a composite pair), one lookup in the pair memo
-(``ctx.leq``, ``ctx.tri``), and on a miss the clauses.  ``_tri`` takes
-each option through ``_leq``.  ``_leq`` tries each of its tri clauses
-first at the other game's options on the same side: tri(gl, H) holds if
-leq(gl, hl) for a left option hl of H, and tri(G, hr) holds if
-leq(gr, hr) for a right option gr of G.  Each is one disjunct of the
-clause, so trying it first changes the order of an OR, not its value,
-and a witness found there stores no tri entry; only a clause with none
-goes through ``_tri``.  ``_leq`` answers ``leq(G, G)`` True right after
-the rules, by reflexivity, before the memo.  So the pair memos hold only
-pairs the masks leave open, and never a reflexive leq pair.
+The order kernel is one function, ``_leq``, which every leq query goes
+through, option pairs included: the rules first, then, for a pair they
+leave open (always a composite pair), one lookup in ``ctx.leq``, and on
+a miss the clauses.  Both games of a missed pair are composite, so no
+tri clause has two atomic sides, and each is the OR of its two leq
+disjuncts, which ``_leq`` asks itself, each option pair once, the one at
+the other game's options on the same side first: tri(gl, H) holds iff
+leq(gl, hl) for some left option hl of H or leq(x, H) for some right
+option x of gl, and tri(G, hr) iff leq(gr, hr) for some right option gr
+of G or leq(G, y) for some left option y of hr.  So ``_leq`` recurses
+only into itself and stores no tri entry.  It answers ``leq(G, G)``
+True right after the rules, by reflexivity, before the memo.  The
+public :func:`tri` holds the tri rules and ``ctx.tri``, for a query of
+tri itself, and asks its two disjuncts through ``_leq``.  So the pair
+memos hold only pairs the masks leave open, and never a reflexive leq
+pair.
 
 :func:`composite` sorts, deduplicates and checks its options, then hands
 them to ``_intern``, the one place a composite node is made.
@@ -126,8 +129,8 @@ duplicates, non-empty and over one poset, calls ``_intern`` directly.
 :func:`fold` walks positions in post-order on its own stack, at any
 depth: simplify, rebuild (so dual, swap_ab, map_game, substitute_atoms),
 to_notation and positions use it.  Still recursive, in Python frames a
-level: the order kernel, at most two; is_passable and is_monotone, one
-plus the kernel's; algebra.map_sum (so algebra.sum_games), one;
+level: the order kernel, one; is_passable and is_monotone, one plus the
+kernel's; algebra.map_sum (so algebra.sum_games), one;
 realize._realize, three.
 
 A composite game is locally passable iff tri(G, G), i.e. it has a good
@@ -412,17 +415,32 @@ def leq(ctx: SolverContext, G: Game, H: Game) -> bool:
 
 
 def tri(ctx: SolverContext, G: Game, H: Game) -> bool:
-    """Companion relation of leq ("less than or confused with")."""
+    """Companion relation of leq ("less than or confused with").
+
+    The mask rules first, then one lookup in ``ctx.tri``, and on a miss
+    the two disjuncts through leq; ``_leq`` asks its tri clauses itself.
+    """
     _check_pair(G, H)
-    return _tri(ctx, G, H)
+    g, h = G.masks, H.masks
+    if g[2] & ~h[3] or h[0] & ~g[1]:
+        return False
+    if g[0] & h[3] or g[1] & h[2]:
+        return True
+    key = G.uid << 32 | H.uid
+    res = ctx.tri.get(key)
+    if res is None:
+        res = ctx.tri[key] = (any(_leq(ctx, gr, H) for gr in G.right)
+                              or any(_leq(ctx, G, hl) for hl in H.left))
+    return res
 
 
 def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     # The masks decide the pair when they can, an open pair costs one
     # lookup in ctx.leq, and a miss evaluates the clauses, each tri clause
-    # tried first at the other game's options on the same side (module
-    # docstring).  Plain loops rather than all()/any() over generators:
-    # one Python frame a relation call.  Keys are G.uid << 32 | H.uid.
+    # as its two disjuncts, the one at the other game's options on the
+    # same side first (module docstring).  Plain loops rather than
+    # all()/any() over generators: one Python frame a level.  Keys are
+    # G.uid << 32 | H.uid.
     g, h = G.masks, H.masks
     if g[2] & ~h[2] or h[0] & ~g[0]:
         return False
@@ -434,48 +452,30 @@ def _leq(ctx: SolverContext, G: Game, H: Game) -> bool:
     res = ctx.leq.get(key)
     if res is None:
         res = True
-        for gl in G.left:
+        for gl in G.left:           # tri(gl, H)
             for hl in H.left:
                 if _leq(ctx, gl, hl):
                     break
             else:
-                if not _tri(ctx, gl, H):
+                for x in gl.right:
+                    if _leq(ctx, x, H):
+                        break
+                else:
                     res = False
                     break
         else:
-            for hr in H.right:
+            for hr in H.right:      # tri(G, hr)
                 for gr in G.right:
                     if _leq(ctx, gr, hr):
                         break
                 else:
-                    if not _tri(ctx, G, hr):
+                    for y in hr.left:
+                        if _leq(ctx, G, y):
+                            break
+                    else:
                         res = False
                         break
         ctx.leq[key] = res
-    return res
-
-
-def _tri(ctx: SolverContext, G: Game, H: Game) -> bool:
-    # the mirror of _leq
-    g, h = G.masks, H.masks
-    if g[2] & ~h[3] or h[0] & ~g[1]:
-        return False
-    if g[0] & h[3] or g[1] & h[2]:
-        return True
-    key = G.uid << 32 | H.uid
-    res = ctx.tri.get(key)
-    if res is None:
-        res = False
-        for gr in G.right:
-            if _leq(ctx, gr, H):
-                res = True
-                break
-        else:
-            for hl in H.left:
-                if _leq(ctx, G, hl):
-                    res = True
-                    break
-        ctx.tri[key] = res
     return res
 
 
@@ -500,7 +500,7 @@ def is_good_right(ctx: SolverContext, G: Game, option: Game) -> bool:
 def local_class(ctx: SolverContext, G: Game) -> str:
     """Strongest local label: atomic, monotone, semi_monotone, passable, none.
 
-    Its only recursion is the order kernel's, up to two frames a level.
+    Its only recursion is the order kernel's, one frame a level.
     """
     if G.is_atomic:
         return "atomic"
@@ -518,14 +518,15 @@ def local_class(ctx: SolverContext, G: Game) -> str:
 def is_passable(ctx: SolverContext, G: Game) -> bool:
     """Every position has a good option (or is atomic); kept on the game.
 
-    Local passability is tri(G, G), which takes the order kernel's two
-    frames a level, so a fold would lift no depth limit; this recursion
-    stops at the first failing position, where a fold would visit all.
+    Local passability is tri(G, G), which asks its disjuncts through the
+    order kernel, one frame a level, so a fold would lift no depth limit;
+    this recursion stops at the first failing position, where a fold
+    would visit all.
     """
     hit = G.passable
     if hit is not None:
         return hit
-    res = _tri(ctx, G, G)
+    res = tri(ctx, G, G)
     if res:
         for x in G.left + G.right:
             if not is_passable(ctx, x):
@@ -573,13 +574,13 @@ def simplify(ctx: SolverContext, G: Game) -> Game:
     result is checked against the input; if that last check fails we
     return the input unchanged rather than a wrong answer.
 
-    The final check is :func:`equiv`, whose leq tries each tri clause
+    The final check is :func:`equiv`, whose leq asks each tri clause
     first at the other game's options on the same side: most options of
     the result are the simplified forms of the input's, so leq(gl, hl)
     for the matching left option, or leq(gr, hr) for the matching right
     one, is an identical game or a memo hit, set by the check that
-    simplified that option.  Only a clause with no such witness goes
-    through tri, which walks the input's raw positions.
+    simplified that option.  Only a clause with no such witness goes on
+    to its other disjunct, which walks the input's raw positions.
 
     Pruning compares options with each other only, so the current node is
     interned once both sides are pruned, right before a bypass needs it;

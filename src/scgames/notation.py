@@ -28,9 +28,10 @@ class GameSyntaxError(ValueError):
 _PUNCT = frozenset("{}|,")
 
 # Brace nesting the parser accepts.  Printing and simplify walk on
-# games.fold's own stack; parsing and is_passable/is_monotone take one
-# Python frame a level, the order (leq/tri) two.  100 stays because the
-# order alone would exhaust Python's recursion limit on much deeper input.
+# games.fold's own stack; parsing, the order kernel, is_passable and
+# is_monotone take one Python frame a level, and realize three.  100 stays
+# so that realize's 300 frames fit Python's default recursion limit of
+# 1000 with room for the frames below and above them.
 MAX_NESTING = 100
 
 

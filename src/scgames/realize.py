@@ -31,6 +31,7 @@ from .games import (
     top,
 )
 from .setcolor import (
+    DEFAULT_EVAL_CAP,
     SetColoringGame,
     _ceil_log2,
     eval_board,
@@ -59,9 +60,6 @@ class VerifiedHow(enum.Enum):
     BRUTE_FORCE = "brute_force"
     COMPOSITIONAL = "compositional"
     SKIPPED = "skipped"
-
-
-DEFAULT_VERIFY_CAP = 14
 
 
 def size_bound(ctx: SolverContext, G: Game) -> int:
@@ -103,14 +101,14 @@ class RealizationReport:
 
 
 def verify(ctx: SolverContext, board: SetColoringGame, G: Game,
-           max_cells: int = DEFAULT_VERIFY_CAP) -> bool:
+           max_cells: int = DEFAULT_EVAL_CAP) -> bool:
     """Check by eval_board that the board's value is the game, up to
     equiv; every part whose children share cells is brute-forced."""
     return equiv(ctx, eval_board(ctx, board, max_cells=max_cells), G)
 
 
 def realize(ctx: SolverContext, G: Game, verify_value: bool = True,
-            verify_cap: int = DEFAULT_VERIFY_CAP) -> RealizationReport:
+            verify_cap: int = DEFAULT_EVAL_CAP) -> RealizationReport:
     """Synthesize a monotone set coloring board whose value is G.
 
     The report records the board, its carrier size against the size

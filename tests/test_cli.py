@@ -126,7 +126,9 @@ def test_stats_of_catalog_count_boards_and_option_set_pairs():
     # distinct values of a layer, follow the process-wide interning
     # order: 445 boards of 1 to 3 cells and the 1,990 four-cell orbit
     # representatives are valued from their restrictions, and only their
-    # 717 distinct pairs of option sets reach simplify
+    # 717 distinct pairs of option sets reach simplify.  Its checks store
+    # 1,506 leq pairs and, since the order kernel asks tri only through
+    # leq, no tri pair (the README quotes these figures)
     src = str(Path(scgames.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "scgames", "--stats",
@@ -136,6 +138,7 @@ def test_stats_of_catalog_count_boards_and_option_set_pairs():
     assert len(json.loads(proc.stdout)["entries"]) == 50
     stats = json.loads(proc.stderr)
     assert (stats["layer_boards"], stats["layer_pairs"]) == (2435, 717)
+    assert (stats["memo"]["leq"], stats["memo"]["tri"]) == (1506, 0)
 
 
 def test_stats_of_a_composed_board_count_its_images(capsys, tmp_path):

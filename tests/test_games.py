@@ -412,14 +412,17 @@ def test_pair_memos_agree_with_a_fresh_context(cold_games):
     # the 60 sums of test_pair_memos_hold_composite_pairs_only and 140
     # more, with every simplified form computed here: each entry simplify's
     # checks wrote is what a second context answers for the pair, and no
-    # leq entry is reflexive.  leq finds most tri witnesses at the
-    # matching options, which stores no tri entry, so it takes 200 sums
-    # for more than 1000 tri entries
+    # leq entry is reflexive.  The order kernel stores no tri entry, so
+    # ctx.tri holds the sampler's is_passable checks and tri asked of each
+    # sum against its options
     ctx = SolverContext()
     rng = random.Random(1013)
     for _ in range(200):
-        simplify(ctx, sum_games(ctx, _composite_passable(ctx, rng),
-                                _composite_passable(ctx, rng)))
+        s = sum_games(ctx, _composite_passable(ctx, rng),
+                      _composite_passable(ctx, rng))
+        simplify(ctx, s)
+        for x in s.left + s.right:
+            tri(ctx, s, x), tri(ctx, x, s)
     assert len(ctx.leq) > 1000 and len(ctx.tri) > 1000
     by_uid = {g.uid: g for g in list(games_mod._GAMES.values())}
     low = UID_LIMIT - 1
@@ -428,6 +431,27 @@ def test_pair_memos_agree_with_a_fresh_context(cold_games):
         assert not [k for k, v in memo.items()
                     if rel(fresh, by_uid[k >> 32], by_uid[k & low]) != v]
     assert not [k for k in ctx.leq if k >> 32 == k & low]
+
+
+def test_the_order_kernel_stores_no_tri_entry(cold_games):
+    # _leq asks each tri clause as its two disjuncts, through itself, so
+    # sums, simplify, leq and equiv store leq entries only, and each is
+    # what a second context answers; the games are sampled in another
+    # context, since the sampler's is_passable asks tri(G, G)
+    rng = random.Random(1014)
+    made = SolverContext()
+    pairs = [(_composite_passable(made, rng), _composite_passable(made, rng))
+             for _ in range(60)]
+    ctx = SolverContext()
+    for g, h in pairs:
+        simplify(ctx, sum_games(ctx, g, h))
+        leq(ctx, g, h), leq(ctx, h, g), equiv(ctx, simplify(ctx, g), h)
+    assert len(ctx.leq) > 1000 and not ctx.tri
+    by_uid = {g.uid: g for g in list(games_mod._GAMES.values())}
+    low = UID_LIMIT - 1
+    fresh = SolverContext()
+    assert not [k for k, v in ctx.leq.items()
+                if leq(fresh, by_uid[k >> 32], by_uid[k & low]) != v]
 
 
 def test_leq_of_a_2000_level_chain_with_itself(ctx):
@@ -468,10 +492,10 @@ def test_simplify_falls_back_to_its_input_when_the_check_fails(
 
 
 def test_leq_decides_chain_of_300_levels():
-    # two Python frames per level of the recursion, so 300 levels fit
-    # the default recursion limit; the masks leave every level of these
-    # chains open, so each query, in a fresh context, memoizes at least
-    # one pair a level
+    # one Python frame per level of the order kernel's recursion, so 300
+    # levels fit the default recursion limit; the masks leave every level
+    # of these chains open, so each query, in a fresh context, memoizes
+    # a leq pair at all but at most one level, and no tri pair
     assert sys.getrecursionlimit() <= 1000
     a, b = atomic("a", P4), atomic("b", P4)
 
@@ -487,25 +511,27 @@ def test_leq_decides_chain_of_300_levels():
         for rel, g, h in ((leq, lo, hi), (leq, hi, lo), (tri, hi, lo)):
             local = SolverContext()
             got.append(rel(local, g, h))
-            grown.append(len(local.leq) + len(local.tri))
+            grown.append(len(local.leq))
+            if rel is leq:
+                assert not local.tri
         if n == 3:
             assert got == [ref_leq(lo, hi), ref_leq(hi, lo), ref_tri(hi, lo)]
         assert got == [True, False, False]
-        assert min(grown) >= n
+        assert min(grown) >= n - 1
 
 
 def test_chain_of_400_levels_through_the_order_kernel():
-    # leq and tri alternate two Python frames per level, so 400 levels fit
+    # the order kernel takes one Python frame per level, so 400 levels fit
     # the default recursion limit in every entry that reaches them; each
     # query gets a fresh context, so no memo answers it from another's
     # recursion, and the answers match the reference on a shallow chain.
     # The masks leave every level of the {a,b|...} chains open, so each
-    # order query memoizes at least one pair a level of the shorter,
-    # 399-level chain.  The masks decide every level of the monotone
-    # chain {top|...{top|a}...}, so that arm checks is_monotone's own walk
-    # and nothing of the order kernel.  Games keep their predicates, so
-    # the deep-chain tests here each ask them of a chain no other test
-    # asks them of.
+    # query memoizes a leq pair at all but at most one level of the
+    # shorter, 399-level chain, and leq and equiv no tri pair.  The masks
+    # decide every level of the monotone chain {top|...{top|a}...}, so
+    # that arm checks is_monotone's own walk and nothing of the order
+    # kernel.  Games keep their predicates, so the deep-chain tests here
+    # each ask them of a chain no other test asks them of.
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)
 
@@ -531,9 +557,10 @@ def test_chain_of_400_levels_through_the_order_kernel():
                   lambda c: equiv(c, g, h), lambda c: is_passable(c, g)):
         local = SolverContext()
         got.append(query(local))
-        grown.append(len(local.leq) + len(local.tri))
+        grown.append((len(local.leq), len(local.tri)))
     assert got == [False, True, False, True]
-    assert min(grown) >= 399
+    assert min(n for n, _ in grown) >= 398
+    assert not [t for _, t in grown[:3] if t]
     assert simplify(SolverContext(), g) is g
     assert is_monotone(SolverContext(), monotone_chain(400))
 
@@ -562,8 +589,8 @@ def test_leq_finds_tri_witnesses_at_the_matching_options():
 
 def test_chain_of_450_levels_through_simplify_and_dedupe(ctx):
     # simplify walks on the fold's stack, but its equivalence checks, like
-    # is_passable and the equivalence index, reach the order kernel, two
-    # Python frames a level, so 450 levels fit the default limit
+    # is_passable and the equivalence index, reach the order kernel, one
+    # Python frame a level, so 450 levels fit the default limit
     from scgames.catalog import dedupe_values
     assert sys.getrecursionlimit() <= 1000
     t, a, b = top(P4), atomic("a", P4), atomic("b", P4)

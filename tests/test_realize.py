@@ -148,6 +148,15 @@ def test_verification_modes(mctx):
     assert low_cap.carrier_size > 5
 
 
+def test_default_cap_verifies_a_16_cell_board(ctx):
+    # realize and verify default to eval_board's cap, 16 cells, so this
+    # 16-cell board is brute-forced, not left unchecked
+    r = realize(ctx, parse("{a|{a|a,top}}"))
+    assert r.carrier_size == 16
+    assert r.verified is VerifiedHow.BRUTE_FORCE
+    assert verify(ctx, r.board, r.input)
+
+
 def test_realization_is_memoized_per_context(ctx):
     g = parse("{a,b|bot}")
     r1 = realize(ctx, g)

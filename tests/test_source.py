@@ -33,18 +33,22 @@ def test_no_unused_imports(source):
 def test_games_walks_recurse_only_where_pinned():
     # walks over a game's positions go through games.fold, on its own
     # stack; is_passable and is_monotone recurse on purpose (their
-    # docstrings say why).  _leq calls itself on option pairs when it
-    # looks for a tri witness at the matching options; the order kernel
-    # already recursed through _tri, and only an explicit stack of
-    # pending pairs would take either recursion out
+    # docstrings say why).  _leq is the order kernel: it asks each tri
+    # clause's two disjuncts through itself, and only an explicit stack
+    # of pending pairs would take that recursion out.  It calls no other
+    # function of the module, so leq and tri are not mutually recursive
     tree = ast.parse((SRC / "games.py").read_text())
-    recursive = {fn.name for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef)
-                 and any(isinstance(n, ast.Call)
-                         and isinstance(n.func, ast.Name)
-                         and n.func.id == fn.name for n in ast.walk(fn))}
+
+    def called(fn):
+        return {n.func.id for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    recursive = {fn.name for fn in fns if fn.name in called(fn)}
     assert recursive == {"_leq", "is_passable", "is_monotone"}, (
         "walk a game's positions with games.fold, not by recursion")
+    kernel, = [fn for fn in fns if fn.name == "_leq"]
+    assert called(kernel) & {fn.name for fn in fns} == {"_leq"}
 
 
 def test_games_are_built_only_where_their_masks_are_shared():
